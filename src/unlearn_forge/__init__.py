@@ -10,7 +10,7 @@ evaluation reports (:mod:`metrics`), and the analytic verification suite
 (:mod:`verify`) behind the ``unlearn-forge`` CLI (:mod:`cli`).
 """
 
-from .numcore import RngStream, derive_stream, kaiming_sample, axpy_merge
+from .numcore import RngStream, derive_stream, kaiming_sample
 from .models import (
     ModelSpec,
     Objective,
@@ -24,7 +24,6 @@ from .spectral import SpectralEstimate, lambda_max, lambda_min, condition_number
 from .datasets import (
     SplitDataset,
     gen_blobs,
-    gen_quadratic_task,
     split_random,
     split_classwise,
     split_objective,
@@ -46,10 +45,6 @@ from .unlearning import (
     ieu_step,
     ieu_run,
     irp_run,
-    finetune,
-    random_label,
-    scrub_lite,
-    salun_lite,
     unlearn,
 )
 from .metrics import RcdReport, EvalReport, MiaResult, rcd, rcd_bound, mia_score, eval_report

@@ -122,7 +122,7 @@ def _parse_model(text: str) -> ModelSpec:
     raise UsageError(f"unknown model kind {kind!r}; use logistic:p,C or mlp:d0,d1,...")
 
 
-def _parse_step(text: str, k_default_eta=None):
+def _parse_step(text: str):
     """``fixed:<eta>`` or ``adaptive`` -> relearning OptimizerConfig kwargs."""
     if text == "adaptive":
         return {"kind": "gd_adaptive", "eta": 1.0}
@@ -139,7 +139,7 @@ def _opt_config(cfg: dict) -> OptimizerConfig:
     return OptimizerConfig(
         kind=cfg["optimizer"],
         eta=cfg["eta"],
-        batch_size=cfg["batch_size"] if cfg["batch_size"] else "full",
+        batch_size="full" if cfg["batch_size"] is None else cfg["batch_size"],
         max_epochs=cfg["epochs"],
     )
 
@@ -221,21 +221,16 @@ def _cmd_retrain(args) -> int:
 
 
 def _cmd_unlearn(args) -> int:
-    keys = ["data", "ckpt", "method", "alpha", "c", "eta", "epochs", "batch_size",
+    keys = ["data", "ckpt", "method", "alpha", "c", "eta", "epochs",
             "scrub_max_epochs", "salun_fraction", "noise_scope"]
     cfg = _resolve_config(args, keys)
     if not cfg["data"] or not cfg["ckpt"] or not cfg["method"]:
         raise UsageError("unlearn requires --data, --ckpt and --method")
-    ds = load_uds(cfg["data"])
-    original = load_checkpoint(cfg["ckpt"])
     ukw = {k: v for k, v in cfg.items()
            if k not in ("data", "ckpt") and v is not None}
-    if ukw.get("batch_size") is None:
-        ukw.pop("batch_size", None)
-    try:
-        ucfg = UnlearnConfig(seed=args.seed, **ukw)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    ucfg = UnlearnConfig(seed=args.seed, **ukw)
+    ds = load_uds(cfg["data"])
+    original = load_checkpoint(cfg["ckpt"])
     run = unlearn(original, ds, ucfg)
     run_dir, exp_id = _new_run("unlearn", cfg, args.seed)
     ck = Checkpoint(role="unlearned", spec=original.spec, config=ucfg.to_dict(),
@@ -273,10 +268,10 @@ def _cmd_rcd(args) -> int:
     ds = load_uds(cfg["data"])
     ckpt = load_checkpoint(cfg["ckpt"])
     step = _parse_step(cfg["step"])
-    if step["kind"] == "gd_fixed" and cfg["batch_size"]:
+    batch = cfg["batch_size"]
+    if step["kind"] == "gd_fixed" and batch is not None:
         step = {"kind": "sgd", "eta": step["eta"]}
-    relearn = OptimizerConfig(batch_size=cfg["batch_size"] or "full",
-                              max_epochs=1, **step)
+    relearn = OptimizerConfig(batch_size="full" if batch is None else batch, max_epochs=1, **step)
     oracle_cfg = OptimizerConfig(**ckpt.config) if _is_opt_config(ckpt.config) else (
         OptimizerConfig(kind="adam", eta=0.01, max_epochs=200))
     _, phi_ref = forget_oracle(ds, ckpt.spec, oracle_cfg, args.seed)
@@ -408,7 +403,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--c", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--scrub-max-epochs", dest="scrub_max_epochs", type=int)
     p.add_argument("--salun-fraction", dest="salun_fraction", type=float)
     p.add_argument("--noise-scope", dest="noise_scope",

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .models import Objective, ModelSpec, make_quadratic, make_classifier
+from .models import Objective, ModelSpec, make_classifier
 from .numcore import derive_stream
 
 __all__ = [
     "SplitDataset",
     "gen_blobs",
-    "gen_quadratic_task",
     "split_random",
     "split_classwise",
     "split_objective",
@@ -188,17 +187,6 @@ def split_objective(ds: SplitDataset, spec: ModelSpec, which: str) -> Objective:
     if len(idx) == 0:
         raise ValueError(f"split {which!r} is empty")
     return make_classifier(spec, ds.features[idx], ds.labels[idx])
-
-
-def gen_quadratic_task(spectrum, theta_star, l_star, forget_spectrum, forget_theta_star,
-                       forget_l_star: float = 0.0):
-    """Paired retain/forget quadratic oracles with independent optima and
-    curvature, for exercising conflicting-gradient unlearning scenarios."""
-    retain = make_quadratic(spectrum, theta_star, l_star)
-    forget = make_quadratic(forget_spectrum, forget_theta_star, forget_l_star)
-    if retain.spec.param_count != forget.spec.param_count:
-        raise ValueError("retain and forget oracles must share the parameter dimension")
-    return retain, forget
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .datasets import SplitDataset, split_objective
 from .models import Objective
 from .numcore import RngStream
 from .spectral import SpectralEstimate, estimate_spectrum, condition_number, NON_PSD_DIAGNOSTIC
-from .training import OptimizerConfig, make_stepper
+from .training import OptimizerConfig, _Stepper
 
 __all__ = [
     "RcdReport",
@@ -55,7 +55,6 @@ class RcdReport:
     curvature_bound: float | None = None
     bound_diagnostic: str | None = None
     spectral: SpectralEstimate | None = None
-    tail_estimate: float | None = None
     clamped: bool = False
 
     def to_dict(self) -> dict:
@@ -69,7 +68,6 @@ class RcdReport:
             "curvature_bound": self.curvature_bound,
             "bound_diagnostic": self.bound_diagnostic,
             "spectral": None if self.spectral is None else self.spectral.to_dict(),
-            "tail_estimate": self.tail_estimate,
             "clamped": self.clamped,
         }
 
@@ -104,7 +102,7 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
         raise ValueError("K must be >= 0")
     phi = _phi(forget_obj, phi_kind)
     theta = np.array(theta0, dtype=np.float64)
-    stepper = make_stepper(forget_obj, relearn_cfg, rng)
+    stepper = _Stepper(forget_obj, relearn_cfg, rng)
     errors = np.empty(K + 1)
     errors[0] = phi(theta) - phi_ref
     for t in range(1, K + 1):

@@ -21,7 +21,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,22 +139,20 @@ def mlp_spec(layer_dims, activation: str = "relu") -> ModelSpec:
 
 @dataclass(frozen=True)
 class Objective:
-    """A pure differentiable map: model + loss kind + dataset view.
+    """A pure differentiable map: model + dataset view. The loss follows
+    from ``spec.kind``: the quadratic form for the quadratic oracle, mean
+    cross-entropy for the classifiers.
 
     ``value``/``gradient``/``hvp`` are stateless; identical inputs always
     give identical outputs, so objectives may be shared across tasks.
     """
 
     spec: ModelSpec
-    loss_kind: str  # quadratic_form | cross_entropy | mse
     X: np.ndarray | None = None
     y: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.spec.kind == "quadratic":
-            if self.loss_kind != "quadratic_form":
-                raise ValueError("quadratic models use loss_kind='quadratic_form'")
-        else:
+        if self.spec.kind != "quadratic":
             if self.X is None or self.y is None:
                 raise ValueError("empty dataset view")
             if len(self.X) == 0:
@@ -173,9 +171,6 @@ class Objective:
             return self
         return replace(self, X=self.X[idx], y=self.y[idx])
 
-    def with_labels(self, y: np.ndarray) -> "Objective":
-        return replace(self, y=y)
-
     def _check_theta(self, theta: np.ndarray) -> None:
         if theta.shape != (self.spec.param_count,):
             raise ValueError(
@@ -189,13 +184,7 @@ class Objective:
         if self.spec.kind == "quadratic":
             r = theta - np.asarray(self.spec.theta_star)
             return float(0.5 * np.dot(np.asarray(self.spec.spectrum) * r, r) + self.spec.l_star)
-        z = self.logits(theta)
-        if self.loss_kind == "cross_entropy":
-            return float(np.mean(_ce_per_example(z, self.y)))
-        if self.loss_kind == "mse":
-            resid = z - self._targets()
-            return float(0.5 * np.sum(resid * resid) / len(z))
-        raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+        return float(np.mean(_ce_per_example(self.logits(theta), self.y)))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         self._check_theta(theta)
@@ -252,21 +241,11 @@ class Objective:
 
     # -- internals ----------------------------------------------------------
 
-    def _targets(self) -> np.ndarray:
-        y = np.asarray(self.y, dtype=np.float64)
-        if y.ndim == 1:
-            y = y[:, None]
-        return y
-
     def _loss_delta(self, z: np.ndarray) -> np.ndarray:
         n = len(z)
-        if self.loss_kind == "cross_entropy":
-            p = _softmax(z)
-            p[np.arange(n), self.y] -= 1.0
-            return p / n
-        if self.loss_kind == "mse":
-            return (z - self._targets()) / n
-        raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+        p = _softmax(z)
+        p[np.arange(n), self.y] -= 1.0
+        return p / n
 
     def _xtilde(self) -> np.ndarray:
         return np.hstack([self.X, np.ones((len(self.X), 1))])
@@ -299,19 +278,15 @@ class Objective:
                 ras.append(ra)
         rlogits = rzs[-1]
 
-        if self.loss_kind == "cross_entropy":
-            p = _softmax(z)
-            delta = p.copy()
-            delta[np.arange(n), self.y] -= 1.0
-            delta /= n
-            rdelta = p * (rlogits - np.sum(p * rlogits, axis=1, keepdims=True)) / n
-        else:  # mse
-            delta = (z - self._targets()) / n
-            rdelta = rlogits / n
+        p = _softmax(z)
+        delta = p.copy()
+        delta[np.arange(n), self.y] -= 1.0
+        delta /= n
+        rdelta = p * (rlogits - np.sum(p * rlogits, axis=1, keepdims=True)) / n
 
         # reverse pass carrying both the gradient and its tangent
         out = np.zeros_like(theta)
-        grads = _mlp_unpack_views(spec, out)
+        grads = _mlp_unpack(spec, out)  # views into out
         for layer in reversed(range(len(wb))):
             W, _ = wb[layer]
             Vw, _ = vb[layer]
@@ -383,9 +358,6 @@ def _mlp_unpack(spec: ModelSpec, theta: np.ndarray):
     return out
 
 
-_mlp_unpack_views = _mlp_unpack  # same layout; views into a writable buffer
-
-
 def _mlp_forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
     wb = _mlp_unpack(spec, theta)
     acts = [X]
@@ -403,7 +375,7 @@ def _mlp_forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
 def _mlp_backward(spec: ModelSpec, theta: np.ndarray, acts, zs, dlogits: np.ndarray) -> np.ndarray:
     wb = _mlp_unpack(spec, theta)
     out = np.zeros_like(theta)
-    grads = _mlp_unpack_views(spec, out)
+    grads = _mlp_unpack(spec, out)  # views into out
     delta = dlogits
     for layer in reversed(range(len(wb))):
         W, _ = wb[layer]
@@ -421,11 +393,11 @@ def _mlp_backward(spec: ModelSpec, theta: np.ndarray, acts, zs, dlogits: np.ndar
 
 def make_quadratic(spectrum, theta_star, l_star: float = 0.0) -> Objective:
     """Analytic strongly-convex/smooth oracle with known extreme curvature."""
-    return Objective(spec=quadratic_spec(spectrum, theta_star, l_star), loss_kind="quadratic_form")
+    return Objective(spec=quadratic_spec(spectrum, theta_star, l_star))
 
 
 def make_classifier(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> Objective:
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.int64)
     check_finite(X, "features")
-    return Objective(spec=spec, loss_kind="cross_entropy", X=X, y=y)
+    return Objective(spec=spec, X=X, y=y)

@@ -7,8 +7,8 @@ stream_id)``. The same key reproduces the same draw sequence bit-for-bit on
 any platform; distinct stream ids give statistically independent streams and
 can be used concurrently without coordination.
 
-Parameter vectors are plain 1-D ``float64`` numpy arrays. Helpers here
-validate shape and finiteness at the boundaries.
+Parameter vectors are plain 1-D ``float64`` numpy arrays;
+:func:`check_finite` guards them at the boundaries.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ __all__ = [
     "RngStream",
     "derive_stream",
     "kaiming_sample",
-    "axpy_merge",
-    "as_params",
     "check_finite",
 ]
 
@@ -72,20 +70,6 @@ def kaiming_sample(d: int, rng: RngStream) -> np.ndarray:
     if d < 1:
         raise ValueError(f"invalid dimension d={d}; need d >= 1")
     theta = rng.normal(np.sqrt(2.0 / d), d)
-    return theta
-
-
-def axpy_merge(a: float, x: np.ndarray, b: float, y: np.ndarray) -> np.ndarray:
-    """Elementwise ``a*x + b*y`` for equal-length vectors."""
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return a * x + b * y
-
-
-def as_params(values) -> np.ndarray:
-    """Coerce to a contiguous 1-D float64 vector, rejecting NaN/Inf."""
-    theta = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    check_finite(theta, "parameter vector")
     return theta
 
 

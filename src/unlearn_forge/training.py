@@ -12,7 +12,7 @@ metrics treat these models as converged references.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "TrainTrace",
     "DivergenceError",
     "train",
-    "make_stepper",
     "retrain_oracle",
     "forget_oracle",
     "trace_to_csv",
@@ -63,6 +62,9 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+        bs = self.batch_size
+        if bs != "full" and not (isinstance(bs, (int, np.integer)) and bs >= 1):
+            raise ValueError(f"batch_size must be 'full' or an int >= 1, not {bs!r}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("adam betas must lie in (0, 1)")
         if self.max_epochs < 1:
@@ -145,16 +147,12 @@ class _Stepper:
         return theta
 
 
-def make_stepper(obj: Objective, cfg: OptimizerConfig, rng: RngStream) -> _Stepper:
-    return _Stepper(obj, cfg, rng)
-
-
 def train(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: RngStream) -> TrainTrace:
     """Run the configured optimizer until the gradient norm drops below
     tolerance or the epoch budget runs out. Deterministic given
     ``(theta0, cfg, rng)``."""
     theta = np.array(theta0, dtype=np.float64)
-    stepper = make_stepper(obj, cfg, rng)
+    stepper = _Stepper(obj, cfg, rng)
     records = []
     initial_loss = None
     stop_reason = "max_epochs"

@@ -14,6 +14,10 @@ distillation-style scrub (maximize forget-set KL from the original model
 for the first few epochs, regularize toward it on the retain set
 throughout), and a saliency-masked variant of random labeling.
 
+Every method is ``unlearn(ckpt, data, UnlearnConfig(method=...))``. Each
+supplies only its per-epoch update rule; one epoch loop owns the timer,
+the finiteness check, the trace rows and the optional trajectory.
+
 Stabilization: the forget gradient is norm-clipped at ``clip_ratio`` times
 the retain gradient before the ascent term is applied; activations of the
 clip are recorded in the trace. The stationary per-coordinate variance of
@@ -24,7 +28,7 @@ not ``2/d``; see the README discussion.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict, replace as dc_replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -39,12 +43,7 @@ __all__ = [
     "UnlearnRun",
     "ieu_step",
     "ieu_run",
-    "ieu_from_checkpoint",
     "irp_run",
-    "finetune",
-    "random_label",
-    "scrub_lite",
-    "salun_lite",
     "unlearn",
     "RetainBoundReport",
     "retain_bound_monitor",
@@ -63,7 +62,6 @@ class UnlearnConfig:
     c: float = 0.0  # forgetting-set ascent weight
     eta: float = 0.01
     epochs: int = 10
-    batch_size: int | str = "full"
     seed: int = 0
     scrub_max_epochs: int = 2  # KL-maximization phase length
     salun_fraction: float = 0.5  # top fraction of coordinates by |grad_f|
@@ -85,6 +83,11 @@ class UnlearnConfig:
             raise ValueError("salun saliency fraction must lie in (0, 1]")
         if self.noise_scope not in ("global_d", "per_layer_fan_in"):
             raise ValueError(f"unknown noise scope {self.noise_scope!r}")
+        if not self.clip_ratio > 0:
+            raise ValueError("clip_ratio must be positive")
+        if self.method == "ft" and (self.alpha != 1.0 or self.c != 0.0):
+            raise ValueError("method 'ft' is the alpha=1, c=0 limit; use method 'ieu' "
+                             "for other alpha or c")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -153,39 +156,27 @@ def _clip_forget_grad(grad_r, grad_f, ratio):
     return grad_f, False
 
 
-def ieu_run(retain_obj: Objective | None, forget_obj: Objective, theta0: np.ndarray,
-            cfg: UnlearnConfig, rng: RngStream, init_sampler=None,
-            record_thetas: bool = False) -> UnlearnRun:
-    """Run the full unlearning loop on explicit objectives.
-
-    ``retain_obj`` may be None only for the retain-free scenario, where the
-    descent term drops out entirely. With ``record_thetas`` the full
-    parameter trajectory (including the start point) is kept on the run as
-    ``thetas``; the retain-loss bound monitor needs it.
-    """
+def _run_loop(cfg: UnlearnConfig, theta0: np.ndarray, retain_obj: Objective | None,
+              forget_obj: Objective, step, record_thetas: bool = False) -> UnlearnRun:
+    """The one epoch loop every method runs. ``step(epoch, theta)`` is the
+    method's update rule: it returns the new parameters and the extra
+    ``EpochRow`` fields of that epoch."""
     start = time.perf_counter()
     theta = np.array(theta0, dtype=np.float64)
     trace = []
     thetas = [theta.copy()] if record_thetas else None
-    zeros = np.zeros_like(theta)
     for epoch in range(cfg.epochs):
-        grad_r = zeros if retain_obj is None else retain_obj.gradient(theta)
-        grad_f = forget_obj.gradient(theta)
-        grad_f, clipped = _clip_forget_grad(grad_r, grad_f, cfg.clip_ratio) if cfg.c > 0 else (
-            grad_f, False)
-        theta = ieu_step(theta, grad_r, grad_f, cfg.alpha, cfg.c, cfg.eta, rng, init_sampler)
+        theta, fields = step(epoch, theta)
         check_finite(theta, "unlearned parameters")
-        trace.append(_eval_row(epoch, retain_obj, forget_obj, theta, clipped))
+        trace.append(_eval_row(epoch, retain_obj, forget_obj, theta, **fields))
         if record_thetas:
             thetas.append(theta.copy())
-    run = UnlearnRun(method="ieu", config=cfg.to_dict(), trace=trace, theta=theta,
-                     wall_clock=time.perf_counter() - start)
-    if record_thetas:
-        run.thetas = np.array(thetas)
-    return run
+    return UnlearnRun(method=cfg.method, config=cfg.to_dict(), trace=trace, theta=theta,
+                      wall_clock=time.perf_counter() - start,
+                      thetas=None if thetas is None else np.array(thetas))
 
 
-def _eval_row(epoch, retain_obj, forget_obj, theta, clipped=False, forget_kl=None) -> EpochRow:
+def _eval_row(epoch, retain_obj, forget_obj, theta, clip_active=False, forget_kl=None) -> EpochRow:
     is_cls = forget_obj.spec.is_classifier
     return EpochRow(
         epoch=epoch,
@@ -193,9 +184,35 @@ def _eval_row(epoch, retain_obj, forget_obj, theta, clipped=False, forget_kl=Non
         forget_loss=forget_obj.value(theta),
         retain_acc=retain_obj.accuracy(theta) if retain_obj is not None and is_cls else None,
         forget_acc=forget_obj.accuracy(theta) if is_cls else None,
-        clip_active=clipped,
+        clip_active=clip_active,
         forget_kl=forget_kl,
     )
+
+
+def ieu_run(retain_obj: Objective | None, forget_obj: Objective, theta0: np.ndarray,
+            cfg: UnlearnConfig, rng: RngStream, init_sampler=None,
+            record_thetas: bool = False) -> UnlearnRun:
+    """Run the influence-eliminating update (``ieu`` or its ``ft`` limit) on
+    explicit objectives.
+
+    ``retain_obj`` may be None only for the retain-free scenario, where the
+    descent term drops out entirely. With ``record_thetas`` the full
+    parameter trajectory (including the start point) is kept on the run as
+    ``thetas``; the retain-loss bound monitor needs it.
+    """
+    if cfg.method not in ("ieu", "ft"):
+        raise ValueError(f"ieu_run runs methods 'ieu' and 'ft', not {cfg.method!r}")
+
+    def step(epoch, theta):
+        grad_r = np.zeros_like(theta) if retain_obj is None else retain_obj.gradient(theta)
+        grad_f = forget_obj.gradient(theta)
+        clipped = False
+        if cfg.c > 0:
+            grad_f, clipped = _clip_forget_grad(grad_r, grad_f, cfg.clip_ratio)
+        theta = ieu_step(theta, grad_r, grad_f, cfg.alpha, cfg.c, cfg.eta, rng, init_sampler)
+        return theta, {"clip_active": clipped}
+
+    return _run_loop(cfg, theta0, retain_obj, forget_obj, step, record_thetas)
 
 
 def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: RngStream) -> np.ndarray:
@@ -213,88 +230,46 @@ def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: RngStream) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# checkpoint-level method drivers
+# update rules of the baselines
 
 
-def _objectives(ckpt: Checkpoint, data: SplitDataset):
-    retain = split_objective(data, ckpt.spec, "retain")
-    forget = split_objective(data, ckpt.spec, "forget")
-    return retain, forget
-
-
-def ieu_from_checkpoint(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> UnlearnRun:
-    retain, forget = _objectives(ckpt, data)
-    sampler = None
-    if cfg.noise_scope == "per_layer_fan_in":
-        sampler = per_layer_fan_in_sampler(ckpt.spec)
-    rng = derive_stream(cfg.seed, _STREAM_UNLEARN)
-    return ieu_run(retain, forget, ckpt.theta, cfg, rng, sampler)
-
-
-def finetune(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> UnlearnRun:
-    """Continue training on the retain set only; the alpha=1, c=0 limit of
-    the full framework, bit-for-bit."""
-    run = ieu_from_checkpoint(ckpt, data, dc_replace(cfg, method="ieu", alpha=1.0, c=0.0))
-    run.method = "ft"
-    return run
-
-
-def _masked_relabel_run(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig,
-                        mask: np.ndarray | None, method: str) -> UnlearnRun:
-    start = time.perf_counter()
-    retain, forget = _objectives(ckpt, data)
-    if not ckpt.spec.is_classifier:
-        raise TypeError("random labeling requires a classification task")
-    C = ckpt.spec.num_classes
-    rng = derive_stream(cfg.seed, _STREAM_UNLEARN)
-    theta = np.array(ckpt.theta, dtype=np.float64)
-    y_forget = forget.y
+def _relabel_step(retain: Objective, forget: Objective, cfg: UnlearnConfig, rng: RngStream,
+                  mask: np.ndarray | None):
+    """Random labeling: descend the retain set plus the forget set with its
+    labels resampled uniformly over the other C-1 classes each epoch;
+    ``mask`` restricts the update to salient coordinates."""
+    C = forget.spec.num_classes
     X = np.vstack([retain.X, forget.X])
-    trace = []
-    for epoch in range(cfg.epochs):
-        # resample forget labels uniformly over the other C-1 classes
-        fake = (y_forget + 1 + rng.integers(C - 1, size=len(y_forget))) % C
-        y = np.concatenate([retain.y, fake])
-        combined = Objective(spec=ckpt.spec, loss_kind="cross_entropy", X=X, y=y)
+
+    def step(epoch, theta):
+        fake = (forget.y + 1 + rng.integers(C - 1, size=len(forget.y))) % C
+        combined = Objective(spec=forget.spec, X=X, y=np.concatenate([retain.y, fake]))
         update = cfg.eta * combined.gradient(theta)
         if mask is not None:
             update = update * mask
-        theta = theta - update
-        check_finite(theta, "unlearned parameters")
-        trace.append(_eval_row(epoch, retain, forget, theta))
-    return UnlearnRun(method=method, config=cfg.to_dict(), trace=trace, theta=theta,
-                      wall_clock=time.perf_counter() - start)
+        return theta - update, {}
+
+    return step
 
 
-def random_label(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> UnlearnRun:
-    return _masked_relabel_run(ckpt, data, cfg, None, "rl")
+def _saliency_mask(forget: Objective, theta: np.ndarray, fraction: float) -> np.ndarray:
+    """Indicator of the top ``fraction`` of coordinates by forget-gradient
+    magnitude at ``theta``; ties resolve by stable index order."""
+    saliency = np.abs(forget.gradient(theta))
+    k = max(1, int(round(fraction * saliency.size)))
+    mask = np.zeros(saliency.size)
+    mask[np.argsort(-saliency, kind="stable")[:k]] = 1.0
+    return mask
 
 
-def salun_lite(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> UnlearnRun:
-    """Random labeling restricted to the top-rho coordinates by forget
-    gradient magnitude at the input checkpoint."""
-    _, forget = _objectives(ckpt, data)
-    saliency = np.abs(forget.gradient(ckpt.theta))
-    d = saliency.size
-    k = max(1, int(round(cfg.salun_fraction * d)))
-    mask = np.zeros(d)
-    # deterministic: ties resolved by stable index order
-    order = np.argsort(-saliency, kind="stable")
-    mask[order[:k]] = 1.0
-    return _masked_relabel_run(ckpt, data, cfg, mask, "salun")
+def _scrub_step(retain: Objective, forget: Objective, teacher: np.ndarray, cfg: UnlearnConfig):
+    """Distillation with the input checkpoint as teacher: ascend the forget
+    KL for the first ``scrub_max_epochs`` epochs, descend cross-entropy
+    plus the retain KL throughout."""
+    p_teacher_f = _softmax(forget.logits(teacher))
+    p_teacher_r = _softmax(retain.logits(teacher))
 
-
-def scrub_lite(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> UnlearnRun:
-    """Distillation-based baseline with the input checkpoint as teacher."""
-    start = time.perf_counter()
-    retain, forget = _objectives(ckpt, data)
-    if not ckpt.spec.is_classifier:
-        raise TypeError("scrub requires a classification task")
-    theta = np.array(ckpt.theta, dtype=np.float64)
-    p_teacher_f = _softmax(forget.logits(ckpt.theta))
-    p_teacher_r = _softmax(retain.logits(ckpt.theta))
-    trace = []
-    for epoch in range(cfg.epochs):
+    def step(epoch, theta):
         if epoch < cfg.scrub_max_epochs:
             # ascend KL(teacher || student) on the forget set
             p_s = _softmax(forget.logits(theta))
@@ -304,11 +279,9 @@ def scrub_lite(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> Unle
         p_s = _softmax(retain.logits(theta))
         dlog = retain._loss_delta(retain.logits(theta)) + (p_s - p_teacher_r) / len(p_s)
         theta = theta - cfg.eta * retain.grad_from_logit_delta(theta, dlog)
-        check_finite(theta, "unlearned parameters")
-        kl = _kl_divergence(p_teacher_f, _softmax(forget.logits(theta)))
-        trace.append(_eval_row(epoch, retain, forget, theta, forget_kl=kl))
-    return UnlearnRun(method="scrub", config=cfg.to_dict(), trace=trace, theta=theta,
-                      wall_clock=time.perf_counter() - start)
+        return theta, {"forget_kl": _kl_divergence(p_teacher_f, _softmax(forget.logits(theta)))}
+
+    return step
 
 
 def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -397,15 +370,22 @@ def retain_bound_monitor(retain_obj: Objective, forget_obj: Objective,
 
 
 def unlearn(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> UnlearnRun:
-    """Dispatch on ``cfg.method``."""
-    if cfg.method == "ieu":
-        return ieu_from_checkpoint(ckpt, data, cfg)
-    if cfg.method == "ft":
-        return finetune(ckpt, data, cfg)
-    if cfg.method == "rl":
-        return random_label(ckpt, data, cfg)
+    """Run ``cfg.method`` from ``ckpt`` on the shared epoch loop."""
+    retain = split_objective(data, ckpt.spec, "retain")
+    forget = split_objective(data, ckpt.spec, "forget")
+    rng = derive_stream(cfg.seed, _STREAM_UNLEARN)
+    if cfg.method in ("ieu", "ft"):
+        sampler = None
+        if cfg.noise_scope == "per_layer_fan_in":
+            sampler = per_layer_fan_in_sampler(ckpt.spec)
+        return ieu_run(retain, forget, ckpt.theta, cfg, rng, sampler)
+    if not ckpt.spec.is_classifier:
+        raise TypeError(f"method {cfg.method!r} requires a classification task")
     if cfg.method == "scrub":
-        return scrub_lite(ckpt, data, cfg)
-    if cfg.method == "salun":
-        return salun_lite(ckpt, data, cfg)
-    raise ValueError(f"unknown unlearning method {cfg.method!r}")
+        step = _scrub_step(retain, forget, ckpt.theta, cfg)
+    else:
+        mask = None
+        if cfg.method == "salun":
+            mask = _saliency_mask(forget, ckpt.theta, cfg.salun_fraction)
+        step = _relabel_step(retain, forget, cfg, rng, mask)
+    return _run_loop(cfg, ckpt.theta, retain, forget, step)

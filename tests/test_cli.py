@@ -88,6 +88,23 @@ def test_usage_errors_exit_one(runs_dir, capsys):
     capsys.readouterr()
 
 
+def test_silent_no_op_settings_exit_one(runs_dir, tmp_path, capsys):
+    data = tmp_path / "d.uds"
+    assert cli(["gen-data", "--seed", "1", "--n-per-class", "10", "--out", str(data)]) == 0
+    train = ["train", "--seed", "1", "--data", str(data), "--model", "logistic:5,3",
+             "--optimizer", "sgd", "--epochs", "2"]
+    assert cli(train + ["--batch-size", "-4"]) == 1
+    assert "batch_size" in capsys.readouterr().err
+    assert cli(train) == 0
+    ckpt = str(_one("*/checkpoints/original.ieuc", runs_dir))
+    unlearn = ["unlearn", "--seed", "1", "--data", str(data), "--ckpt", ckpt]
+    assert cli(unlearn + ["--method", "ft", "--alpha", "0.5"]) == 1
+    assert "alpha" in capsys.readouterr().err
+    # no unlearning method reads a batch size, so unlearn has no such flag
+    assert cli(unlearn + ["--method", "ieu", "--batch-size", "4"]) == 1
+    capsys.readouterr()
+
+
 def test_missing_seed_is_usage_error(runs_dir, capsys):
     assert cli(["gen-data", "--classes", "3"]) == 1
     capsys.readouterr()

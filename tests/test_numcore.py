@@ -5,8 +5,6 @@ from unlearn_forge.numcore import (
     RngStream,
     derive_stream,
     kaiming_sample,
-    axpy_merge,
-    as_params,
     check_finite,
 )
 
@@ -40,20 +38,6 @@ def test_kaiming_variance():
 def test_kaiming_bad_dim():
     with pytest.raises(ValueError):
         kaiming_sample(0, derive_stream(0, 0))
-
-
-def test_axpy_merge():
-    x, y = np.array([1.0, 2.0]), np.array([3.0, -1.0])
-    assert np.allclose(axpy_merge(2.0, x, -1.0, y), [-1.0, 5.0])
-    with pytest.raises(ValueError):
-        axpy_merge(1.0, x, 1.0, np.zeros(3))
-
-
-def test_as_params_rejects_nan():
-    with pytest.raises(FloatingPointError):
-        as_params([1.0, np.nan])
-    out = as_params([[1, 2], [3, 4]])
-    assert out.shape == (4,) and out.dtype == np.float64
 
 
 def test_check_finite_message():

@@ -96,6 +96,14 @@ def test_config_validation():
         OptimizerConfig(max_epochs=0)
 
 
+@pytest.mark.parametrize("batch_size", [-4, 0, 2.5, "half"])
+def test_batch_size_must_be_full_or_positive_int(batch_size):
+    # with -4, range(0, n, -4) is empty and an epoch would make no update
+    with pytest.raises(ValueError, match="batch_size"):
+        OptimizerConfig(kind="sgd", batch_size=batch_size)
+    assert OptimizerConfig(kind="sgd", batch_size=np.int64(4)).batch_size == 4
+
+
 def test_trace_csv(tmp_path):
     obj = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
     cfg = OptimizerConfig(kind="gd_fixed", eta=0.25, max_epochs=3)

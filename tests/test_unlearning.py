@@ -69,6 +69,45 @@ def test_config_validation():
         UnlearnConfig(salun_fraction=0.0)
 
 
+@pytest.mark.parametrize("clip_ratio", [0.0, -1.0, float("nan")])
+def test_clip_ratio_must_be_positive(clip_ratio):
+    # a negative ratio would flip the sign of the ascent term
+    with pytest.raises(ValueError, match="clip_ratio"):
+        UnlearnConfig(method="ieu", c=0.1, clip_ratio=clip_ratio)
+
+
+@pytest.mark.parametrize("kw", [{"alpha": 0.5}, {"c": 0.1}])
+def test_ft_rejects_alpha_and_c(kw):
+    # ft is the alpha=1, c=0 limit; it would ignore other values
+    with pytest.raises(ValueError, match="ft"):
+        UnlearnConfig(method="ft", **kw)
+
+
+def test_ieu_run_rejects_other_methods():
+    obj = make_quadratic([1.0], np.zeros(1), 0.0)
+    with pytest.raises(ValueError, match="scrub"):
+        ieu_run(obj, obj, np.ones(1), UnlearnConfig(method="scrub"), derive_stream(0, 1))
+
+
+@pytest.mark.parametrize("method", ["ft", "rl", "scrub", "salun", "ieu"])
+def test_every_method_runs_on_the_shared_loop(blob_ckpt, method):
+    ckpt, ds = blob_ckpt
+    extra = {"alpha": 0.999, "c": 0.01} if method == "ieu" else {}
+    cfg = UnlearnConfig(method=method, eta=0.05, epochs=4, seed=5, **extra)
+    run = unlearn(ckpt, ds, cfg)
+    assert run.method == cfg.method
+    assert run.config == cfg.to_dict()
+    assert len(run.trace) == cfg.epochs
+    last = run.trace[-1]
+    retain = split_objective(ds, ckpt.spec, "retain")
+    forget = split_objective(ds, ckpt.spec, "forget")
+    assert last.retain_loss == retain.value(run.theta)
+    assert last.forget_loss == forget.value(run.theta)
+    assert last.retain_acc == retain.accuracy(run.theta)
+    assert last.forget_acc == forget.accuracy(run.theta)
+    assert all((row.forget_kl is not None) == (method == "scrub") for row in run.trace)
+
+
 def test_ft_is_alpha_one_limit(blob_ckpt):
     ckpt, ds = blob_ckpt
     a = unlearn(ckpt, ds, UnlearnConfig(method="ieu", alpha=1.0, c=0.0, eta=0.05,
