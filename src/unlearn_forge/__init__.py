@@ -20,7 +20,7 @@ from .models import (
     logistic_spec,
     mlp_spec,
 )
-from .spectral import SpectralEstimate, lambda_max, lambda_min, condition_number, estimate_spectrum
+from .spectral import SpectralEstimate, lambda_max, condition_number, estimate_spectrum
 from .datasets import (
     SplitDataset,
     gen_blobs,

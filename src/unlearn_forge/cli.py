@@ -12,7 +12,8 @@ the resolved configuration plus seed into an experiment id, and writes
 
 The runs root defaults to ``./runs`` and can be overridden with the
 ``UNLEARN_FORGE_RUNS_DIR`` environment variable. Exit codes: 0 on
-success, 1 on usage errors, 2 when the verification suite fails.
+success, 1 on usage errors, bad inputs, corrupt files and diverged runs,
+2 when the verification suite fails.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoints import Checkpoint, save_checkpoint, load_checkpoint
+from .checkpoints import Checkpoint, CheckpointError, save_checkpoint, load_checkpoint
 from .datasets import gen_blobs, split_random, split_classwise, split_objective, save_uds, load_uds
 from .models import ModelSpec, logistic_spec, mlp_spec
 from .metrics import rcd, eval_report, EvalReport
 from .numcore import derive_stream, kaiming_sample
-from .training import OptimizerConfig, train, retrain_oracle, forget_oracle, trace_to_csv
+from .training import (OptimizerConfig, DivergenceError, train, retrain_oracle, forget_oracle,
+                       trace_to_csv)
 from .unlearning import UnlearnConfig, unlearn
 from . import verify as verify_mod
 
@@ -445,10 +447,8 @@ def cli(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (UsageError, FileNotFoundError, ValueError, CheckpointError, DivergenceError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,10 @@
-"""Matrix-free estimation of extreme Hessian eigenvalues via power
+"""Matrix-free estimation of extreme Hessian eigenvalues via Lanczos
 iteration on Hessian-vector products.
 
 Only the two extreme eigenvalues are needed (they feed the adaptive
-relearning step-size and the condition-number bound), so no deflation or
-solver-based inverse iteration is used. The smallest eigenvalue comes from
-power iteration on the shifted operator ``lambda_max * I - H``.
+relearning step-size and the condition-number bound). Both are the extreme
+Ritz values of one Lanczos run with full reorthogonalization: one
+Hessian-vector product per step, at most ``d`` steps.
 
 For non-convex models the Hessian can be indefinite; ``psd_flag`` records
 whether the estimate is consistent with positive semidefiniteness, and the
@@ -13,16 +13,16 @@ condition number is only reported when it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dstebz, dstein
 
 from .numcore import RngStream, check_finite
 
 __all__ = [
     "SpectralEstimate",
     "lambda_max",
-    "lambda_min",
     "condition_number",
     "estimate_spectrum",
     "NON_PSD_DIAGNOSTIC",
@@ -37,49 +37,20 @@ class SpectralEstimate:
     lambda_max: float
     lambda_min: float
     kappa: float | None
-    iterations_used: int
-    residual: float
+    iterations_used: int  # Lanczos steps, one Hessian-vector product each
+    residual: float  # the larger of the two extreme Ritz residuals
     psd_flag: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_max": self.lambda_max,
-            "lambda_min": self.lambda_min,
-            "kappa": self.kappa,
-            "iterations_used": self.iterations_used,
-            "residual": self.residual,
-            "psd_flag": self.psd_flag,
-        }
+        return asdict(self)
 
 
-def _power_iteration(apply_op, d: int, tol: float, max_iter: int, rng: RngStream):
-    """Dominant-by-magnitude eigenvalue of a symmetric operator.
+def _lanczos(obj, theta: np.ndarray, tol: float, max_iter: int, rng: RngStream | None):
+    """Extreme Ritz values of the Hessian of ``obj`` at ``theta``.
 
-    Returns (rayleigh, vector, iterations, residual).
-    """
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    lam, resid = 0.0, np.inf
-    for it in range(1, max_iter + 1):
-        w = apply_op(v)
-        check_finite(w, "operator output in power iteration")
-        lam = float(np.dot(v, w))
-        resid = float(np.linalg.norm(w - lam * v))
-        if resid <= tol:
-            return lam, v, it, resid
-        nw = np.linalg.norm(w)
-        if nw == 0.0:  # v is in the null space and the Rayleigh quotient is 0
-            return 0.0, v, it, 0.0
-        v = w / nw
-    return lam, v, max_iter, resid
-
-
-def lambda_max(obj, theta: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000,
-               rng: RngStream | None = None):
-    """Largest-magnitude Hessian eigenvalue of ``obj`` at ``theta``.
-
-    Returns ``(eigenvalue, diagnostics)`` where diagnostics is a dict with
-    the final residual, iteration count, and the converged vector.
+    Stops when both extreme Ritz residuals ``beta_k * |s_k|`` are at most
+    ``tol``, on breakdown, or after ``min(d, max_iter)`` steps. Returns
+    ``(lambda_min, lambda_max, steps, residual)``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -87,30 +58,46 @@ def lambda_max(obj, theta: np.ndarray, tol: float = 1e-10, max_iter: int = 100_0
         raise ValueError("max_iter must be >= 1")
     if rng is None:
         rng = RngStream(0, 0)
-    lam, v, it, resid = _power_iteration(
-        lambda u: obj.hvp(theta, u), theta.size, tol, max_iter, rng
-    )
-    return lam, {"residual": resid, "iterations": it, "vector": v, "converged": resid <= tol}
+    steps = min(theta.size, max_iter)
+    q = rng.standard_normal(theta.size)
+    Q = (q / np.linalg.norm(q))[None]  # the Lanczos basis, one row per step, grown by doubling
+    alphas, betas = [], []
+    for k in range(steps):
+        w = obj.hvp(theta, Q[k])
+        check_finite(w, "Hessian-vector product in Lanczos")
+        alphas.append(Q[k] @ w)
+        for _ in range(2):  # full reorthogonalization; twice is enough
+            w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
+        betas.append(np.linalg.norm(w))
+        T = np.array(alphas), np.array(betas[: max(k, 1)])  # LAPACK reads k off-diagonals
+        ends = []  # (value, last eigenvector component) of the two extreme Ritz pairs only
+        for i in (1, k + 1):
+            _, ritz, block, split, info = dstebz(*T, 2, 0.0, 0.0, i, i, 0.0, "E")
+            s, info_s = dstein(*T, ritz[:1], block, split)
+            if info or info_s:
+                raise np.linalg.LinAlgError("tridiagonal eigensolver failed in Lanczos")
+            ends.append((float(ritz[0]), float(s[-1, 0])))
+        residual = betas[k] * max(abs(s) for _, s in ends)
+        if residual <= tol or betas[k] == 0.0 or k + 1 == steps:
+            break
+        if k + 1 == len(Q):
+            Q = np.concatenate([Q, np.empty_like(Q)])
+        Q[k + 1] = w / betas[k]
+    return ends[0][0], ends[1][0], k + 1, float(residual)
 
 
-def lambda_min(obj, theta: np.ndarray, lam_max: float, tol: float = 1e-10,
-               max_iter: int = 100_000, rng: RngStream | None = None):
-    """Smallest Hessian eigenvalue via the shifted operator ``lam_max*I - H``.
+def lambda_max(obj, theta: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000,
+               rng: RngStream | None = None):
+    """Largest-magnitude Hessian eigenvalue of ``obj`` at ``theta``: the
+    extreme Ritz value of one Lanczos run with the larger absolute value,
+    so it is negative when the most negative eigenvalue dominates.
 
-    Returns ``(eigenvalue, psd_flag, diagnostics)``.
+    Returns ``(eigenvalue, diagnostics)`` where diagnostics is a dict with
+    the final residual, the number of Lanczos steps and whether it met ``tol``.
     """
-    if rng is None:
-        rng = RngStream(0, 1)
-
-    def shifted(u):
-        return lam_max * u - obj.hvp(theta, u)
-
-    shift_top, v, it, resid = _power_iteration(shifted, theta.size, tol, max_iter, rng)
-    # isotropic case: the shifted operator is null, the iteration stops at
-    # once with shift_top == 0 and the whole spectrum sits at lam_max
-    lam = lam_max - shift_top
-    psd = lam > -tol
-    return lam, psd, {"residual": resid, "iterations": it, "vector": v, "converged": resid <= tol}
+    low, high, steps, residual = _lanczos(obj, theta, tol, max_iter, rng)
+    lam = high if abs(high) >= abs(low) else low
+    return lam, {"residual": residual, "iterations": steps, "converged": residual <= tol}
 
 
 def condition_number(est: SpectralEstimate, floor: float = KAPPA_FLOOR):
@@ -124,20 +111,10 @@ def condition_number(est: SpectralEstimate, floor: float = KAPPA_FLOOR):
 
 def estimate_spectrum(obj, theta: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000,
                       rng: RngStream | None = None) -> SpectralEstimate:
-    """Estimate both extreme eigenvalues and the condition number."""
-    if rng is None:
-        rng = RngStream(0, 0)
-    lmax, diag_max = lambda_max(obj, theta, tol, max_iter, rng)
-    lmin, psd, diag_min = lambda_min(obj, theta, lmax, tol, max_iter, rng)
-    est = SpectralEstimate(
-        lambda_max=lmax,
-        lambda_min=lmin,
-        kappa=None,
-        iterations_used=diag_max["iterations"] + diag_min["iterations"],
-        residual=diag_max["residual"],
-        psd_flag=psd,
-    )
+    """Estimate both algebraic extreme eigenvalues and the condition number."""
+    low, high, steps, residual = _lanczos(obj, theta, tol, max_iter, rng)
+    est = SpectralEstimate(lambda_max=high, lambda_min=low, kappa=None, iterations_used=steps,
+                           residual=residual, psd_flag=low > -tol)
     kappa = condition_number(est)
-    if isinstance(kappa, float):
-        est.kappa = kappa
+    est.kappa = kappa if isinstance(kappa, float) else None
     return est

@@ -28,7 +28,7 @@ not ``2/d``; see the README discussion.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -53,6 +53,12 @@ __all__ = [
 METHODS = ("ft", "rl", "scrub", "salun", "ieu")
 
 _STREAM_UNLEARN = 301
+
+# the methods that read each setting beyond eta, epochs and seed; for any
+# other method a value away from the default would silently do nothing (ft
+# is the alpha=1, c=0 limit of ieu, so it reads none of the ieu settings)
+_READ_BY = {"alpha": ("ieu",), "c": ("ieu",), "noise_scope": ("ieu",),
+            "clip_ratio": ("ieu",), "scrub_max_epochs": ("scrub",), "salun_fraction": ("salun",)}
 
 
 @dataclass(frozen=True)
@@ -79,15 +85,19 @@ class UnlearnConfig:
             raise ValueError("eta must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.scrub_max_epochs < 0:
+            raise ValueError("scrub_max_epochs must be >= 0")
         if not 0.0 < self.salun_fraction <= 1.0:
             raise ValueError("salun saliency fraction must lie in (0, 1]")
         if self.noise_scope not in ("global_d", "per_layer_fan_in"):
             raise ValueError(f"unknown noise scope {self.noise_scope!r}")
         if not self.clip_ratio > 0:
             raise ValueError("clip_ratio must be positive")
-        if self.method == "ft" and (self.alpha != 1.0 or self.c != 0.0):
-            raise ValueError("method 'ft' is the alpha=1, c=0 limit; use method 'ieu' "
-                             "for other alpha or c")
+        ignored = [f.name for f in fields(self) if f.name in _READ_BY
+                   and self.method not in _READ_BY[f.name] and getattr(self, f.name) != f.default]
+        if ignored:
+            raise ValueError(f"method {self.method!r} does not read {', '.join(ignored)}; "
+                             "leave each at its default")
 
     def to_dict(self) -> dict:
         return asdict(self)

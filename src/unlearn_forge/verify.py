@@ -293,7 +293,7 @@ def check_irp_stationary_law() -> CheckResult:
 
 def _explicit_kappa(obj: Objective, theta: np.ndarray) -> float:
     """Condition number from the dense Hessian assembled column-by-column
-    via Hessian-vector products (independent of the power-iteration path)."""
+    via Hessian-vector products (independent of the Lanczos path)."""
     d = theta.size
     H = np.empty((d, d))
     eye = np.eye(d)

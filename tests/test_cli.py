@@ -100,9 +100,36 @@ def test_silent_no_op_settings_exit_one(runs_dir, tmp_path, capsys):
     unlearn = ["unlearn", "--seed", "1", "--data", str(data), "--ckpt", ckpt]
     assert cli(unlearn + ["--method", "ft", "--alpha", "0.5"]) == 1
     assert "alpha" in capsys.readouterr().err
+    assert cli(unlearn + ["--method", "rl", "--alpha", "0.5"]) == 1
+    assert "alpha" in capsys.readouterr().err
     # no unlearning method reads a batch size, so unlearn has no such flag
     assert cli(unlearn + ["--method", "ieu", "--batch-size", "4"]) == 1
     capsys.readouterr()
+
+
+def test_corrupt_checkpoint_exits_one(runs_dir, tmp_path, capsys):
+    data = tmp_path / "d.uds"
+    assert cli(["gen-data", "--seed", "1", "--n-per-class", "10", "--out", str(data)]) == 0
+    assert cli(["train", "--seed", "1", "--data", str(data), "--model", "logistic:5,3",
+                "--epochs", "2"]) == 0
+    ckpt = _one("*/checkpoints/original.ieuc", runs_dir)
+    blob = bytearray(ckpt.read_bytes())
+    blob[-33] ^= 0x01  # one flipped bit in the last parameter, before the digest
+    ckpt.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert cli(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_diverged_training_exits_one(runs_dir, tmp_path, capsys):
+    data = tmp_path / "d.uds"
+    assert cli(["gen-data", "--seed", "1", "--n-per-class", "10", "--features", "4",
+                "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert cli(["train", "--seed", "1", "--data", str(data), "--model", "logistic:4,3",
+                "--optimizer", "gd_fixed", "--eta", "1e9", "--epochs", "50"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "diverged" in err
 
 
 def test_missing_seed_is_usage_error(runs_dir, capsys):

@@ -1,25 +1,98 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from unlearn_forge.metrics import rcd
 from unlearn_forge.models import make_quadratic, make_classifier, mlp_spec
 from unlearn_forge.numcore import derive_stream
 from unlearn_forge.spectral import (
     lambda_max,
-    lambda_min,
     condition_number,
     estimate_spectrum,
     NON_PSD_DIAGNOSTIC,
 )
+from unlearn_forge.training import OptimizerConfig, DivergenceError, train
+
+
+def _negative_dominant_mlp():
+    """A tanh MLP objective whose Hessian eigenvalues run from about -1.160
+    to 1.023, so the most negative one has the largest magnitude."""
+    spec = mlp_spec([2, 4, 2], activation="tanh")
+    rng = derive_stream(3, 1)
+    X = rng.normal(1.0, 40).reshape(20, 2)
+    y = rng.integers(2, size=20)
+    obj = make_classifier(spec, X, y)
+    return obj, rng.normal(2.0, spec.param_count)
+
+
+def _dense_hessian_eigvals(obj, theta):
+    eye = np.eye(theta.size)
+    return np.linalg.eigvalsh(np.column_stack([obj.hvp(theta, e) for e in eye]))
 
 
 def test_known_spectrum_extremes():
     obj = make_quadratic([4.0, 2.0, 1.0], np.zeros(3), 0.0)
-    rng = derive_stream(0, 0)
-    lam_top, _ = lambda_max(obj, np.zeros(3), rng=rng)
-    assert lam_top == pytest.approx(4.0, rel=1e-8)
-    lam, psd, _ = lambda_min(obj, np.zeros(3), lam_top, rng=rng)
-    assert lam == pytest.approx(1.0, rel=1e-8)
-    assert psd
+    est = estimate_spectrum(obj, np.zeros(3), rng=derive_stream(0, 0))
+    assert est.lambda_max == pytest.approx(4.0, rel=1e-8)
+    assert est.lambda_min == pytest.approx(1.0, rel=1e-8)
+    assert est.psd_flag
+
+
+def test_negative_dominant_extremes_keep_their_order():
+    obj, theta = _negative_dominant_mlp()
+    eig = _dense_hessian_eigvals(obj, theta)
+    assert abs(eig[0]) > abs(eig[-1])
+    est = estimate_spectrum(obj, theta, rng=derive_stream(9, 1))
+    assert est.lambda_max == pytest.approx(eig[-1], abs=1e-8)
+    assert est.lambda_min == pytest.approx(eig[0], abs=1e-8)
+    assert not est.psd_flag
+    assert est.kappa is None
+    report = rcd(theta, obj, 0.0, 2, OptimizerConfig(kind="gd_fixed", eta=0.01, max_epochs=1),
+                 "loss", derive_stream(9, 1))
+    assert report.curvature_bound is None
+    assert report.bound_diagnostic == NON_PSD_DIAGNOSTIC
+
+
+def test_lambda_max_is_largest_magnitude():
+    # the adaptive step 1/lambda_max must refuse a negative-dominant Hessian
+    obj, theta = _negative_dominant_mlp()
+    lam, diag = lambda_max(obj, theta, rng=derive_stream(9, 1))
+    assert lam == pytest.approx(_dense_hessian_eigvals(obj, theta)[0], abs=1e-8)
+    assert lam < 0
+    assert diag["converged"]
+    with pytest.raises(DivergenceError):
+        train(obj, theta, OptimizerConfig(kind="gd_adaptive", eta=1.0, max_epochs=3),
+              derive_stream(9, 2))
+
+
+@pytest.mark.parametrize("spectrum", [[4.0, 2.0, 1.0], [3.0, 3.0, 3.0], [5.0],
+                                      list(np.geomspace(50.0, 0.5, 40)), "mlp"])
+def test_lanczos_steps_at_most_d(spectrum):
+    if spectrum == "mlp":
+        obj, theta = _negative_dominant_mlp()
+    else:
+        obj = make_quadratic(spectrum, np.zeros(len(spectrum)), 0.0)
+        theta = np.ones(len(spectrum))
+    est = estimate_spectrum(obj, theta, rng=derive_stream(6, 0))
+    assert 1 <= est.iterations_used <= theta.size
+
+
+def test_lanczos_memory_follows_steps_taken():
+    # two distinct eigenvalues exhaust the Krylov space in two steps; the
+    # basis must not be sized for min(d, max_iter) steps up front
+    d = 200_000
+    obj = make_quadratic(np.repeat([3.0, 1.0], d // 2), np.zeros(d), 0.0)
+    tracemalloc.start()
+    try:
+        est = estimate_spectrum(obj, np.zeros(d), rng=derive_stream(7, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.iterations_used <= 3
+    assert est.lambda_max == pytest.approx(3.0, rel=1e-10)
+    assert est.lambda_min == pytest.approx(1.0, rel=1e-10)
+    assert peak < 32 * d * 8  # a few basis rows, not thousands
 
 
 def test_isotropic_degenerate_case():

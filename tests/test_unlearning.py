@@ -83,6 +83,36 @@ def test_ft_rejects_alpha_and_c(kw):
         UnlearnConfig(method="ft", **kw)
 
 
+_IEU_SETTINGS = [{"alpha": 0.5}, {"c": 0.1}, {"noise_scope": "per_layer_fan_in"},
+                 {"clip_ratio": 1.0}]
+
+
+@pytest.mark.parametrize("method,kw", [(m, kw) for m in ("ft", "rl", "scrub", "salun")
+                                       for kw in _IEU_SETTINGS])
+def test_methods_reject_ieu_settings_they_ignore(method, kw):
+    # only ieu draws re-initialization noise and clips an ascent term
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        UnlearnConfig(method=method, **kw)
+
+
+@pytest.mark.parametrize("method", ["ft", "rl", "scrub", "ieu"])
+def test_salun_fraction_only_for_salun(method):
+    with pytest.raises(ValueError, match="salun_fraction"):
+        UnlearnConfig(method=method, salun_fraction=0.2)
+
+
+@pytest.mark.parametrize("method", ["ft", "rl", "salun", "ieu"])
+def test_scrub_max_epochs_only_for_scrub(method):
+    with pytest.raises(ValueError, match="scrub_max_epochs"):
+        UnlearnConfig(method=method, scrub_max_epochs=3)
+
+
+def test_scrub_max_epochs_not_negative():
+    # a negative phase length would act as 0 and skip the KL ascent silently
+    with pytest.raises(ValueError, match="scrub_max_epochs"):
+        UnlearnConfig(method="scrub", scrub_max_epochs=-5)
+
+
 def test_ieu_run_rejects_other_methods():
     obj = make_quadratic([1.0], np.zeros(1), 0.0)
     with pytest.raises(ValueError, match="scrub"):
