@@ -84,13 +84,19 @@ def load_checkpoint(path) -> Checkpoint:
     (hlen,) = struct.unpack("<Q", body[8:16])
     header = json.loads(body[16 : 16 + hlen].decode("utf-8"))
     theta = np.frombuffer(body[16 + hlen :], dtype="<f8").copy()
-    if theta.size != header["dim"]:
-        raise CheckpointError(f"{path}: parameter payload truncated")
-    return Checkpoint(
-        role=header["role"],
-        spec=ModelSpec.from_dict(header["model_spec"]),
-        config=header["config"],
-        root_seed=header["root_seed"],
-        theta=theta,
-        extra=header.get("extra", {}),
-    )
+    try:
+        if theta.size != header["dim"]:
+            raise CheckpointError(f"{path}: parameter payload truncated")
+        ckpt = Checkpoint(
+            role=header["role"],
+            spec=ModelSpec.from_dict(header["model_spec"]),
+            config=header["config"],
+            root_seed=header["root_seed"],
+            theta=theta,
+            extra=header.get("extra", {}),
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: header lacks key {exc}") from exc
+    if not np.all(np.isfinite(theta)):
+        raise CheckpointError(f"{path}: non-finite parameters")
+    return ckpt

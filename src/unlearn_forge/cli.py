@@ -66,9 +66,13 @@ def _resolve_config(args, keys) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             from_file = json.load(fh)
+        if not isinstance(from_file, dict):
+            raise UsageError("--config must hold a JSON object")
         unknown = set(from_file) - set(keys)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in from_file.items():
+            _check_config_value(args.flags[key], key, value)
     resolved = {}
     for key in keys:
         cli_val = getattr(args, key, None)
@@ -79,6 +83,20 @@ def _resolve_config(args, keys) -> dict:
         else:
             resolved[key] = None
     return resolved
+
+
+def _check_config_value(flag: argparse.Action, key: str, value) -> None:
+    """A ``--config`` value must be one its flag would give: one of its
+    choices, an integer for an int flag, a number for a float flag, else a
+    string. JSON true and false are none of these."""
+    if flag.choices is not None:
+        ok, want = value in flag.choices, f"one of {flag.choices}"
+    else:
+        kinds = {int: (int,), float: (int, float)}.get(flag.type, (str,))
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
+        want = {int: "an integer", float: "a number"}.get(flag.type, "a string")
+    if not ok:
+        raise UsageError(f"config key {key!r} must be {want}, not {value!r}")
 
 
 def _new_run(command: str, config: dict, seed) -> tuple[Path, str]:
@@ -436,6 +454,8 @@ def _build_parser() -> _Parser:
                    help="skip the byte-identical rerun")
     p.add_argument("--out", help="write the structured report to this JSON file")
 
+    for p in sub.choices.values():  # lets _resolve_config check --config values
+        p.set_defaults(flags={action.dest: action for action in p._actions})
     return parser
 
 

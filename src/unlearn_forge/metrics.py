@@ -81,11 +81,12 @@ class RcdReport:
                 writer.writerow([t, repr(e + self.phi_ref), repr(float(e)), repr(cum)])
 
 
-def _phi(forget_obj: Objective, phi_kind: str):
+def _phi(phi_kind: str):
+    """The error of an evaluated point for ``phi_kind``."""
     if phi_kind == "loss":
-        return forget_obj.value
+        return lambda point: point.loss
     if phi_kind == "one_minus_accuracy":
-        return lambda theta: 1.0 - forget_obj.accuracy(theta)
+        return lambda point: 1.0 - point.accuracy
     raise ValueError(f"unknown phi kind {phi_kind!r}; use one of {PHI_KINDS}")
 
 
@@ -100,46 +101,37 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    phi = _phi(forget_obj, phi_kind)
-    theta = np.array(theta0, dtype=np.float64)
+    phi = _phi(phi_kind)
+    theta0 = np.array(theta0, dtype=np.float64)
+    point = forget_obj.evaluate(theta0)
     stepper = _Stepper(forget_obj, relearn_cfg, rng)
     errors = np.empty(K + 1)
-    errors[0] = phi(theta) - phi_ref
+    errors[0] = phi(point) - phi_ref
     for t in range(1, K + 1):
-        theta = stepper.step_epoch(theta)
-        e = phi(theta) - phi_ref
+        point = forget_obj.evaluate(stepper.step_epoch(point))
+        e = phi(point) - phi_ref
         if not np.isfinite(e):
             raise FloatingPointError(
                 f"non-finite relearning error at epoch {t}: phi={e + phi_ref}"
             )
         errors[t] = e
+    bound = diag = est = None
+    if attach_bound and phi_kind == "loss":  # errors[0] is the loss gap at theta0
+        bound, diag, est = _bound_from_spectrum(theta0, forget_obj, errors[0], rng)
     if clamp_at_zero:
         errors = np.maximum(errors, 0.0)
     step_mode = relearn_cfg.kind if relearn_cfg.kind != "gd_adaptive" else "adaptive_inv_lambda_max"
-    report = RcdReport(
-        K=K,
-        phi_kind=phi_kind,
-        step_mode=step_mode,
-        errors=errors,
-        rcd_value=float(errors.sum()),
-        phi_ref=phi_ref,
-        clamped=clamp_at_zero,
-    )
-    if attach_bound and phi_kind == "loss":
-        bound, diag, est = _bound_from_spectrum(np.asarray(theta0, dtype=np.float64),
-                                                forget_obj, phi_ref, rng)
-        report.curvature_bound = bound
-        report.bound_diagnostic = diag
-        report.spectral = est
-    return report
+    return RcdReport(K=K, phi_kind=phi_kind, step_mode=step_mode, errors=errors,
+                     rcd_value=float(errors.sum()), phi_ref=phi_ref, curvature_bound=bound,
+                     bound_diagnostic=diag, spectral=est, clamped=clamp_at_zero)
 
 
-def _bound_from_spectrum(theta0, forget_obj, loss_ref, rng):
+def _bound_from_spectrum(theta0, forget_obj, gap, rng):
+    """Kappa at ``theta0`` times the loss gap ``gap`` there."""
     est = estimate_spectrum(forget_obj, theta0, rng=rng)
     kappa = condition_number(est)
     if isinstance(kappa, str):
         return None, kappa, est
-    gap = forget_obj.value(theta0) - loss_ref
     return float(kappa * gap), None, est
 
 
@@ -157,7 +149,7 @@ def rcd_bound(theta: np.ndarray, forget_obj: Objective, loss_ref: float,
         if mu <= 0:
             return "mu must be positive for the global bound"
         return float((beta / mu) * gap)
-    bound, diag, _ = _bound_from_spectrum(theta, forget_obj, loss_ref, rng or RngStream(0, 7))
+    bound, diag, _ = _bound_from_spectrum(theta, forget_obj, gap, rng or RngStream(0, 7))
     return bound if diag is None else diag
 
 
@@ -254,22 +246,18 @@ def eval_report(ckpt: Checkpoint, data: SplitDataset,
                 reference: EvalReport | None = None) -> EvalReport:
     """Per-split accuracies plus the membership-inference rate; when a
     retrain reference is given, absolute per-metric gaps and their mean."""
-    theta = ckpt.theta
     splits = ["retain", "forget", "test"]
     if data.forgotten_classes:
         splits += ["test_retain", "test_forget"]
-    accs = {}
+    accs, losses = {}, {}
     for which in splits:
         try:
-            accs[which] = split_objective(data, ckpt.spec, which).accuracy(theta)
+            point = split_objective(data, ckpt.spec, which).evaluate(ckpt.theta)
+            accs[which], losses[which] = point.accuracy, point.per_example_loss
         except ValueError:
             accs[which] = None  # empty split half
-    mia = mia_score(
-        theta,
-        split_objective(data, ckpt.spec, "retain"),
-        split_objective(data, ckpt.spec, "test"),
-        split_objective(data, ckpt.spec, "forget"),
-    )
+    # the attack rejects an empty view
+    mia = mia_threshold_attack(*(losses.get(w, np.empty(0)) for w in ("retain", "test", "forget")))
     report = EvalReport(accuracies=accs, mia_rate=mia.forget_member_rate)
     if reference is not None:
         mine, ref = report.metrics(), reference.metrics()

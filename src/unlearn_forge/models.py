@@ -2,6 +2,11 @@
 regression, and small MLPs with analytic gradients and exact
 Hessian-vector products.
 
+``Objective.evaluate(theta)`` is the one evaluation path: a point, one
+class per model kind, runs the forward pass once and serves the loss, the
+gradient (at most once), HVPs that reuse its activations and, for the
+classifiers, logits, accuracy, per-example losses and logit-space backprop.
+
 Conventions
 -----------
 * Parameters are flat float64 vectors (see :mod:`unlearn_forge.numcore`).
@@ -22,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -143,8 +149,10 @@ class Objective:
     from ``spec.kind``: the quadratic form for the quadratic oracle, mean
     cross-entropy for the classifiers.
 
-    ``value``/``gradient``/``hvp`` are stateless; identical inputs always
-    give identical outputs, so objectives may be shared across tasks.
+    ``evaluate(theta)`` runs the forward pass once and returns the point
+    that serves every quantity at ``theta``. Objectives hold no cache;
+    identical inputs always give identical outputs, so objectives may be
+    shared across tasks.
     """
 
     spec: ModelSpec
@@ -153,9 +161,7 @@ class Objective:
 
     def __post_init__(self):
         if self.spec.kind != "quadratic":
-            if self.X is None or self.y is None:
-                raise ValueError("empty dataset view")
-            if len(self.X) == 0:
+            if self.X is None or self.y is None or len(self.X) == 0:
                 raise ValueError("empty dataset view")
             if len(self.X) != len(self.y):
                 raise ValueError("features/labels length mismatch")
@@ -171,103 +177,127 @@ class Objective:
             return self
         return replace(self, X=self.X[idx], y=self.y[idx])
 
-    def _check_theta(self, theta: np.ndarray) -> None:
+    # -- evaluation ---------------------------------------------------------
+
+    def evaluate(self, theta: np.ndarray) -> "_Point":
         if theta.shape != (self.spec.param_count,):
             raise ValueError(
                 f"theta has shape {theta.shape}, model needs ({self.spec.param_count},)"
             )
+        return _POINTS[self.spec.kind](self, theta)
 
-    # -- evaluation ---------------------------------------------------------
+    # shortcuts that evaluate once per call (perfbench/tracer.py patches them by name)
+    def value(self, theta): return self.evaluate(theta).loss
+    def gradient(self, theta): return self.evaluate(theta).gradient()
+    def hvp(self, theta, v): return self.evaluate(theta).hvp(v)
+    def accuracy(self, theta): return self.evaluate(theta).accuracy
+    def per_example_loss(self, theta): return self.evaluate(theta).per_example_loss
+    def logits(self, theta): return self.evaluate(theta).logits
+    def grad_from_logit_delta(self, theta, dlogits): return self.evaluate(theta).backprop(dlogits)
 
-    def value(self, theta: np.ndarray) -> float:
-        self._check_theta(theta)
-        if self.spec.kind == "quadratic":
-            r = theta - np.asarray(self.spec.theta_star)
-            return float(0.5 * np.dot(np.asarray(self.spec.spectrum) * r, r) + self.spec.l_star)
-        return float(np.mean(_ce_per_example(self.logits(theta), self.y)))
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        self._check_theta(theta)
-        if self.spec.kind == "quadratic":
-            return np.asarray(self.spec.spectrum) * (theta - np.asarray(self.spec.theta_star))
-        z = self.logits(theta)
-        return self.grad_from_logit_delta(theta, self._loss_delta(z))
+# ---------------------------------------------------------------------------
+# evaluated points: one forward pass each, one class per model kind
 
-    def hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self._check_theta(theta)
-        if v.shape != theta.shape:
+
+class _Point:
+    def __init__(self, obj: Objective, theta: np.ndarray):
+        self.obj, self.theta = obj, theta
+
+    def gradient(self) -> np.ndarray:
+        """The loss gradient, computed at most once per point."""
+        return self._gradient
+
+    def hvp(self, v: np.ndarray) -> np.ndarray:
+        if v.shape != self.theta.shape:
             raise ValueError("direction vector dimension mismatch")
-        if self.spec.kind == "quadratic":
-            return np.asarray(self.spec.spectrum) * v
-        if self.spec.kind == "logistic":
-            return self._logistic_hvp(theta, v)
-        return self._mlp_hvp(theta, v)
+        return self._hvp(v)
 
-    def accuracy(self, theta: np.ndarray) -> float:
-        if not self.spec.is_classifier:
-            raise TypeError("accuracy is only defined for classification objectives")
-        self._check_theta(theta)
-        z = self.logits(theta)
-        pred = np.argmax(z, axis=1)  # argmax ties break toward lowest index
-        return float(np.mean(pred == self.y))
 
-    def per_example_loss(self, theta: np.ndarray) -> np.ndarray:
-        """Per-example cross-entropy, used by the membership inference score."""
-        if not self.spec.is_classifier:
-            raise TypeError("per-example loss requires a classification objective")
-        self._check_theta(theta)
-        return _ce_per_example(self.logits(theta), self.y)
+class _QuadraticPoint(_Point):
+    def __init__(self, obj, theta):
+        super().__init__(obj, theta)
+        self.spectrum = np.asarray(obj.spec.spectrum)
+        r = theta - np.asarray(obj.spec.theta_star)
+        self.loss = float(0.5 * np.dot(self.spectrum * r, r) + obj.spec.l_star)
+        self._gradient = self.spectrum * r
 
-    # -- logit machinery (shared by the unlearning baselines) ---------------
+    def _hvp(self, v):
+        return self.spectrum * v
 
-    def logits(self, theta: np.ndarray) -> np.ndarray:
-        if self.spec.kind == "logistic":
-            part = self._xtilde() @ _logistic_weights(self.spec, theta)
-            return np.hstack([part, np.zeros((len(part), 1))])
-        if self.spec.kind == "mlp":
-            z, _, _ = _mlp_forward(self.spec, theta, self.X)
-            return z
-        raise TypeError("logits are only defined for classification models")
 
-    def grad_from_logit_delta(self, theta: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
-        """Backpropagate an arbitrary d(loss)/d(logits) to a flat gradient."""
-        if self.spec.kind == "logistic":
-            g = self._xtilde().T @ dlogits[:, : self.spec.num_classes - 1]
-            return g.ravel()
-        if self.spec.kind == "mlp":
-            _, acts, zs = _mlp_forward(self.spec, theta, self.X)
-            return _mlp_backward(self.spec, theta, acts, zs, dlogits)
-        raise TypeError("logit-space backprop requires a classification model")
+class _ClassifierPoint(_Point):
+    """Mean cross-entropy; a subclass supplies ``_forward`` and ``backprop``."""
 
-    # -- internals ----------------------------------------------------------
+    def __init__(self, obj, theta):
+        super().__init__(obj, theta)
+        self.logits = self._forward()
 
-    def _loss_delta(self, z: np.ndarray) -> np.ndarray:
-        n = len(z)
-        p = _softmax(z)
-        p[np.arange(n), self.y] -= 1.0
-        return p / n
+    @cached_property
+    def per_example_loss(self) -> np.ndarray:
+        return _ce_per_example(self.logits, self.obj.y)
 
-    def _xtilde(self) -> np.ndarray:
-        return np.hstack([self.X, np.ones((len(self.X), 1))])
+    @property
+    def loss(self) -> float:
+        return float(np.mean(self.per_example_loss))
 
-    def _logistic_hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        xt = self._xtilde()
-        n, cm1 = len(xt), self.spec.num_classes - 1
-        z = np.hstack([xt @ _logistic_weights(self.spec, theta), np.zeros((n, 1))])
-        rz = np.hstack([xt @ v.reshape(self.spec.n_features + 1, cm1), np.zeros((n, 1))])
-        p = _softmax(z)
+    @property
+    def accuracy(self) -> float:
+        pred = np.argmax(self.logits, axis=1)  # argmax ties break toward lowest index
+        return float(np.mean(pred == self.obj.y))
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        return _softmax(self.logits)
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """d(loss)/d(logits): the softmax minus the one-hot labels, over n."""
+        delta = self.probs.copy()
+        delta[np.arange(len(delta)), self.obj.y] -= 1.0
+        delta /= len(delta)
+        return delta
+
+    @cached_property
+    def _gradient(self):
+        return self.backprop(self.delta)
+
+
+class _LogisticPoint(_ClassifierPoint):
+    def _forward(self):
+        X, spec = self.obj.X, self.obj.spec
+        self.xt = np.hstack([X, np.ones((len(X), 1))])  # bias-augmented design matrix
+        part = self.xt @ self.theta.reshape(spec.n_features + 1, spec.num_classes - 1)
+        return np.hstack([part, np.zeros((len(part), 1))])
+
+    def backprop(self, dlogits):
+        return (self.xt.T @ dlogits[:, : self.obj.spec.num_classes - 1]).ravel()
+
+    def _hvp(self, v):
+        n, cm1 = len(self.xt), self.obj.spec.num_classes - 1
+        rz = np.hstack([self.xt @ v.reshape(-1, cm1), np.zeros((n, 1))])
+        p = self.probs
         rp = p * (rz - np.sum(p * rz, axis=1, keepdims=True))
-        return (xt.T @ (rp[:, :cm1] / n)).ravel()
+        return (self.xt.T @ (rp[:, :cm1] / n)).ravel()
 
-    def _mlp_hvp(self, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        z, acts, zs = _mlp_forward(spec, theta, self.X)
-        wb = _mlp_unpack(spec, theta)
+
+class _MlpPoint(_ClassifierPoint):
+    def _forward(self):
+        z, self.acts, self.zs = _mlp_forward(self.obj.spec, self.theta, self.obj.X)
+        return z
+
+    def backprop(self, dlogits):
+        return _mlp_backward(self.obj.spec, self.theta, self.acts, self.zs, dlogits)
+
+    def _hvp(self, v):
+        """Pearlmutter's R-op on the point's activations and loss delta."""
+        spec, acts, zs = self.obj.spec, self.acts, self.zs
+        wb = _mlp_unpack(spec, self.theta)
         vb = _mlp_unpack(spec, v)
-        n = len(z)
+        n = len(self.logits)
 
         # forward tangent pass
-        ra = np.zeros_like(self.X)
+        ra = np.zeros_like(self.obj.X)
         ras = [ra]
         rzs = []
         for layer, ((W, b), (Vw, Vb)) in enumerate(zip(wb, vb)):
@@ -278,14 +308,11 @@ class Objective:
                 ras.append(ra)
         rlogits = rzs[-1]
 
-        p = _softmax(z)
-        delta = p.copy()
-        delta[np.arange(n), self.y] -= 1.0
-        delta /= n
+        p, delta = self.probs, self.delta
         rdelta = p * (rlogits - np.sum(p * rlogits, axis=1, keepdims=True)) / n
 
         # reverse pass carrying both the gradient and its tangent
-        out = np.zeros_like(theta)
+        out = np.zeros_like(self.theta)
         grads = _mlp_unpack(spec, out)  # views into out
         for layer in reversed(range(len(wb))):
             W, _ = wb[layer]
@@ -305,6 +332,9 @@ class Objective:
         return out
 
 
+_POINTS = {"quadratic": _QuadraticPoint, "logistic": _LogisticPoint, "mlp": _MlpPoint}
+
+
 # ---------------------------------------------------------------------------
 # numerics helpers
 
@@ -319,10 +349,6 @@ def _ce_per_example(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + z.max(axis=1)
     return lse - z[np.arange(len(z)), y]
-
-
-def _logistic_weights(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
-    return theta.reshape(spec.n_features + 1, spec.num_classes - 1)
 
 
 def _act(kind: str, z: np.ndarray) -> np.ndarray:

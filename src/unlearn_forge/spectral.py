@@ -62,8 +62,9 @@ def _lanczos(obj, theta: np.ndarray, tol: float, max_iter: int, rng: RngStream |
     q = rng.standard_normal(theta.size)
     Q = (q / np.linalg.norm(q))[None]  # the Lanczos basis, one row per step, grown by doubling
     alphas, betas = [], []
+    point = obj.evaluate(theta)
     for k in range(steps):
-        w = obj.hvp(theta, Q[k])
+        w = point.hvp(Q[k])
         check_finite(w, "Hessian-vector product in Lanczos")
         alphas.append(Q[k] @ w)
         for _ in range(2):  # full reorthogonalization; twice is enough

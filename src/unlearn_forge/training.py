@@ -108,28 +108,30 @@ class _Stepper:
         n = self.obj.n_examples
         bs = self.cfg.batch_size
         if bs == "full" or self.obj.spec.kind == "quadratic" or bs >= n:
-            yield self.obj
+            yield self.obj  # the one batch; step_epoch takes its gradient from the point
             return
         order = self.rng.permutation(n)
         for start in range(0, n, bs):
             yield self.obj.subset(order[start : start + bs])
 
-    def step_epoch(self, theta: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
+    def step_epoch(self, point) -> np.ndarray:
+        """One epoch from ``point``, the objective at the current parameters."""
+        cfg, theta = self.cfg, point.theta
         if cfg.kind == "gd_fixed":
             self.last_eta = cfg.eta
-            return theta - cfg.eta * self.obj.gradient(theta)
+            return theta - cfg.eta * point.gradient()
         if cfg.kind == "gd_adaptive":
             lam, _ = lambda_max(self.obj, theta, cfg.spectral_tol, cfg.spectral_max_iter, self.rng)
             if lam <= 0:
                 raise DivergenceError("adaptive step-size needs a positive lambda_max")
             self.last_lambda_max = lam
             self.last_eta = 1.0 / lam
-            return theta - self.last_eta * self.obj.gradient(theta)
+            return theta - self.last_eta * point.gradient()
         if cfg.kind == "sgd":
             self.last_eta = cfg.eta
             for batch in self._batches():
-                theta = theta - cfg.eta * batch.gradient(theta)
+                g = point.gradient() if batch is self.obj else batch.gradient(theta)
+                theta = theta - cfg.eta * g
             return theta
         # adam
         if self._adam_m is None:
@@ -137,7 +139,7 @@ class _Stepper:
             self._adam_v = np.zeros_like(theta)
         self.last_eta = cfg.eta
         for batch in self._batches():
-            g = batch.gradient(theta)
+            g = point.gradient() if batch is self.obj else batch.gradient(theta)
             self._adam_t += 1
             self._adam_m = cfg.beta1 * self._adam_m + (1 - cfg.beta1) * g
             self._adam_v = cfg.beta2 * self._adam_v + (1 - cfg.beta2) * g * g
@@ -157,14 +159,14 @@ def train(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: RngStre
     initial_loss = None
     stop_reason = "max_epochs"
     for epoch in range(cfg.max_epochs + 1):
-        loss = obj.value(theta)
+        point = obj.evaluate(theta)
+        loss = point.loss
         if initial_loss is None:
             initial_loss = loss
         if not np.isfinite(loss) or abs(loss) > DIVERGENCE_FACTOR * max(abs(initial_loss), 1e-300):
             raise DivergenceError(f"loss {loss} diverged at epoch {epoch}")
-        grad = obj.gradient(theta)
-        gn = float(np.linalg.norm(grad))
-        acc = obj.accuracy(theta) if obj.spec.is_classifier else None
+        gn = float(np.linalg.norm(point.gradient()))
+        acc = point.accuracy if obj.spec.is_classifier else None
         records.append(EpochRecord(epoch=epoch, loss=loss, grad_norm=gn, accuracy=acc,
                                    lambda_max=stepper.last_lambda_max, eta=stepper.last_eta))
         if gn <= cfg.grad_norm_tol:
@@ -172,7 +174,7 @@ def train(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: RngStre
             break
         if epoch == cfg.max_epochs:
             break
-        theta = stepper.step_epoch(theta)
+        theta = stepper.step_epoch(point)
     return TrainTrace(records=records, theta=theta, stop_reason=stop_reason)
 
 
@@ -208,10 +210,8 @@ def forget_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, see
         raise ValueError("forget oracle needs a non-empty forget set")
     obj = split_objective(data, spec, "forget")
     trace = train(obj, _fresh_init(spec, seed), cfg, derive_stream(seed, _STREAM_ORACLE_TRAIN))
-    phi_ref = {
-        "loss": obj.value(trace.theta),
-        "one_minus_accuracy": 1.0 - obj.accuracy(trace.theta),
-    }
+    last = trace.records[-1]  # evaluated at trace.theta
+    phi_ref = {"loss": last.loss, "one_minus_accuracy": 1.0 - last.accuracy}
     ckpt = Checkpoint(
         role="forget_oracle",
         spec=spec,

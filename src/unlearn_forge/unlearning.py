@@ -35,7 +35,7 @@ from scipy.spatial.distance import pdist
 
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
-from .models import Objective, ModelSpec, _softmax
+from .models import Objective, ModelSpec
 from .numcore import RngStream, derive_stream, kaiming_sample, check_finite
 
 __all__ = [
@@ -98,6 +98,11 @@ class UnlearnConfig:
         if ignored:
             raise ValueError(f"method {self.method!r} does not read {', '.join(ignored)}; "
                              "leave each at its default")
+        # ieu reads noise_scope only through its noise term, clip_ratio only through its ascent
+        if self.alpha == 1.0 and self.noise_scope != UnlearnConfig.noise_scope:
+            raise ValueError("noise_scope does nothing at alpha = 1; leave it at its default")
+        if self.c == 0.0 and self.clip_ratio != UnlearnConfig.clip_ratio:
+            raise ValueError("clip_ratio does nothing at c = 0; leave it at its default")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -166,19 +171,28 @@ def _clip_forget_grad(grad_r, grad_f, ratio):
     return grad_f, False
 
 
+def _points(retain_obj: Objective | None, forget_obj: Objective, theta: np.ndarray):
+    """The retain (None without a retain set) and forget objectives at ``theta``."""
+    return None if retain_obj is None else retain_obj.evaluate(theta), forget_obj.evaluate(theta)
+
+
 def _run_loop(cfg: UnlearnConfig, theta0: np.ndarray, retain_obj: Objective | None,
               forget_obj: Objective, step, record_thetas: bool = False) -> UnlearnRun:
-    """The one epoch loop every method runs. ``step(epoch, theta)`` is the
-    method's update rule: it returns the new parameters and the extra
-    ``EpochRow`` fields of that epoch."""
+    """The one epoch loop every method runs. ``step(epoch, theta, retain,
+    forget)`` is the method's update rule, given the two objectives
+    evaluated at ``theta``, the points of the previous row: it returns the
+    new parameters and the extra ``EpochRow`` fields of that epoch."""
     start = time.perf_counter()
     theta = np.array(theta0, dtype=np.float64)
     trace = []
     thetas = [theta.copy()] if record_thetas else None
+    points = _points(retain_obj, forget_obj, theta)
     for epoch in range(cfg.epochs):
-        theta, fields = step(epoch, theta)
+        theta, fields = step(epoch, theta, *points)
         check_finite(theta, "unlearned parameters")
-        trace.append(_eval_row(epoch, retain_obj, forget_obj, theta, **fields))
+        del points  # frees the old activations before the next forward passes
+        points = _points(retain_obj, forget_obj, theta)
+        trace.append(_eval_row(epoch, *points, **fields))
         if record_thetas:
             thetas.append(theta.copy())
     return UnlearnRun(method=cfg.method, config=cfg.to_dict(), trace=trace, theta=theta,
@@ -186,16 +200,17 @@ def _run_loop(cfg: UnlearnConfig, theta0: np.ndarray, retain_obj: Objective | No
                       thetas=None if thetas is None else np.array(thetas))
 
 
-def _eval_row(epoch, retain_obj, forget_obj, theta, clip_active=False, forget_kl=None) -> EpochRow:
-    is_cls = forget_obj.spec.is_classifier
+def _eval_row(epoch, retain, forget, clip_active=False, teacher_probs=None) -> EpochRow:
+    """The row of the points an epoch ends at; scrub's carries the forget KL."""
+    is_cls = forget.obj.spec.is_classifier
     return EpochRow(
         epoch=epoch,
-        retain_loss=None if retain_obj is None else retain_obj.value(theta),
-        forget_loss=forget_obj.value(theta),
-        retain_acc=retain_obj.accuracy(theta) if retain_obj is not None and is_cls else None,
-        forget_acc=forget_obj.accuracy(theta) if is_cls else None,
+        retain_loss=None if retain is None else retain.loss,
+        forget_loss=forget.loss,
+        retain_acc=retain.accuracy if retain is not None and is_cls else None,
+        forget_acc=forget.accuracy if is_cls else None,
         clip_active=clip_active,
-        forget_kl=forget_kl,
+        forget_kl=None if teacher_probs is None else _kl_divergence(teacher_probs, forget.probs),
     )
 
 
@@ -213,9 +228,9 @@ def ieu_run(retain_obj: Objective | None, forget_obj: Objective, theta0: np.ndar
     if cfg.method not in ("ieu", "ft"):
         raise ValueError(f"ieu_run runs methods 'ieu' and 'ft', not {cfg.method!r}")
 
-    def step(epoch, theta):
-        grad_r = np.zeros_like(theta) if retain_obj is None else retain_obj.gradient(theta)
-        grad_f = forget_obj.gradient(theta)
+    def step(epoch, theta, retain, forget):
+        grad_r = np.zeros_like(theta) if retain is None else retain.gradient()
+        grad_f = forget.gradient()
         clipped = False
         if cfg.c > 0:
             grad_f, clipped = _clip_forget_grad(grad_r, grad_f, cfg.clip_ratio)
@@ -251,7 +266,7 @@ def _relabel_step(retain: Objective, forget: Objective, cfg: UnlearnConfig, rng:
     C = forget.spec.num_classes
     X = np.vstack([retain.X, forget.X])
 
-    def step(epoch, theta):
+    def step(epoch, theta, *_):
         fake = (forget.y + 1 + rng.integers(C - 1, size=len(forget.y))) % C
         combined = Objective(spec=forget.spec, X=X, y=np.concatenate([retain.y, fake]))
         update = cfg.eta * combined.gradient(theta)
@@ -262,10 +277,10 @@ def _relabel_step(retain: Objective, forget: Objective, cfg: UnlearnConfig, rng:
     return step
 
 
-def _saliency_mask(forget: Objective, theta: np.ndarray, fraction: float) -> np.ndarray:
-    """Indicator of the top ``fraction`` of coordinates by forget-gradient
-    magnitude at ``theta``; ties resolve by stable index order."""
-    saliency = np.abs(forget.gradient(theta))
+def _saliency_mask(forget, fraction: float) -> np.ndarray:
+    """Indicator of the top ``fraction`` of coordinates by the gradient
+    magnitude of the forget point; ties resolve by stable index order."""
+    saliency = np.abs(forget.gradient())
     k = max(1, int(round(fraction * saliency.size)))
     mask = np.zeros(saliency.size)
     mask[np.argsort(-saliency, kind="stable")[:k]] = 1.0
@@ -276,20 +291,19 @@ def _scrub_step(retain: Objective, forget: Objective, teacher: np.ndarray, cfg: 
     """Distillation with the input checkpoint as teacher: ascend the forget
     KL for the first ``scrub_max_epochs`` epochs, descend cross-entropy
     plus the retain KL throughout."""
-    p_teacher_f = _softmax(forget.logits(teacher))
-    p_teacher_r = _softmax(retain.logits(teacher))
+    p_teacher_f = forget.evaluate(teacher).probs
+    p_teacher_r = retain.evaluate(teacher).probs
 
-    def step(epoch, theta):
+    def step(epoch, theta, retain_point, forget_point):
         if epoch < cfg.scrub_max_epochs:
             # ascend KL(teacher || student) on the forget set
-            p_s = _softmax(forget.logits(theta))
-            dlog = (p_s - p_teacher_f) / len(p_s)
-            theta = theta + cfg.eta * forget.grad_from_logit_delta(theta, dlog)
+            dlog = (forget_point.probs - p_teacher_f) / len(p_teacher_f)
+            theta = theta + cfg.eta * forget_point.backprop(dlog)
+            retain_point = retain.evaluate(theta)
         # descend cross-entropy + KL(teacher || student) on the retain set
-        p_s = _softmax(retain.logits(theta))
-        dlog = retain._loss_delta(retain.logits(theta)) + (p_s - p_teacher_r) / len(p_s)
-        theta = theta - cfg.eta * retain.grad_from_logit_delta(theta, dlog)
-        return theta, {"forget_kl": _kl_divergence(p_teacher_f, _softmax(forget.logits(theta)))}
+        dlog = retain_point.delta + (retain_point.probs - p_teacher_r) / len(p_teacher_r)
+        theta = theta - cfg.eta * retain_point.backprop(dlog)
+        return theta, {"teacher_probs": p_teacher_f}
 
     return step
 
@@ -396,6 +410,6 @@ def unlearn(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> Unlearn
     else:
         mask = None
         if cfg.method == "salun":
-            mask = _saliency_mask(forget, ckpt.theta, cfg.salun_fraction)
+            mask = _saliency_mask(forget.evaluate(ckpt.theta), cfg.salun_fraction)
         step = _relabel_step(retain, forget, cfg, rng, mask)
     return _run_loop(cfg, ckpt.theta, retain, forget, step)

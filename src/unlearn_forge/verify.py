@@ -297,8 +297,9 @@ def _explicit_kappa(obj: Objective, theta: np.ndarray) -> float:
     d = theta.size
     H = np.empty((d, d))
     eye = np.eye(d)
+    point = obj.evaluate(theta)
     for i in range(d):
-        H[:, i] = obj.hvp(theta, eye[i])
+        H[:, i] = point.hvp(eye[i])
     w = np.linalg.eigvalsh(H)
     return float(w[-1] / w[0])
 

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,8 @@ from unlearn_forge.checkpoints import (
     load_checkpoint,
     MAGIC,
 )
+from unlearn_forge.cli import cli
+from unlearn_forge.datasets import gen_blobs, split_random, save_uds
 from unlearn_forge.models import mlp_spec
 
 
@@ -72,3 +78,57 @@ def test_role_and_shape_validation():
     with pytest.raises(ValueError):
         Checkpoint(role="original", spec=spec, config={}, root_seed=0,
                    theta=np.zeros(3))
+
+
+def _write_by_hand(path, drop=None, theta=None):
+    """The toy checkpoint in the IEUC layout with a valid hash, written
+    without ``save_checkpoint``: header key ``drop`` left out, parameters
+    replaced by ``theta``."""
+    ckpt = _toy_ckpt()
+    header = {"role": ckpt.role, "model_spec": ckpt.spec.to_dict(), "config": ckpt.config,
+              "root_seed": ckpt.root_seed, "dim": int(ckpt.theta.size), "extra": ckpt.extra}
+    header.pop(drop, None)
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = np.asarray(ckpt.theta if theta is None else theta, dtype="<f8").tobytes()
+    body = MAGIC + struct.pack("<IQ", 1, len(head)) + head + payload
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _nonfinite_theta(value):
+    theta = _toy_ckpt().theta.copy()
+    theta[3] = value
+    return theta
+
+
+def test_hand_written_file_loads(tmp_path):
+    path = tmp_path / "model.ieuc"
+    _write_by_hand(path)
+    assert np.array_equal(load_checkpoint(path).theta, _toy_ckpt().theta)
+
+
+@pytest.mark.parametrize("key", ["role", "model_spec", "config", "root_seed", "dim"])
+def test_header_missing_key_detected(tmp_path, key):
+    path = tmp_path / "model.ieuc"
+    _write_by_hand(path, drop=key)
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_parameters_detected(tmp_path, value):
+    path = tmp_path / "model.ieuc"
+    _write_by_hand(path, theta=_nonfinite_theta(value))
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_checkpoint(path)
+
+
+def test_eval_of_malformed_checkpoint_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("UNLEARN_FORGE_RUNS_DIR", str(tmp_path / "runs"))
+    data = tmp_path / "d.uds"
+    save_uds(split_random(gen_blobs(10, 2, 3, separation=3.0, noise_sd=1.0, seed=1), 0.3, 1),
+             data)
+    path = tmp_path / "model.ieuc"
+    for kw in ({"drop": "config"}, {"theta": _nonfinite_theta(np.nan)}):
+        _write_by_hand(path, **kw)
+        assert cli(["eval", "--data", str(data), "--ckpt", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

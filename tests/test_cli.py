@@ -79,6 +79,17 @@ def test_config_file_precedence(runs_dir, tmp_path):
     assert load_uds(data).num_classes == 4
 
 
+@pytest.mark.parametrize("bad", [{"epochs": "abc"}, {"epochs": 2.5}, {"epochs": True},
+                                 {"eta": "fast"}, {"optimizer": "sgdx"}, {"data": 5}],
+                         ids=["int-str", "int-float", "int-bool", "float-str", "choice", "str-int"])
+def test_config_values_must_fit_their_flags(runs_dir, tmp_path, capsys, bad):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(bad))
+    assert cli(["train", "--seed", "0", "--config", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(bad)) in err
+
+
 def test_usage_errors_exit_one(runs_dir, capsys):
     assert cli(["train", "--seed", "0"]) == 1  # missing --data/--model
     assert cli(["definitely-not-a-command"]) == 1
@@ -102,6 +113,9 @@ def test_silent_no_op_settings_exit_one(runs_dir, tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
     assert cli(unlearn + ["--method", "rl", "--alpha", "0.5"]) == 1
     assert "alpha" in capsys.readouterr().err
+    # the default alpha = 1 draws no re-initialization noise to scope
+    assert cli(unlearn + ["--method", "ieu", "--noise-scope", "per_layer_fan_in"]) == 1
+    assert "noise_scope" in capsys.readouterr().err
     # no unlearning method reads a batch size, so unlearn has no such flag
     assert cli(unlearn + ["--method", "ieu", "--batch-size", "4"]) == 1
     capsys.readouterr()

@@ -80,15 +80,31 @@ def test_logistic_binary_param_count():
     assert logistic_spec(5, 2).param_count == 6
 
 
-def test_hvp_linearity_and_symmetry():
-    spec = logistic_spec(3, 3)
-    obj = _random_task(spec, 25, 6)
-    theta = derive_stream(7, 0).normal(0.5, spec.param_count)
-    u = derive_stream(8, 0).normal(1.0, spec.param_count)
-    v = derive_stream(9, 0).normal(1.0, spec.param_count)
+def _task_of_kind(kind):
+    if kind == "quadratic":
+        return make_quadratic([5.0, 3.0, 2.0, 0.5], np.arange(4.0), 0.25)
+    spec = logistic_spec(3, 3) if kind == "logistic" else mlp_spec([3, 5, 3], activation="tanh")
+    return _random_task(spec, 25, 6)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+def test_hvp_linearity_and_symmetry(kind):
+    obj = _task_of_kind(kind)
+    d = obj.spec.param_count
+    theta = derive_stream(7, 0).normal(0.5, d)
+    u = derive_stream(8, 0).normal(1.0, d)
+    v = derive_stream(9, 0).normal(1.0, d)
     assert np.allclose(obj.hvp(theta, 2 * u + v),
                        2 * obj.hvp(theta, u) + obj.hvp(theta, v))
     assert np.dot(u, obj.hvp(theta, v)) == pytest.approx(np.dot(v, obj.hvp(theta, u)))
+    # one evaluated point serves, bit for bit, what each shortcut computes on its own
+    point = obj.evaluate(theta)
+    assert point.loss == obj.value(theta)
+    assert np.array_equal(point.gradient(), obj.gradient(theta))
+    assert np.array_equal(point.hvp(v), obj.hvp(theta, v))
+    if kind != "quadratic":
+        assert point.accuracy == obj.accuracy(theta)
+        assert np.array_equal(point.per_example_loss, obj.per_example_loss(theta))
 
 
 # ---------------------------------------------------------------------------

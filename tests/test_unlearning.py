@@ -113,6 +113,20 @@ def test_scrub_max_epochs_not_negative():
         UnlearnConfig(method="scrub", scrub_max_epochs=-5)
 
 
+def test_ieu_rejects_noise_scope_without_noise():
+    # at alpha = 1 the fresh draw is multiplied by zero, whatever its scope
+    with pytest.raises(ValueError, match="noise_scope"):
+        UnlearnConfig(method="ieu", c=0.1, noise_scope="per_layer_fan_in")
+    UnlearnConfig(method="ieu", alpha=0.9, noise_scope="per_layer_fan_in")
+
+
+def test_ieu_rejects_clip_ratio_without_ascent():
+    # at c = 0 there is no ascent term to clip
+    with pytest.raises(ValueError, match="clip_ratio"):
+        UnlearnConfig(method="ieu", alpha=0.9, clip_ratio=1.0)
+    UnlearnConfig(method="ieu", c=0.1, clip_ratio=1.0)
+
+
 def test_ieu_run_rejects_other_methods():
     obj = make_quadratic([1.0], np.zeros(1), 0.0)
     with pytest.raises(ValueError, match="scrub"):

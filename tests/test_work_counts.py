@@ -1,0 +1,94 @@
+"""MLP forward and backward passes per epoch of each loop: every quantity a
+loop reads at one parameter point comes from one evaluation there."""
+
+import pytest
+
+from unlearn_forge import models
+from unlearn_forge.checkpoints import Checkpoint
+from unlearn_forge.datasets import gen_blobs, split_random, split_objective
+from unlearn_forge.metrics import rcd, eval_report
+from unlearn_forge.models import mlp_spec
+from unlearn_forge.numcore import derive_stream, kaiming_sample
+from unlearn_forge.spectral import estimate_spectrum
+from unlearn_forge.training import OptimizerConfig, train
+from unlearn_forge.unlearning import UnlearnConfig, unlearn
+
+
+@pytest.fixture()
+def passes(monkeypatch):
+    """``passes(fn)`` calls ``fn`` and returns its (forward, backward) count."""
+    counts = {"forward": 0, "backward": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            counts[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(models, "_mlp_forward", counted("forward", models._mlp_forward))
+    monkeypatch.setattr(models, "_mlp_backward", counted("backward", models._mlp_backward))
+
+    def count(fn):
+        before = dict(counts)
+        fn()
+        return counts["forward"] - before["forward"], counts["backward"] - before["backward"]
+
+    return count
+
+
+@pytest.fixture(scope="module")
+def world():
+    ds = split_random(gen_blobs(20, 3, 4, separation=3.0, noise_sd=1.0, seed=4), 0.3, seed=4)
+    spec = mlp_spec([4, 6, 3])
+    ckpt = Checkpoint(role="original", spec=spec, config={}, root_seed=4,
+                      theta=kaiming_sample(spec.param_count, derive_stream(4, 1)))
+    return ds, ckpt
+
+
+def _one_epoch(passes, run):
+    """The passes one more epoch adds: ``run(3)`` minus ``run(2)``."""
+    (f2, b2), (f3, b3) = passes(lambda: run(2)), passes(lambda: run(3))
+    return f3 - f2, b3 - b2
+
+
+def test_full_batch_train_epoch(world, passes):
+    ds, ckpt = world
+    obj = split_objective(ds, ckpt.spec, "train")
+
+    def run(epochs):
+        cfg = OptimizerConfig(kind="gd_fixed", eta=0.1, max_epochs=epochs, grad_norm_tol=0.0)
+        train(obj, ckpt.theta, cfg, derive_stream(0, 1))
+
+    assert _one_epoch(passes, run) == (1, 1)
+
+
+def test_ieu_epoch(world, passes):
+    ds, ckpt = world
+
+    def run(epochs):
+        unlearn(ckpt, ds, UnlearnConfig(method="ieu", alpha=0.99, c=0.1, eta=0.05,
+                                        epochs=epochs, seed=0))
+
+    assert _one_epoch(passes, run) == (2, 2)
+
+
+def test_loss_rcd_epoch(world, passes):
+    ds, ckpt = world
+    forget = split_objective(ds, ckpt.spec, "forget")
+    cfg = OptimizerConfig(kind="gd_fixed", eta=0.05, max_epochs=1)
+
+    def run(K):
+        rcd(ckpt.theta, forget, 0.0, K, cfg, "loss", derive_stream(0, 2), attach_bound=False)
+
+    assert _one_epoch(passes, run) == (1, 1)
+
+
+def test_spectrum_estimate_is_one_forward(world, passes):
+    ds, ckpt = world
+    obj = split_objective(ds, ckpt.spec, "forget")
+    assert passes(lambda: estimate_spectrum(obj, ckpt.theta, rng=derive_stream(0, 3))) == (1, 0)
+
+
+def test_eval_report_is_one_forward_per_split(world, passes):
+    ds, ckpt = world
+    assert passes(lambda: eval_report(ckpt, ds)) == (3, 0)  # retain, forget, test
