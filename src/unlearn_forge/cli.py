@@ -9,6 +9,7 @@ the resolved configuration plus seed into an experiment id, and writes
         checkpoints/   binary model checkpoints
         reports/       JSON metric reports
         traces/        per-epoch CSV traces
+    <runs-root>/oracles/<key>.ieuc   forget oracles cached by ``rcd``
 
 The runs root defaults to ``./runs`` and can be overridden with the
 ``UNLEARN_FORGE_RUNS_DIR`` environment variable. Exit codes: 0 on
@@ -294,7 +295,7 @@ def _cmd_rcd(args) -> int:
     relearn = OptimizerConfig(batch_size="full" if batch is None else batch, max_epochs=1, **step)
     oracle_cfg = OptimizerConfig(**ckpt.config) if _is_opt_config(ckpt.config) else (
         OptimizerConfig(kind="adam", eta=0.01, max_epochs=200))
-    _, phi_ref = forget_oracle(ds, ckpt.spec, oracle_cfg, args.seed)
+    phi_ref, oracle_path, oracle_cache = _cached_forget_oracle(ds, ckpt.spec, oracle_cfg, args.seed)
     forget_obj = split_objective(ds, ckpt.spec, "forget")
     report = rcd(ckpt.theta, forget_obj, phi_ref[cfg["phi"]], int(cfg["k"]), relearn,
                  cfg["phi"], derive_stream(args.seed, 13))
@@ -304,9 +305,41 @@ def _cmd_rcd(args) -> int:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     report.to_csv(run_dir / "reports" / "rcd.csv")
-    _write_manifest(run_dir, "rcd", exp_id, cfg, args.seed, {"report": str(out)})
+    _write_manifest(run_dir, "rcd", exp_id, cfg, args.seed,
+                    {"report": str(out), "oracle": str(oracle_path), "oracle_cache": oracle_cache})
     print(f"{exp_id}\trcd={report.rcd_value:.6g}\t{out}")
     return 0
+
+
+def _cached_forget_oracle(ds, spec: ModelSpec, cfg: OptimizerConfig, seed: int):
+    """The forget oracle's reference errors, trained once per runs root.
+
+    The oracle depends only on (forget set, spec, config, seed), so it is
+    kept at ``<runs-root>/oracles/<key>.ieuc``, ``<key>`` being the sha256
+    of those four. A file that fails to load or names another key is
+    recomputed and replaced. Returns ``(phi_ref, path, "hit" | "miss")``.
+    """
+    idx = ds.forget_idx
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(ds.features[idx], dtype="<f8").tobytes())
+    digest.update(np.ascontiguousarray(ds.labels[idx], dtype="<i8").tobytes())
+    digest.update(json.dumps({"spec": spec.to_dict(), "config": cfg.to_dict(), "seed": seed},
+                             sort_keys=True).encode())
+    key = digest.hexdigest()
+    path = _runs_root() / "oracles" / f"{key}.ieuc"
+    try:
+        cached = load_checkpoint(path)
+        if cached.extra.get("oracle_key") == key:
+            return cached.extra["phi_ref"], path, "hit"
+    except (OSError, ValueError, CheckpointError):
+        pass  # absent or damaged: retrain and replace it
+    ck, phi_ref = forget_oracle(ds, spec, cfg, seed)
+    ck.extra["oracle_key"] = key
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    save_checkpoint(ck, tmp)
+    os.replace(tmp, path)
+    return phi_ref, path, "miss"
 
 
 def _is_opt_config(config: dict) -> bool:

@@ -220,8 +220,14 @@ def load_uds(path) -> SplitDataset:
         if header.get("schema_version") != UDS_SCHEMA_VERSION:
             raise ValueError(f"unsupported .uds schema version {header.get('schema_version')}")
         n, p = header["n"], header["p"]
-        feat = np.frombuffer(fh.read(n * p * 8), dtype="<f8").reshape(n, p).copy()
-        labels = np.frombuffer(fh.read(n * 8), dtype="<i8").copy()
+        payload = fh.read()
+    expected = n * p * 8 + n * 8
+    if len(payload) != expected:
+        problem = "truncated" if len(payload) < expected else "trailing bytes in"
+        raise ValueError(f"{problem} .uds file: expected {expected} bytes of features and "
+                         f"labels after the header, found {len(payload)}")
+    feat = np.frombuffer(payload, dtype="<f8", count=n * p).reshape(n, p).copy()
+    labels = np.frombuffer(payload, dtype="<i8", offset=n * p * 8).copy()
     return SplitDataset(
         features=feat,
         labels=labels,

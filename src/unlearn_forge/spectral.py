@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
 
 from .numcore import RngStream, check_finite
 
@@ -56,6 +55,8 @@ def _lanczos(obj, theta: np.ndarray, tol: float, max_iter: int, rng: RngStream |
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    from scipy.linalg.lapack import dstebz, dstein  # deferred: scipy.linalg is slow to import
+
     if rng is None:
         rng = RngStream(0, 0)
     steps = min(theta.size, max_iter)

@@ -65,6 +65,9 @@ class OptimizerConfig:
         bs = self.batch_size
         if bs != "full" and not (isinstance(bs, (int, np.integer)) and bs >= 1):
             raise ValueError(f"batch_size must be 'full' or an int >= 1, not {bs!r}")
+        if bs != "full" and self.kind in ("gd_fixed", "gd_adaptive"):
+            raise ValueError(f"batch_size={bs!r} does nothing for kind={self.kind!r}, "
+                             "which always steps on the full batch; use sgd or adam")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("adam betas must lie in (0, 1)")
         if self.max_epochs < 1:
@@ -205,7 +208,8 @@ def forget_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, see
     reference error value for each supported error-evaluation kind.
 
     The reference values depend only on (forget set, spec, cfg, seed), never
-    on the model under audit; compute once and cache."""
+    on the model under audit. This function trains the oracle on every call;
+    the CLI's ``rcd`` caches it under ``<runs-root>/oracles/``."""
     if len(data.forget_idx) == 0:
         raise ValueError("forget oracle needs a non-empty forget set")
     obj = split_objective(data, spec, "forget")

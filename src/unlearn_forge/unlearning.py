@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
@@ -368,6 +367,8 @@ def retain_bound_monitor(retain_obj: Objective, forget_obj: Objective,
         beta = float(max(spec.spectrum))
     if mu <= 0 or beta < mu:
         raise ValueError("need 0 < mu <= beta")
+    from scipy.spatial.distance import pdist  # deferred: scipy.spatial is slow to import
+
     run = ieu_run(retain_obj, forget_obj, theta0, cfg, rng, record_thetas=True)
     thetas = run.thetas
     grad_norm_max = max(float(np.linalg.norm(retain_obj.gradient(th))) for th in thetas)

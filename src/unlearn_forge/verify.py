@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, gen_blobs, split_random, split_objective
@@ -332,6 +331,8 @@ def check_condition_number_trends() -> CheckResult:
         traj = irp_run(opt, 0.9, irp_steps, derive_stream(seed, 910))
         for t in range(irp_steps + 1):
             irp_curves[seed, t] = _explicit_kappa(obj, traj[t])
+    from scipy.stats import spearmanr  # deferred: scipy.stats is slow to import
+
     mean_train = train_curves.mean(axis=0)
     mean_irp = irp_curves.mean(axis=0)
     rho_tr, p_tr = spearmanr(np.arange(mean_train.size), mean_train)

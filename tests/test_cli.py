@@ -119,6 +119,19 @@ def test_silent_no_op_settings_exit_one(runs_dir, tmp_path, capsys):
     # no unlearning method reads a batch size, so unlearn has no such flag
     assert cli(unlearn + ["--method", "ieu", "--batch-size", "4"]) == 1
     capsys.readouterr()
+    # gd_fixed and gd_adaptive always step on the full batch
+    train_gd = train[:train.index("--optimizer")] + ["--optimizer", "gd_fixed", "--epochs", "2"]
+    assert cli(train_gd + ["--batch-size", "4"]) == 1
+    assert "batch_size" in capsys.readouterr().err
+    rcd = ["rcd", "--seed", "1", "--data", str(data), "--ckpt", ckpt, "--k", "2",
+           "--phi", "one_minus_accuracy"]
+    assert cli(rcd + ["--step", "adaptive", "--batch-size", "4"]) == 1
+    assert "batch_size" in capsys.readouterr().err
+    # a fixed step with a batch size relearns by sgd
+    assert cli(rcd + ["--step", "fixed:0.05", "--batch-size", "4"]) == 0
+    report = json.loads(_one("*/reports/rcd.json", runs_dir).read_text())
+    assert report["step_mode"] == "sgd"
+    capsys.readouterr()
 
 
 def test_corrupt_checkpoint_exits_one(runs_dir, tmp_path, capsys):
@@ -133,6 +146,18 @@ def test_corrupt_checkpoint_exits_one(runs_dir, tmp_path, capsys):
     capsys.readouterr()
     assert cli(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_truncated_dataset_exits_one(runs_dir, tmp_path, capsys):
+    data = tmp_path / "d.uds"
+    assert cli(["gen-data", "--seed", "1", "--n-per-class", "10", "--out", str(data)]) == 0
+    assert cli(["train", "--seed", "1", "--data", str(data), "--model", "logistic:5,3",
+                "--epochs", "2"]) == 0
+    ckpt = _one("*/checkpoints/original.ieuc", runs_dir)
+    data.write_bytes(data.read_bytes()[:-3])
+    capsys.readouterr()
+    assert cli(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 1
+    assert capsys.readouterr().err.startswith("error: truncated .uds file: expected ")
 
 
 def test_diverged_training_exits_one(runs_dir, tmp_path, capsys):

@@ -78,6 +78,20 @@ def test_uds_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("cut, message", [(-3, "truncated"), (-8 * 80, "truncated"),
+                                          (5, "trailing bytes")],
+                         ids=["labels-short", "features-short", "trailing"])
+def test_uds_wrong_payload_length_is_named(tmp_path, cut, message):
+    ds = split_random(gen_blobs(25, 3, 4, 2.0, 1.0, seed=6), 0.3, seed=6)
+    path = tmp_path / "toy.uds"
+    save_uds(ds, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:cut] if cut < 0 else blob + b"\0" * cut)
+    expected = 75 * 4 * 8 + 75 * 8
+    with pytest.raises(ValueError, match=f"^{message}.* .uds file: expected {expected} bytes"):
+        load_uds(path)
+
+
 def test_empty_forget_rejected():
     ds = gen_blobs(10, 2, 3, 2.0, 1.0, seed=7)
     with pytest.raises(ValueError):

@@ -104,6 +104,14 @@ def test_batch_size_must_be_full_or_positive_int(batch_size):
     assert OptimizerConfig(kind="sgd", batch_size=np.int64(4)).batch_size == 4
 
 
+@pytest.mark.parametrize("kind", ["gd_fixed", "gd_adaptive"])
+def test_full_batch_kinds_reject_a_batch_size(kind):
+    # both always step on the full batch; the value would only change run ids
+    with pytest.raises(ValueError, match=f"batch_size=4 .*{kind}"):
+        OptimizerConfig(kind=kind, batch_size=4)
+    assert OptimizerConfig(kind=kind).batch_size == "full"
+
+
 def test_trace_csv(tmp_path):
     obj = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
     cfg = OptimizerConfig(kind="gd_fixed", eta=0.25, max_epochs=3)
