@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every artifact-producing command resolves its configuration with the
-precedence CLI flags > ``--config`` JSON file > built-in defaults, hashes
-the resolved configuration plus seed into an experiment id, and writes
+Each setting of a command is declared once, as a flag of its subparser
+with its default. A ``--config`` JSON file becomes that subparser's
+defaults, so argparse resolves CLI flags > ``--config`` file > defaults.
+Every artifact-producing command hashes its resolved settings plus seed
+into an experiment id, and writes
 
     <runs-root>/<experiment-id>/
         manifest.json
@@ -32,7 +34,7 @@ import numpy as np
 from .checkpoints import Checkpoint, CheckpointError, save_checkpoint, load_checkpoint
 from .datasets import gen_blobs, split_random, split_classwise, split_objective, save_uds, load_uds
 from .models import ModelSpec, logistic_spec, mlp_spec
-from .metrics import rcd, eval_report, EvalReport
+from .metrics import rcd, eval_report, EvalReport, _write_json
 from .numcore import derive_stream, kaiming_sample
 from .training import (OptimizerConfig, DivergenceError, train, retrain_oracle, forget_oracle,
                        trace_to_csv)
@@ -61,29 +63,24 @@ def _runs_root() -> Path:
     return Path(os.environ.get("UNLEARN_FORGE_RUNS_DIR", "runs"))
 
 
-def _resolve_config(args, keys) -> dict:
-    """CLI flags override config-file values override parser defaults."""
-    from_file = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            from_file = json.load(fh)
-        if not isinstance(from_file, dict):
-            raise UsageError("--config must hold a JSON object")
-        unknown = set(from_file) - set(keys)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in from_file.items():
-            _check_config_value(args.flags[key], key, value)
-    resolved = {}
-    for key in keys:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            resolved[key] = cli_val
-        elif key in from_file:
-            resolved[key] = from_file[key]
-        else:
-            resolved[key] = None
-    return resolved
+def _settings(parser: argparse.ArgumentParser) -> dict:
+    """A command's settings: its flags but ``--help``, ``--seed`` and ``--config``."""
+    return {a.dest: a for a in parser._actions if a.dest not in ("help", "seed", "config")}
+
+
+def _read_config(path, parser: argparse.ArgumentParser) -> dict:
+    """The values of a ``--config`` file, each checked against its flag."""
+    with open(path) as fh:
+        from_file = json.load(fh)
+    if not isinstance(from_file, dict):
+        raise UsageError("--config must hold a JSON object")
+    flags = _settings(parser)
+    unknown = set(from_file) - set(flags)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in from_file.items():
+        _check_config_value(flags[key], key, value)
+    return from_file
 
 
 def _check_config_value(flag: argparse.Action, key: str, value) -> None:
@@ -112,17 +109,14 @@ def _new_run(command: str, config: dict, seed) -> tuple[Path, str]:
 
 def _write_manifest(run_dir: Path, command: str, exp_id: str, config: dict,
                     seed, artifacts: dict) -> None:
-    manifest = {
+    _write_json(run_dir / "manifest.json", {
         "command": command,
         "experiment_id": exp_id,
         "config": config,
         "seed": seed,
         "artifacts": artifacts,
         "created": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(run_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -165,102 +159,77 @@ def _opt_config(cfg: dict) -> OptimizerConfig:
     )
 
 
-def _add_config_flag(p):
-    p.add_argument("--config", help="JSON file with default values for this command")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_gen_data(args) -> int:
-    keys = ["n_per_class", "classes", "features", "separation", "noise_sd",
-            "split", "forget_fraction", "out"]
-    cfg = _resolve_config(args, keys)
-    defaults = {"n_per_class": 100, "classes": 3, "features": 5, "separation": 3.0,
-                "noise_sd": 1.0, "split": "random", "forget_fraction": 0.3, "out": None}
-    cfg = {k: defaults[k] if cfg[k] is None else cfg[k] for k in keys}
+def _cmd_gen_data(cfg: dict, seed) -> int:
     ds = gen_blobs(cfg["n_per_class"], cfg["classes"], cfg["features"],
-                   cfg["separation"], cfg["noise_sd"], args.seed)
-    if cfg["split"] == "random":
-        ds = split_random(ds, cfg["forget_fraction"], args.seed)
-    elif cfg["split"] == "classwise":
-        ds = split_classwise(ds, cfg["forget_fraction"], args.seed)
-    else:
-        raise UsageError(f"unknown split mode {cfg['split']!r}")
-    run_dir, exp_id = _new_run("gen-data", cfg, args.seed)
+                   cfg["separation"], cfg["noise_sd"], seed)
+    split = split_random if cfg["split"] == "random" else split_classwise
+    ds = split(ds, cfg["forget_fraction"], seed)
+    run_dir, exp_id = _new_run("gen-data", cfg, seed)
     out = Path(cfg["out"]) if cfg["out"] else run_dir / "dataset.uds"
     save_uds(ds, out)
-    _write_manifest(run_dir, "gen-data", exp_id, cfg, args.seed,
-                    {"dataset": str(out)})
+    _write_manifest(run_dir, "gen-data", exp_id, cfg, seed, {"dataset": str(out)})
     print(f"{exp_id}\t{out}")
     return 0
 
 
-def _cmd_train(args) -> int:
-    keys = ["data", "model", "optimizer", "eta", "epochs", "batch_size"]
-    cfg = _resolve_config(args, keys)
-    defaults = {"optimizer": "adam", "eta": 0.01, "epochs": 100, "batch_size": None}
-    cfg = {k: defaults.get(k) if cfg[k] is None else cfg[k] for k in keys}
+def _cmd_train(cfg: dict, seed) -> int:
     if not cfg["data"] or not cfg["model"]:
         raise UsageError("train requires --data and --model")
     ds = load_uds(cfg["data"])
     spec = _parse_model(cfg["model"])
     ocfg = _opt_config(cfg)
     obj = split_objective(ds, spec, "train")
-    theta0 = kaiming_sample(spec.param_count, derive_stream(args.seed, 11))
-    trace = train(obj, theta0, ocfg, derive_stream(args.seed, 12))
-    run_dir, exp_id = _new_run("train", cfg, args.seed)
+    theta0 = kaiming_sample(spec.param_count, derive_stream(seed, 11))
+    trace = train(obj, theta0, ocfg, derive_stream(seed, 12))
+    run_dir, exp_id = _new_run("train", cfg, seed)
     ckpt = Checkpoint(role="original", spec=spec, config=ocfg.to_dict(),
-                      root_seed=args.seed, theta=trace.theta,
+                      root_seed=seed, theta=trace.theta,
                       extra={"stop_reason": trace.stop_reason})
     ckpt_path = run_dir / "checkpoints" / "original.ieuc"
     save_checkpoint(ckpt, ckpt_path)
     trace_to_csv(trace, run_dir / "traces" / "train.csv")
-    _write_manifest(run_dir, "train", exp_id, cfg, args.seed,
+    _write_manifest(run_dir, "train", exp_id, cfg, seed,
                     {"checkpoint": str(ckpt_path)})
     final = trace.records[-1]
     print(f"{exp_id}\t{ckpt_path}\tloss={final.loss:.6g}\tacc={final.accuracy}")
     return 0
 
 
-def _cmd_retrain(args) -> int:
-    keys = ["data", "ckpt"]
-    cfg = _resolve_config(args, keys)
+def _cmd_retrain(cfg: dict, seed) -> int:
     if not cfg["data"] or not cfg["ckpt"]:
         raise UsageError("retrain requires --data and --ckpt")
     ds = load_uds(cfg["data"])
     original = load_checkpoint(cfg["ckpt"])
-    ocfg = OptimizerConfig(**original.config)
-    ck = retrain_oracle(ds, original.spec, ocfg, args.seed)
-    run_dir, exp_id = _new_run("retrain", cfg, args.seed)
+    ck = retrain_oracle(ds, original.spec, _oracle_config(original, cfg["ckpt"]), seed)
+    run_dir, exp_id = _new_run("retrain", cfg, seed)
     out = run_dir / "checkpoints" / "retrain.ieuc"
     save_checkpoint(ck, out)
-    _write_manifest(run_dir, "retrain", exp_id, cfg, args.seed, {"checkpoint": str(out)})
+    _write_manifest(run_dir, "retrain", exp_id, cfg, seed, {"checkpoint": str(out)})
     print(f"{exp_id}\t{out}")
     return 0
 
 
-def _cmd_unlearn(args) -> int:
-    keys = ["data", "ckpt", "method", "alpha", "c", "eta", "epochs",
-            "scrub_max_epochs", "salun_fraction", "noise_scope"]
-    cfg = _resolve_config(args, keys)
+def _cmd_unlearn(cfg: dict, seed) -> int:
     if not cfg["data"] or not cfg["ckpt"] or not cfg["method"]:
         raise UsageError("unlearn requires --data, --ckpt and --method")
     ukw = {k: v for k, v in cfg.items()
            if k not in ("data", "ckpt") and v is not None}
-    ucfg = UnlearnConfig(seed=args.seed, **ukw)
+    ucfg = UnlearnConfig(seed=seed, **ukw)
     ds = load_uds(cfg["data"])
     original = load_checkpoint(cfg["ckpt"])
     run = unlearn(original, ds, ucfg)
-    run_dir, exp_id = _new_run("unlearn", cfg, args.seed)
+    run_dir, exp_id = _new_run("unlearn", cfg, seed)
     ck = Checkpoint(role="unlearned", spec=original.spec, config=ucfg.to_dict(),
-                    root_seed=args.seed, theta=run.theta,
+                    root_seed=seed, theta=run.theta,
                     extra={"method": run.method})
     out = run_dir / "checkpoints" / f"{run.method}.ieuc"
     save_checkpoint(ck, out)
     _trace_csv(run, run_dir / "traces" / f"{run.method}.csv")
-    _write_manifest(run_dir, "unlearn", exp_id, cfg, args.seed,
+    _write_manifest(run_dir, "unlearn", exp_id, cfg, seed,
                     {"checkpoint": str(out), "wall_clock": run.wall_clock})
     print(f"{exp_id}\t{out}")
     return 0
@@ -279,11 +248,7 @@ def _trace_csv(run, path) -> None:
                              row.forget_kl])
 
 
-def _cmd_rcd(args) -> int:
-    keys = ["data", "ckpt", "k", "phi", "step", "batch_size"]
-    cfg = _resolve_config(args, keys)
-    defaults = {"k": 100, "phi": "loss", "step": "fixed:0.0001"}
-    cfg = {k: defaults.get(k) if cfg[k] is None else cfg[k] for k in keys}
+def _cmd_rcd(cfg: dict, seed) -> int:
     if not cfg["data"] or not cfg["ckpt"]:
         raise UsageError("rcd requires --data and --ckpt")
     ds = load_uds(cfg["data"])
@@ -293,19 +258,16 @@ def _cmd_rcd(args) -> int:
     if step["kind"] == "gd_fixed" and batch is not None:
         step = {"kind": "sgd", "eta": step["eta"]}
     relearn = OptimizerConfig(batch_size="full" if batch is None else batch, max_epochs=1, **step)
-    oracle_cfg = OptimizerConfig(**ckpt.config) if _is_opt_config(ckpt.config) else (
-        OptimizerConfig(kind="adam", eta=0.01, max_epochs=200))
-    phi_ref, oracle_path, oracle_cache = _cached_forget_oracle(ds, ckpt.spec, oracle_cfg, args.seed)
+    oracle_cfg = _oracle_config(ckpt, cfg["ckpt"])
+    phi_ref, oracle_path, oracle_cache = _cached_forget_oracle(ds, ckpt.spec, oracle_cfg, seed)
     forget_obj = split_objective(ds, ckpt.spec, "forget")
-    report = rcd(ckpt.theta, forget_obj, phi_ref[cfg["phi"]], int(cfg["k"]), relearn,
-                 cfg["phi"], derive_stream(args.seed, 13))
-    run_dir, exp_id = _new_run("rcd", cfg, args.seed)
+    report = rcd(ckpt.theta, forget_obj, phi_ref[cfg["phi"]], cfg["k"], relearn,
+                 cfg["phi"], derive_stream(seed, 13))
+    run_dir, exp_id = _new_run("rcd", cfg, seed)
     out = run_dir / "reports" / "rcd.json"
-    with open(out, "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out, report.to_dict())
     report.to_csv(run_dir / "reports" / "rcd.csv")
-    _write_manifest(run_dir, "rcd", exp_id, cfg, args.seed,
+    _write_manifest(run_dir, "rcd", exp_id, cfg, seed,
                     {"report": str(out), "oracle": str(oracle_path), "oracle_cache": oracle_cache})
     print(f"{exp_id}\trcd={report.rcd_value:.6g}\t{out}")
     return 0
@@ -342,17 +304,24 @@ def _cached_forget_oracle(ds, spec: ModelSpec, cfg: OptimizerConfig, seed: int):
     return phi_ref, path, "miss"
 
 
-def _is_opt_config(config: dict) -> bool:
+# oracles for an unlearned model, which no optimizer produced, train with this
+_UNLEARNED_ORACLE_CONFIG = OptimizerConfig(kind="adam", eta=0.01, max_epochs=200)
+
+
+def _oracle_config(ckpt: Checkpoint, path) -> OptimizerConfig:
+    """The optimizer config that oracles for ``ckpt`` train with: the one
+    ``ckpt`` was trained with, or for an unlearned model, which no optimizer
+    produced, the default oracle config."""
+    if ckpt.role == "unlearned":
+        return _UNLEARNED_ORACLE_CONFIG
     try:
-        OptimizerConfig(**config)
-        return True
-    except (TypeError, ValueError):
-        return False
+        return OptimizerConfig(**ckpt.config)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: a {ckpt.role!r} checkpoint must hold an optimizer "
+                              f"config of this version ({exc})") from exc
 
 
-def _cmd_eval(args) -> int:
-    keys = ["data", "ckpt", "against"]
-    cfg = _resolve_config(args, keys)
+def _cmd_eval(cfg: dict, seed) -> int:
     if not cfg["data"] or not cfg["ckpt"]:
         raise UsageError("eval requires --data and --ckpt")
     ds = load_uds(cfg["data"])
@@ -361,10 +330,10 @@ def _cmd_eval(args) -> int:
     if cfg["against"]:
         reference = eval_report(load_checkpoint(cfg["against"]), ds)
     report = eval_report(ckpt, ds, reference)
-    run_dir, exp_id = _new_run("eval", cfg, args.seed)
+    run_dir, exp_id = _new_run("eval", cfg, seed)
     out = run_dir / "reports" / "eval.json"
     report.save(out)
-    _write_manifest(run_dir, "eval", exp_id, cfg, args.seed, {"report": str(out)})
+    _write_manifest(run_dir, "eval", exp_id, cfg, seed, {"report": str(out)})
     print(f"{exp_id}\t{out}")
     for k, v in sorted(report.metrics().items()):
         print(f"  {k}: {v}")
@@ -373,9 +342,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(cfg: dict, seed) -> int:
     rows = []
-    for path in args.reports:
+    for path in cfg["reports"]:
         with open(path) as fh:
             payload = json.load(fh)
         report = EvalReport.from_dict(payload)
@@ -384,7 +353,7 @@ def _cmd_compare(args) -> int:
             row["avg_gap"] = report.avg_gap
         rows.append(row)
     columns = ["report"] + sorted({k for row in rows for k in row} - {"report"})
-    if args.format == "json":
+    if cfg["format"] == "json":
         print(json.dumps(rows, sort_keys=True, indent=2))
     else:
         print(",".join(columns))
@@ -394,18 +363,15 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    report = verify_mod.run_suite(full=not args.fast,
-                                  reproducibility=not args.no_repro)
+def _cmd_verify(cfg: dict, seed) -> int:
+    report = verify_mod.run_suite(full=not cfg["fast"], reproducibility=not cfg["no_repro"])
     width = max(len(r.name) for r in report.results)
     print(f"{'check':{width}}  status  margin")
     for r in report.results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name:{width}}  {status}    {r.margin:+.3e}  ({r.runtime:.1f}s)")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    if cfg["out"]:
+        _write_json(cfg["out"], report.to_dict())
     return 0 if report.all_passed else 2
 
 
@@ -413,65 +379,68 @@ def _cmd_verify(args) -> int:
 # parser assembly
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
+    """The parser and its subparsers by command name."""
     parser = _Parser(prog="unlearn-forge",
                      description="desk-scale machine unlearning laboratory")
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, fn, seed_required=True):
-        p = sub.add_parser(name)
+    def add(name, fn, *paths, seed_required=True, **kwargs):
+        p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+                           **kwargs)
         p.set_defaults(fn=fn)
-        if seed_required is not None:
-            p.add_argument("--seed", type=int, required=seed_required, default=0)
-        _add_config_flag(p)
+        p.add_argument("--seed", type=int, required=seed_required, default=0, help="root seed")
+        p.add_argument("--config", help="JSON file whose values replace this command's "
+                       "defaults; flags given on the command line still win")
+        for flag in paths:
+            p.add_argument(flag, help={"--data": ".uds dataset", "--ckpt": "checkpoint"}[flag])
         return p
 
     p = add("gen-data", _cmd_gen_data)
-    p.add_argument("--n-per-class", dest="n_per_class", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--features", type=int)
-    p.add_argument("--separation", type=float)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float)
-    p.add_argument("--split", choices=["random", "classwise"])
-    p.add_argument("--forget-fraction", dest="forget_fraction", type=float)
-    p.add_argument("--out")
+    p.add_argument("--n-per-class", dest="n_per_class", type=int, default=100,
+                   help="points per class")
+    p.add_argument("--classes", type=int, default=3, help="Gaussian blobs, one per class")
+    p.add_argument("--features", type=int, default=5, help="dimensions")
+    p.add_argument("--separation", type=float, default=3.0, help="least center distance")
+    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=1.0, help="blob spread")
+    p.add_argument("--split", choices=["random", "classwise"], default="random",
+                   help="forget random train points or whole classes")
+    p.add_argument("--forget-fraction", dest="forget_fraction", type=float, default=0.3,
+                   help="share of train points, or of classes, to forget")
+    p.add_argument("--out", help="dataset path; None writes it into the run directory")
 
-    p = add("train", _cmd_train)
-    p.add_argument("--data")
+    p = add("train", _cmd_train, "--data")
     p.add_argument("--model", help="logistic:p,C or mlp:d0,d1,...,C")
-    p.add_argument("--optimizer", choices=["gd_fixed", "gd_adaptive", "sgd", "adam"])
-    p.add_argument("--eta", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--optimizer", choices=["gd_fixed", "gd_adaptive", "sgd", "adam"],
+                   default="adam", help="update rule")
+    p.add_argument("--eta", type=float, default=0.01, help="step size")
+    p.add_argument("--epochs", type=int, default=100, help="most epochs to train")
+    p.add_argument("--batch-size", dest="batch_size", type=int, help="None is the full batch")
 
-    p = add("retrain", _cmd_retrain)
-    p.add_argument("--data")
-    p.add_argument("--ckpt")
+    add("retrain", _cmd_retrain, "--data", "--ckpt")
 
-    p = add("unlearn", _cmd_unlearn)
-    p.add_argument("--data")
-    p.add_argument("--ckpt")
-    p.add_argument("--method", choices=["ft", "rl", "scrub", "salun", "ieu"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--scrub-max-epochs", dest="scrub_max_epochs", type=int)
-    p.add_argument("--salun-fraction", dest="salun_fraction", type=float)
-    p.add_argument("--noise-scope", dest="noise_scope",
-                   choices=["global_d", "per_layer_fan_in"])
+    p = add("unlearn", _cmd_unlearn, "--data", "--ckpt",
+            description="a setting left at None takes UnlearnConfig's default for the method")
+    p.add_argument("--method", choices=["ft", "rl", "scrub", "salun", "ieu"], help="method")
+    p.add_argument("--alpha", type=float, help="noisy ratio; 1 draws no noise")
+    p.add_argument("--c", type=float, help="forget-set ascent weight")
+    p.add_argument("--eta", type=float, help="step size")
+    p.add_argument("--epochs", type=int, help="unlearning epochs")
+    p.add_argument("--scrub-max-epochs", dest="scrub_max_epochs", type=int,
+                   help="scrub's KL-ascent epochs")
+    p.add_argument("--salun-fraction", dest="salun_fraction", type=float,
+                   help="salun's share of salient coordinates")
+    p.add_argument("--noise-scope", dest="noise_scope", choices=["global_d", "per_layer_fan_in"],
+                   help="variance of the re-initialization noise")
 
-    p = add("rcd", _cmd_rcd)
-    p.add_argument("--data")
-    p.add_argument("--ckpt")
-    p.add_argument("--k", type=int)
-    p.add_argument("--phi", choices=["loss", "one_minus_accuracy"])
-    p.add_argument("--step", help="fixed:<eta> or adaptive")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p = add("rcd", _cmd_rcd, "--data", "--ckpt")
+    p.add_argument("--k", type=int, default=100, help="relearning epochs K")
+    p.add_argument("--phi", choices=["loss", "one_minus_accuracy"], default="loss",
+                   help="error measured each epoch")
+    p.add_argument("--step", default="fixed:0.0001", help="fixed:<eta> or adaptive")
+    p.add_argument("--batch-size", dest="batch_size", type=int, help="None is the full batch")
 
-    p = add("eval", _cmd_eval, seed_required=False)
-    p.add_argument("--data")
-    p.add_argument("--ckpt")
+    p = add("eval", _cmd_eval, "--data", "--ckpt", seed_required=False)
     p.add_argument("--against", help="retrain reference checkpoint for gap metrics")
 
     p = sub.add_parser("compare")
@@ -486,21 +455,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-repro", action="store_true",
                    help="skip the byte-identical rerun")
     p.add_argument("--out", help="write the structured report to this JSON file")
-
-    for p in sub.choices.values():  # lets _resolve_config check --config values
-        p.set_defaults(flags={action.dest: action for action in p._actions})
-    return parser
+    return parser, sub.choices
 
 
 def cli(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "command", None) or not hasattr(args, "fn"):
+        if not hasattr(args, "fn"):
             parser.print_usage(sys.stderr)
             return 1
-        return args.fn(args)
-    except (UsageError, FileNotFoundError, ValueError, CheckpointError, DivergenceError,
+        command = commands[args.command]
+        if getattr(args, "config", None):  # file values become defaults; flags still win
+            command.set_defaults(**_read_config(args.config, command))
+            args = parser.parse_args(argv)
+        cfg = {dest: getattr(args, dest) for dest in _settings(command)}
+        return args.fn(cfg, getattr(args, "seed", None))
+    except (UsageError, OSError, ValueError, CheckpointError, DivergenceError,
             FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

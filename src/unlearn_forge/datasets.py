@@ -109,7 +109,7 @@ def gen_blobs(n_per_class: int, C: int, p: int, separation: float, noise_sd: flo
             centers = cand
             break
     if centers is None:
-        raise RuntimeError(
+        raise ValueError(
             f"could not place {C} centers with pairwise separation {separation} in {p}-d"
         )
 
@@ -213,12 +213,28 @@ def save_uds(ds: SplitDataset, path) -> None:
         fh.write(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
 
 
+def _check_uds_header(header) -> None:
+    """Raise a ``ValueError`` naming the first key a ``.uds`` header lacks
+    or holds a bad value for."""
+    if not isinstance(header, dict):
+        raise ValueError(f".uds header must be a JSON object, not {type(header).__name__}")
+    if header.get("schema_version") != UDS_SCHEMA_VERSION:
+        raise ValueError(f"unsupported .uds schema version {header.get('schema_version')}")
+    for key in ("n", "p", "retain_idx", "forget_idx", "test_idx", "forgotten_classes",
+                "provenance"):
+        if key not in header:
+            raise ValueError(f".uds header lacks key {key!r}")
+        value = [header[key]] if key in ("n", "p") else header[key]
+        if not (isinstance(value, dict) if key == "provenance" else (isinstance(value, list)
+                and all(type(i) is int and 0 <= i < 2**63 for i in value))):
+            raise ValueError(f".uds header key {key!r} holds a bad value: {header[key]!r}")
+
+
 def load_uds(path) -> SplitDataset:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         header = json.loads(header_line.decode("utf-8"))
-        if header.get("schema_version") != UDS_SCHEMA_VERSION:
-            raise ValueError(f"unsupported .uds schema version {header.get('schema_version')}")
+        _check_uds_header(header)
         n, p = header["n"], header["p"]
         payload = fh.read()
     expected = n * p * 8 + n * 8

@@ -55,7 +55,6 @@ class RcdReport:
     curvature_bound: float | None = None
     bound_diagnostic: str | None = None
     spectral: SpectralEstimate | None = None
-    clamped: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -68,7 +67,6 @@ class RcdReport:
             "curvature_bound": self.curvature_bound,
             "bound_diagnostic": self.bound_diagnostic,
             "spectral": None if self.spectral is None else self.spectral.to_dict(),
-            "clamped": self.clamped,
         }
 
     def to_csv(self, path) -> None:
@@ -92,7 +90,7 @@ def _phi(phi_kind: str):
 
 def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
         relearn_cfg: OptimizerConfig, phi_kind: str, rng: RngStream,
-        clamp_at_zero: bool = False, attach_bound: bool = True) -> RcdReport:
+        attach_bound: bool = True) -> RcdReport:
     """Relearn on the forgetting set for K epochs and sum the excess error.
 
     ``relearn_cfg.kind`` selects the relearning schedule: ``gd_fixed`` /
@@ -118,12 +116,10 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
     bound = diag = est = None
     if attach_bound and phi_kind == "loss":  # errors[0] is the loss gap at theta0
         bound, diag, est = _bound_from_spectrum(theta0, forget_obj, errors[0], rng)
-    if clamp_at_zero:
-        errors = np.maximum(errors, 0.0)
     step_mode = relearn_cfg.kind if relearn_cfg.kind != "gd_adaptive" else "adaptive_inv_lambda_max"
     return RcdReport(K=K, phi_kind=phi_kind, step_mode=step_mode, errors=errors,
                      rcd_value=float(errors.sum()), phi_ref=phi_ref, curvature_bound=bound,
-                     bound_diagnostic=diag, spectral=est, clamped=clamp_at_zero)
+                     bound_diagnostic=diag, spectral=est)
 
 
 def _bound_from_spectrum(theta0, forget_obj, gap, rng):
@@ -208,13 +204,20 @@ def mia_score(theta: np.ndarray, retain_obj: Objective, test_obj: Objective,
 # evaluation reports
 
 
+def _write_json(path, payload) -> None:
+    """The one JSON layout of every report and manifest: sorted keys,
+    indent 2, a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 @dataclass
 class EvalReport:
     accuracies: dict  # split name -> accuracy
     mia_rate: float
     gaps: dict = field(default_factory=dict)  # metric -> |this - reference|
     avg_gap: float | None = None
-    rcd_value: float | None = None
 
     def metrics(self) -> dict:
         out = dict(self.accuracies)
@@ -227,19 +230,24 @@ class EvalReport:
             "mia_rate": self.mia_rate,
             "gaps": self.gaps,
             "avg_gap": self.avg_gap,
-            "rcd_value": self.rcd_value,
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "EvalReport":
+    def from_dict(d) -> "EvalReport":
+        """The report in ``d``; a ``ValueError`` names what an eval report
+        needs and ``d`` lacks."""
+        if not isinstance(d, dict):
+            raise ValueError(f"an eval report is a JSON object, not {type(d).__name__}")
+        for key in ("accuracies", "mia_rate"):
+            if key not in d:
+                raise ValueError(f"not an eval report: no key {key!r}")
+        if not isinstance(d["accuracies"], dict):
+            raise ValueError("eval report 'accuracies' must be a JSON object")
         return EvalReport(accuracies=d["accuracies"], mia_rate=d["mia_rate"],
-                          gaps=d.get("gaps", {}), avg_gap=d.get("avg_gap"),
-                          rcd_value=d.get("rcd_value"))
+                          gaps=d.get("gaps", {}), avg_gap=d.get("avg_gap"))
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
 
 def eval_report(ckpt: Checkpoint, data: SplitDataset,
@@ -251,11 +259,11 @@ def eval_report(ckpt: Checkpoint, data: SplitDataset,
         splits += ["test_retain", "test_forget"]
     accs, losses = {}, {}
     for which in splits:
-        try:
-            point = split_objective(data, ckpt.spec, which).evaluate(ckpt.theta)
-            accs[which], losses[which] = point.accuracy, point.per_example_loss
-        except ValueError:
+        if len(data.indices(which)) == 0:
             accs[which] = None  # empty split half
+            continue
+        point = split_objective(data, ckpt.spec, which).evaluate(ckpt.theta)
+        accs[which], losses[which] = point.accuracy, point.per_example_loss
     # the attack rejects an empty view
     mia = mia_threshold_attack(*(losses.get(w, np.empty(0)) for w in ("retain", "test", "forget")))
     report = EvalReport(accuracies=accs, mia_rate=mia.forget_member_rate)

@@ -426,4 +426,12 @@ def make_classifier(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> Objective:
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.int64)
     check_finite(X, "features")
+    if not spec.is_classifier:
+        raise ValueError(f"a {spec.kind!r} model with {spec.num_classes} classes is no classifier")
+    n_in = spec.n_features if spec.kind == "logistic" else spec.layer_dims[0]
+    if X.ndim != 2 or X.shape[1] != n_in:
+        raise ValueError(f"features have shape {X.shape}; this model reads {n_in} per example")
+    if y.size and not 0 <= y.min() <= y.max() < spec.num_classes:
+        raise ValueError(f"labels must lie in [0, {spec.num_classes}) for this model, "
+                         f"not [{y.min()}, {y.max()}]")
     return Objective(spec=spec, X=X, y=y)

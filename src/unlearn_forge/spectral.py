@@ -29,6 +29,8 @@ __all__ = [
 
 NON_PSD_DIAGNOSTIC = "non-PSD Hessian; bound not applicable"
 KAPPA_FLOOR = 1e-12
+LANCZOS_TOL = 1e-10  # stop once both extreme Ritz residuals are at most this
+LANCZOS_MAX_ITER = 100_000
 
 
 @dataclass
@@ -44,22 +46,18 @@ class SpectralEstimate:
         return asdict(self)
 
 
-def _lanczos(obj, theta: np.ndarray, tol: float, max_iter: int, rng: RngStream | None):
+def _lanczos(obj, theta: np.ndarray, rng: RngStream | None):
     """Extreme Ritz values of the Hessian of ``obj`` at ``theta``.
 
     Stops when both extreme Ritz residuals ``beta_k * |s_k|`` are at most
-    ``tol``, on breakdown, or after ``min(d, max_iter)`` steps. Returns
-    ``(lambda_min, lambda_max, steps, residual)``.
+    ``LANCZOS_TOL``, on breakdown, or after ``min(d, LANCZOS_MAX_ITER)``
+    steps. Returns ``(lambda_min, lambda_max, steps, residual)``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     from scipy.linalg.lapack import dstebz, dstein  # deferred: scipy.linalg is slow to import
 
     if rng is None:
         rng = RngStream(0, 0)
-    steps = min(theta.size, max_iter)
+    steps = min(theta.size, LANCZOS_MAX_ITER)
     q = rng.standard_normal(theta.size)
     Q = (q / np.linalg.norm(q))[None]  # the Lanczos basis, one row per step, grown by doubling
     alphas, betas = [], []
@@ -80,7 +78,7 @@ def _lanczos(obj, theta: np.ndarray, tol: float, max_iter: int, rng: RngStream |
                 raise np.linalg.LinAlgError("tridiagonal eigensolver failed in Lanczos")
             ends.append((float(ritz[0]), float(s[-1, 0])))
         residual = betas[k] * max(abs(s) for _, s in ends)
-        if residual <= tol or betas[k] == 0.0 or k + 1 == steps:
+        if residual <= LANCZOS_TOL or betas[k] == 0.0 or k + 1 == steps:
             break
         if k + 1 == len(Q):
             Q = np.concatenate([Q, np.empty_like(Q)])
@@ -88,35 +86,35 @@ def _lanczos(obj, theta: np.ndarray, tol: float, max_iter: int, rng: RngStream |
     return ends[0][0], ends[1][0], k + 1, float(residual)
 
 
-def lambda_max(obj, theta: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000,
-               rng: RngStream | None = None):
+def lambda_max(obj, theta: np.ndarray, rng: RngStream | None = None):
     """Largest-magnitude Hessian eigenvalue of ``obj`` at ``theta``: the
     extreme Ritz value of one Lanczos run with the larger absolute value,
     so it is negative when the most negative eigenvalue dominates.
 
     Returns ``(eigenvalue, diagnostics)`` where diagnostics is a dict with
-    the final residual, the number of Lanczos steps and whether it met ``tol``.
+    the final residual, the number of Lanczos steps and whether it met
+    ``LANCZOS_TOL``.
     """
-    low, high, steps, residual = _lanczos(obj, theta, tol, max_iter, rng)
+    low, high, steps, residual = _lanczos(obj, theta, rng)
     lam = high if abs(high) >= abs(low) else low
-    return lam, {"residual": residual, "iterations": steps, "converged": residual <= tol}
+    return lam, {"residual": residual, "iterations": steps, "converged": residual <= LANCZOS_TOL}
 
 
-def condition_number(est: SpectralEstimate, floor: float = KAPPA_FLOOR):
+def condition_number(est: SpectralEstimate):
     """``lambda_max / lambda_min`` when defined, else a diagnostic string."""
     if not est.psd_flag:
         return NON_PSD_DIAGNOSTIC
-    if est.lambda_min <= floor:
-        return f"lambda_min {est.lambda_min:.3e} at or below floor {floor:.1e}; kappa undefined"
+    if est.lambda_min <= KAPPA_FLOOR:
+        return (f"lambda_min {est.lambda_min:.3e} at or below floor {KAPPA_FLOOR:.1e}; "
+                "kappa undefined")
     return est.lambda_max / est.lambda_min
 
 
-def estimate_spectrum(obj, theta: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000,
-                      rng: RngStream | None = None) -> SpectralEstimate:
+def estimate_spectrum(obj, theta: np.ndarray, rng: RngStream | None = None) -> SpectralEstimate:
     """Estimate both algebraic extreme eigenvalues and the condition number."""
-    low, high, steps, residual = _lanczos(obj, theta, tol, max_iter, rng)
+    low, high, steps, residual = _lanczos(obj, theta, rng)
     est = SpectralEstimate(lambda_max=high, lambda_min=low, kappa=None, iterations_used=steps,
-                           residual=residual, psd_flag=low > -tol)
+                           residual=residual, psd_flag=low > -LANCZOS_TOL)
     kappa = condition_number(est)
     est.kappa = kappa if isinstance(kappa, float) else None
     return est

@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 DIVERGENCE_FACTOR = 1e6
+# Adam's moment decay rates and denominator guard (Kingma and Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # stream ids reserved for oracle runs
 _STREAM_ORACLE_INIT = 201
@@ -49,13 +53,8 @@ class OptimizerConfig:
     kind: str = "gd_fixed"  # gd_fixed | gd_adaptive | sgd | adam
     eta: float = 0.1  # ignored by gd_adaptive
     batch_size: int | str = "full"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_epochs: int = 100
     grad_norm_tol: float = 1e-8
-    spectral_tol: float = 1e-10  # gd_adaptive only
-    spectral_max_iter: int = 100_000
 
     def __post_init__(self):
         if self.kind not in ("gd_fixed", "gd_adaptive", "sgd", "adam"):
@@ -68,8 +67,6 @@ class OptimizerConfig:
         if bs != "full" and self.kind in ("gd_fixed", "gd_adaptive"):
             raise ValueError(f"batch_size={bs!r} does nothing for kind={self.kind!r}, "
                              "which always steps on the full batch; use sgd or adam")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("adam betas must lie in (0, 1)")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
 
@@ -124,7 +121,7 @@ class _Stepper:
             self.last_eta = cfg.eta
             return theta - cfg.eta * point.gradient()
         if cfg.kind == "gd_adaptive":
-            lam, _ = lambda_max(self.obj, theta, cfg.spectral_tol, cfg.spectral_max_iter, self.rng)
+            lam, _ = lambda_max(self.obj, theta, rng=self.rng)
             if lam <= 0:
                 raise DivergenceError("adaptive step-size needs a positive lambda_max")
             self.last_lambda_max = lam
@@ -144,11 +141,11 @@ class _Stepper:
         for batch in self._batches():
             g = point.gradient() if batch is self.obj else batch.gradient(theta)
             self._adam_t += 1
-            self._adam_m = cfg.beta1 * self._adam_m + (1 - cfg.beta1) * g
-            self._adam_v = cfg.beta2 * self._adam_v + (1 - cfg.beta2) * g * g
-            mhat = self._adam_m / (1 - cfg.beta1 ** self._adam_t)
-            vhat = self._adam_v / (1 - cfg.beta2 ** self._adam_t)
-            theta = theta - cfg.eta * mhat / (np.sqrt(vhat) + cfg.eps)
+            self._adam_m = ADAM_BETA1 * self._adam_m + (1 - ADAM_BETA1) * g
+            self._adam_v = ADAM_BETA2 * self._adam_v + (1 - ADAM_BETA2) * g * g
+            mhat = self._adam_m / (1 - ADAM_BETA1 ** self._adam_t)
+            vhat = self._adam_v / (1 - ADAM_BETA2 ** self._adam_t)
+            theta = theta - cfg.eta * mhat / (np.sqrt(vhat) + ADAM_EPS)
         return theta
 
 

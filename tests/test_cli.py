@@ -96,6 +96,7 @@ def test_usage_errors_exit_one(runs_dir, capsys):
     assert cli(["unlearn", "--seed", "0", "--data", "x.uds", "--ckpt", "y",
                 "--method", "warp"]) == 1
     assert cli([]) == 1
+    assert cli(["gen-data", "--seed", "0", "--separation", "nan"]) == 1  # no centers fit
     capsys.readouterr()
 
 
@@ -217,3 +218,114 @@ def test_verify_writes_report(runs_dir, tmp_path, monkeypatch):
     assert cli(["verify", "--fast", "--no-repro", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["all_passed"] is True
+
+
+@pytest.mark.parametrize("argv, config, exp_id", [
+    (["gen-data", "--seed", "1", "--n-per-class", "20", "--out", "d.uds"], None,
+     "bb84ace10e02"),
+    (["gen-data", "--seed", "2", "--config", "c.json", "--classes", "3", "--out", "e.uds"],
+     {"classes": 4, "features": 3, "n_per_class": 20}, "038e8dad76d3"),
+], ids=["flags", "config-file"])
+def test_gen_data_experiment_ids_are_pinned(runs_dir, tmp_path, capsys, argv, config, exp_id):
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+    assert cli(argv) == 0
+    assert capsys.readouterr().out.split("\t")[0] == exp_id
+
+
+def test_train_experiment_id_is_pinned(runs_dir, capsys):
+    assert cli(["gen-data", "--seed", "1", "--n-per-class", "20", "--out", "d.uds"]) == 0
+    capsys.readouterr()
+    assert cli(["train", "--seed", "1", "--data", "d.uds", "--model", "mlp:5,6,3",
+                "--epochs", "5"]) == 0
+    assert capsys.readouterr().out.split("\t")[0] == "c70a577d0187"
+
+
+def test_config_file_may_not_set_the_seed(runs_dir, tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"seed": 5}))
+    assert cli(["gen-data", "--seed", "1", "--config", str(cfg_file)]) == 1
+    assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
+
+def _trained(tmp_path, capsys):
+    data = tmp_path / "d.uds"
+    assert cli(["gen-data", "--seed", "1", "--n-per-class", "10", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert cli(["train", "--seed", "1", "--data", str(data), "--model", "logistic:5,3",
+                "--epochs", "2"]) == 0
+    return data, capsys.readouterr().out.split("\t")[1]
+
+
+def test_retrain_from_unlearned_checkpoint_uses_the_oracle_config(runs_dir, tmp_path, capsys):
+    data, ckpt = _trained(tmp_path, capsys)
+    assert cli(["unlearn", "--seed", "1", "--data", str(data), "--ckpt", ckpt,
+                "--method", "ft", "--epochs", "1"]) == 0
+    unlearned = capsys.readouterr().out.split("\t")[1].strip()
+    assert cli(["retrain", "--seed", "1", "--data", str(data), "--ckpt", unlearned]) == 0
+    retrain = load_checkpoint(capsys.readouterr().out.split("\t")[1].strip())
+    assert retrain.config == {"kind": "adam", "eta": 0.01, "batch_size": "full",
+                              "max_epochs": 200, "grad_norm_tol": 1e-8}
+
+
+def test_checkpoint_without_optimizer_config_exits_one(runs_dir, tmp_path, capsys):
+    """A trained checkpoint whose config is no optimizer config of this
+    version, such as one that still holds the Adam and Lanczos constants
+    as settings, is refused by name wherever its optimizer is needed."""
+    from unlearn_forge.checkpoints import save_checkpoint
+
+    data, ckpt = _trained(tmp_path, capsys)
+    original = load_checkpoint(ckpt)
+    original.config.update(beta1=0.9, beta2=0.999, eps=1e-8, spectral_tol=1e-10,
+                           spectral_max_iter=100_000)
+    old = tmp_path / "old.ieuc"
+    save_checkpoint(original, old)
+    for argv in (["retrain", "--seed", "1"], ["rcd", "--seed", "1", "--k", "1"]):
+        assert cli(argv + ["--data", str(data), "--ckpt", str(old)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must hold an optimizer config" in err
+
+
+@pytest.mark.parametrize("payload, named", [({"K": 1}, "'accuracies'"),
+                                            ({"accuracies": {}}, "'mia_rate'"),
+                                            ([1, 2], "JSON object")],
+                         ids=["rcd-report", "no-mia", "list"])
+def test_compare_rejects_what_is_not_an_eval_report(runs_dir, tmp_path, capsys, payload, named):
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(payload))
+    assert cli(["compare", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("flag", ["--data", "--ckpt", "--config"])
+def test_directory_as_input_file_exits_one(runs_dir, tmp_path, capsys, flag):
+    data, ckpt = _trained(tmp_path, capsys)
+    argv = {"--data": str(data), "--ckpt": ckpt}
+    argv[flag] = str(tmp_path)
+    assert cli(["eval", *(x for item in argv.items() for x in item)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("header, named", [({"schema_version": 1, "p": 2}, "lacks key 'n'"),
+                                           ([1, 2], "must be a JSON object")],
+                         ids=["no-n", "list"])
+def test_bad_dataset_header_exits_one(runs_dir, tmp_path, capsys, header, named):
+    _, ckpt = _trained(tmp_path, capsys)
+    bad = tmp_path / "bad.uds"
+    bad.write_bytes(json.dumps(header).encode() + b"\n")
+    assert cli(["eval", "--data", str(bad), "--ckpt", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_checkpoint_of_no_classifier_exits_one(runs_dir, tmp_path, capsys):
+    from unlearn_forge.checkpoints import Checkpoint, save_checkpoint
+    from unlearn_forge.models import quadratic_spec
+
+    data, _ = _trained(tmp_path, capsys)
+    quadratic = tmp_path / "q.ieuc"
+    save_checkpoint(Checkpoint("original", quadratic_spec([2.0, 1.0], [0.0, 0.0]), {}, 0,
+                               np.zeros(2)), quadratic)
+    assert cli(["eval", "--data", str(data), "--ckpt", str(quadratic)]) == 1
+    assert "is no classifier" in capsys.readouterr().err
