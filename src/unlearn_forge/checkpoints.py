@@ -97,6 +97,8 @@ def load_checkpoint(path) -> Checkpoint:
         )
     except KeyError as exc:
         raise CheckpointError(f"{path}: header lacks key {exc}") from exc
+    except ValueError as exc:  # a spec its factory refuses, or a bad role or length
+        raise CheckpointError(f"{path}: {exc}") from exc
     if not np.all(np.isfinite(theta)):
         raise CheckpointError(f"{path}: non-finite parameters")
     return ckpt

@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,11 +35,11 @@ import numpy as np
 from .checkpoints import Checkpoint, CheckpointError, save_checkpoint, load_checkpoint
 from .datasets import gen_blobs, split_random, split_classwise, split_objective, save_uds, load_uds
 from .models import ModelSpec, logistic_spec, mlp_spec
-from .metrics import rcd, eval_report, EvalReport, _write_json
-from .numcore import derive_stream, kaiming_sample
+from .metrics import rcd, eval_report, EvalReport
+from .numcore import derive_stream, kaiming_sample, write_csv, write_json
 from .training import (OptimizerConfig, DivergenceError, train, retrain_oracle, forget_oracle,
                        trace_to_csv)
-from .unlearning import UnlearnConfig, unlearn
+from .unlearning import EpochRow, UnlearnConfig, unlearn
 from . import verify as verify_mod
 
 __all__ = ["main", "cli"]
@@ -78,15 +79,15 @@ def _read_config(path, parser: argparse.ArgumentParser) -> dict:
     unknown = set(from_file) - set(flags)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in from_file.items():
-        _check_config_value(flags[key], key, value)
-    return from_file
+    return {key: _config_value(flags[key], key, value) for key, value in from_file.items()}
 
 
-def _check_config_value(flag: argparse.Action, key: str, value) -> None:
-    """A ``--config`` value must be one its flag would give: one of its
-    choices, an integer for an int flag, a number for a float flag, else a
-    string. JSON true and false are none of these."""
+def _config_value(flag: argparse.Action, key: str, value):
+    """A ``--config`` value as its flag would give it. The value must be
+    one of the flag's choices, an integer for an int flag, a number for a
+    float flag, else a string; JSON true and false are none of these. It
+    is then converted by the flag's type, so ``1`` for a float flag is
+    ``1.0``, as ``--flag 1`` gives."""
     if flag.choices is not None:
         ok, want = value in flag.choices, f"one of {flag.choices}"
     else:
@@ -95,6 +96,10 @@ def _check_config_value(flag: argparse.Action, key: str, value) -> None:
         want = {int: "an integer", float: "a number"}.get(flag.type, "a string")
     if not ok:
         raise UsageError(f"config key {key!r} must be {want}, not {value!r}")
+    try:
+        return value if flag.type is None else flag.type(value)
+    except OverflowError as exc:
+        raise UsageError(f"config key {key!r} is too large for a float: {value!r}") from exc
 
 
 def _new_run(command: str, config: dict, seed) -> tuple[Path, str]:
@@ -109,7 +114,7 @@ def _new_run(command: str, config: dict, seed) -> tuple[Path, str]:
 
 def _write_manifest(run_dir: Path, command: str, exp_id: str, config: dict,
                     seed, artifacts: dict) -> None:
-    _write_json(run_dir / "manifest.json", {
+    write_json(run_dir / "manifest.json", {
         "command": command,
         "experiment_id": exp_id,
         "config": config,
@@ -228,24 +233,12 @@ def _cmd_unlearn(cfg: dict, seed) -> int:
                     extra={"method": run.method})
     out = run_dir / "checkpoints" / f"{run.method}.ieuc"
     save_checkpoint(ck, out)
-    _trace_csv(run, run_dir / "traces" / f"{run.method}.csv")
+    write_csv(run_dir / "traces" / f"{run.method}.csv", [f.name for f in fields(EpochRow)],
+              (astuple(row) for row in run.trace))
     _write_manifest(run_dir, "unlearn", exp_id, cfg, seed,
                     {"checkpoint": str(out), "wall_clock": run.wall_clock})
     print(f"{exp_id}\t{out}")
     return 0
-
-
-def _trace_csv(run, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "retain_loss", "forget_loss", "retain_acc",
-                         "forget_acc", "clip_active", "forget_kl"])
-        for row in run.trace:
-            writer.writerow([row.epoch, row.retain_loss, row.forget_loss,
-                             row.retain_acc, row.forget_acc, row.clip_active,
-                             row.forget_kl])
 
 
 def _cmd_rcd(cfg: dict, seed) -> int:
@@ -265,7 +258,7 @@ def _cmd_rcd(cfg: dict, seed) -> int:
                  cfg["phi"], derive_stream(seed, 13))
     run_dir, exp_id = _new_run("rcd", cfg, seed)
     out = run_dir / "reports" / "rcd.json"
-    _write_json(out, report.to_dict())
+    write_json(out, report)
     report.to_csv(run_dir / "reports" / "rcd.csv")
     _write_manifest(run_dir, "rcd", exp_id, cfg, seed,
                     {"report": str(out), "oracle": str(oracle_path), "oracle_cache": oracle_cache})
@@ -371,7 +364,7 @@ def _cmd_verify(cfg: dict, seed) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name:{width}}  {status}    {r.margin:+.3e}  ({r.runtime:.1f}s)")
     if cfg["out"]:
-        _write_json(cfg["out"], report.to_dict())
+        write_json(cfg["out"], report.to_dict())
     return 0 if report.all_passed else 2
 
 

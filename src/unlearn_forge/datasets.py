@@ -55,10 +55,11 @@ class SplitDataset:
         if len(self.labels) != n:
             raise ValueError("features/labels length mismatch")
         all_idx = np.concatenate([self.retain_idx, self.forget_idx, self.test_idx])
-        if len(np.unique(all_idx)) != len(all_idx):
-            raise ValueError("retain/forget/test index sets must be disjoint")
         if all_idx.size and (all_idx.min() < 0 or all_idx.max() >= n):
             raise ValueError("split index out of range")
+        ordered = np.sort(all_idx)  # not np.unique, which imports numpy.ma
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("retain/forget/test index sets must be disjoint")
         if len(all_idx) != n:
             raise ValueError("splits must cover the dataset")
 
@@ -95,6 +96,8 @@ def gen_blobs(n_per_class: int, C: int, p: int, separation: float, noise_sd: flo
               seed: int) -> SplitDataset:
     """Gaussian clusters at seed-deterministic centers, stratified 80/20
     train/test, with the whole train partition initially retained."""
+    if n_per_class < 2:  # the test split takes at least one point of each class
+        raise ValueError(f"n_per_class must be >= 2, not {n_per_class}")
     if C < 2:
         raise ValueError("need at least 2 classes")
     if p < 2:
@@ -165,6 +168,8 @@ def split_random(ds: SplitDataset, fraction: float, seed: int) -> SplitDataset:
 
 def split_classwise(ds: SplitDataset, fraction: float, seed: int) -> SplitDataset:
     """Forget all train examples of round(fraction * C) seeded-random classes."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must be in (0, 1)")
     C = ds.num_classes
     if C < 2:
         raise ValueError("class-wise forgetting needs at least 2 classes")

@@ -17,8 +17,6 @@ indefinite Hessians the report carries a diagnostic instead.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +24,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
-from .numcore import RngStream
+from .numcore import RngStream, jsonable, write_csv, write_json
 from .spectral import SpectralEstimate, estimate_spectrum, condition_number, NON_PSD_DIAGNOSTIC
 from .training import OptimizerConfig, _Stepper
 
@@ -57,26 +55,12 @@ class RcdReport:
     spectral: SpectralEstimate | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "phi_kind": self.phi_kind,
-            "step_mode": self.step_mode,
-            "errors": [float(e) for e in self.errors],
-            "rcd_value": self.rcd_value,
-            "phi_ref": self.phi_ref,
-            "curvature_bound": self.curvature_bound,
-            "bound_diagnostic": self.bound_diagnostic,
-            "spectral": None if self.spectral is None else self.spectral.to_dict(),
-        }
+        return jsonable(self)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "phi", "e_t", "cumulative"])
-            cum = 0.0
-            for t, e in enumerate(self.errors):
-                cum += e
-                writer.writerow([t, repr(e + self.phi_ref), repr(float(e)), repr(cum)])
+        write_csv(path, ["t", "phi", "e_t", "cumulative"],
+                  zip(range(self.K + 1), self.errors + self.phi_ref, self.errors,
+                      np.cumsum(self.errors)))
 
 
 def _phi(phi_kind: str):
@@ -204,14 +188,6 @@ def mia_score(theta: np.ndarray, retain_obj: Objective, test_obj: Objective,
 # evaluation reports
 
 
-def _write_json(path, payload) -> None:
-    """The one JSON layout of every report and manifest: sorted keys,
-    indent 2, a trailing newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 @dataclass
 class EvalReport:
     accuracies: dict  # split name -> accuracy
@@ -225,12 +201,7 @@ class EvalReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "accuracies": self.accuracies,
-            "mia_rate": self.mia_rate,
-            "gaps": self.gaps,
-            "avg_gap": self.avg_gap,
-        }
+        return jsonable(self)
 
     @staticmethod
     def from_dict(d) -> "EvalReport":
@@ -247,7 +218,7 @@ class EvalReport:
                           gaps=d.get("gaps", {}), avg_gap=d.get("avg_gap"))
 
     def save(self, path) -> None:
-        _write_json(path, self.to_dict())
+        write_json(path, self)
 
 
 def eval_report(ckpt: Checkpoint, data: SplitDataset,

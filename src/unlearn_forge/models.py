@@ -26,12 +26,13 @@ Conventions
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .numcore import check_finite
+from .numcore import check_finite, jsonable
 
 __all__ = [
     "ModelSpec",
@@ -77,29 +78,29 @@ class ModelSpec:
         return self.kind in ("logistic", "mlp") and self.num_classes >= 2
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "layer_dims": list(self.layer_dims),
-            "activation": self.activation,
-            "num_classes": self.num_classes,
-            "n_features": self.n_features,
-            "spectrum": list(self.spectrum),
-            "theta_star": list(self.theta_star),
-            "l_star": self.l_star,
-        }
+        return jsonable(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        return ModelSpec(
-            kind=d["kind"],
-            layer_dims=tuple(d.get("layer_dims", ())),
-            activation=d.get("activation", "relu"),
-            num_classes=d.get("num_classes", 0),
-            n_features=d.get("n_features", 0),
-            spectrum=tuple(d.get("spectrum", ())),
-            theta_star=tuple(d.get("theta_star", ())),
-            l_star=d.get("l_star", 0.0),
-        )
+        """The spec in ``d``, rebuilt by its kind's factory. A ``ValueError``
+        when the factory refuses it or when ``d`` is not the dict of the spec
+        it builds."""
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if kind not in ("quadratic", "logistic", "mlp"):
+            raise ValueError(f"not a model spec of a known kind: {d!r}")
+        try:
+            if kind == "quadratic":
+                spec = quadratic_spec(d["spectrum"], d["theta_star"], d["l_star"])
+            elif kind == "logistic":
+                spec = logistic_spec(d["n_features"], d["num_classes"])
+            else:
+                spec = mlp_spec(d["layer_dims"], d["activation"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad {kind} spec {d!r}: {exc!r}") from exc
+        if json.dumps(spec.to_dict(), sort_keys=True) != json.dumps(d, sort_keys=True):
+            raise ValueError(f"{kind} spec {d!r} is not the spec its factory builds "
+                             f"from it, {spec.to_dict()!r}")
+        return spec
 
 
 def quadratic_spec(spectrum, theta_star, l_star: float = 0.0) -> ModelSpec:
@@ -122,6 +123,7 @@ def quadratic_spec(spectrum, theta_star, l_star: float = 0.0) -> ModelSpec:
 
 
 def logistic_spec(n_features: int, num_classes: int) -> ModelSpec:
+    n_features, num_classes = int(n_features), int(num_classes)
     if num_classes < 2:
         raise ValueError("logistic regression needs num_classes >= 2")
     if n_features < 1:

@@ -9,9 +9,17 @@ can be used concurrently without coordination.
 
 Parameter vectors are plain 1-D ``float64`` numpy arrays;
 :func:`check_finite` guards them at the boundaries.
+
+Every report, trace and manifest the library writes becomes bytes here:
+:func:`jsonable` turns results into plain JSON values, :func:`write_json`
+and :func:`write_csv` write the one JSON and the one CSV layout.
 """
 
 from __future__ import annotations
+
+import csv
+import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -20,6 +28,9 @@ __all__ = [
     "derive_stream",
     "kaiming_sample",
     "check_finite",
+    "jsonable",
+    "write_json",
+    "write_csv",
 ]
 
 
@@ -76,3 +87,38 @@ def kaiming_sample(d: int, rng: RngStream) -> np.ndarray:
 def check_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite values in {what}")
+
+
+def jsonable(value):
+    """``value`` as plain JSON values: dataclasses become dicts of their
+    fields, tuples and arrays lists, numpy scalars Python ones."""
+    if is_dataclass(value):
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+def write_json(path, value) -> None:
+    """The one JSON layout of every report and manifest: sorted keys,
+    indent 2, a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(jsonable(value), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV layout of every trace: ``None`` is an empty cell and a
+    float, numpy or not, its shortest repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -13,11 +13,11 @@ condition number is only reported when it is.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import RngStream, check_finite
+from .numcore import RngStream, check_finite, jsonable
 
 __all__ = [
     "SpectralEstimate",
@@ -43,7 +43,7 @@ class SpectralEstimate:
     psd_flag: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return jsonable(self)
 
 
 def _lanczos(obj, theta: np.ndarray, rng: RngStream | None):

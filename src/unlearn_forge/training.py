@@ -11,15 +11,14 @@ metrics treat these models as converged references.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import ModelSpec, Objective
-from .numcore import RngStream, derive_stream, kaiming_sample
+from .numcore import RngStream, derive_stream, jsonable, kaiming_sample, write_csv
 from .spectral import lambda_max
 
 __all__ = [
@@ -71,7 +70,7 @@ class OptimizerConfig:
             raise ValueError("max_epochs must be >= 1")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return jsonable(self)
 
 
 @dataclass
@@ -225,11 +224,6 @@ def forget_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, see
 
 
 def trace_to_csv(trace: TrainTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "acc", "grad_norm", "lambda_max", "eta"])
-        for r in trace.records:
-            writer.writerow([r.epoch, repr(r.loss), "" if r.accuracy is None else repr(r.accuracy),
-                             repr(r.grad_norm),
-                             "" if r.lambda_max is None else repr(r.lambda_max),
-                             "" if r.eta is None else repr(r.eta)])
+    write_csv(path, ["epoch", "loss", "acc", "grad_norm", "lambda_max", "eta"],
+              ([r.epoch, r.loss, r.accuracy, r.grad_norm, r.lambda_max, r.eta]
+               for r in trace.records))

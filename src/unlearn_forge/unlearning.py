@@ -28,14 +28,14 @@ not ``2/d``; see the README discussion.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective, ModelSpec
-from .numcore import RngStream, derive_stream, kaiming_sample, check_finite
+from .numcore import RngStream, derive_stream, kaiming_sample, check_finite, jsonable
 
 __all__ = [
     "UnlearnConfig",
@@ -104,7 +104,7 @@ class UnlearnConfig:
             raise ValueError("clip_ratio does nothing at c = 0; leave it at its default")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return jsonable(self)
 
 
 @dataclass
@@ -336,18 +336,6 @@ class RetainBoundReport:
     beta: float
     holds: bool
     worst_slack: float  # max(gap - bound); negative when the bound holds
-
-    def to_dict(self) -> dict:
-        return {
-            "gaps": [float(g) for g in self.gaps],
-            "bounds": [float(b) for b in self.bounds],
-            "grad_norm_max": self.grad_norm_max,
-            "half_diameter": self.half_diameter,
-            "mu": self.mu,
-            "beta": self.beta,
-            "holds": self.holds,
-            "worst_slack": self.worst_slack,
-        }
 
 
 def retain_bound_monitor(retain_obj: Objective, forget_obj: Objective,

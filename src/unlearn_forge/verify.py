@@ -26,7 +26,7 @@ from .checkpoints import Checkpoint
 from .datasets import SplitDataset, gen_blobs, split_random, split_objective
 from .models import Objective, make_quadratic, logistic_spec, mlp_spec
 from .metrics import rcd, mia_threshold_attack, eval_report, MiaResult
-from .numcore import RngStream, derive_stream, kaiming_sample
+from .numcore import RngStream, derive_stream, jsonable, kaiming_sample
 from .spectral import estimate_spectrum
 from .training import OptimizerConfig, train, retrain_oracle, forget_oracle
 from .unlearning import UnlearnConfig, unlearn, irp_run, retain_bound_monitor
@@ -34,23 +34,6 @@ from .unlearning import UnlearnConfig, unlearn, irp_run, retain_bound_monitor
 __all__ = ["CheckResult", "SuiteReport", "run_suite", "CHECKS", "HEAVY_CHECKS"]
 
 _ROOT_SEED = 20240915  # fixed seed for every seeded construction below
-
-
-def _jsonable(value):
-    """Strip numpy scalar/array types so reports serialize cleanly."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 @dataclass
@@ -62,14 +45,9 @@ class CheckResult:
     runtime: float = 0.0  # excluded from the canonical payload
 
     def to_dict(self, canonical: bool = False) -> dict:
-        out = {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "margin": float(self.margin),
-            "details": _jsonable(self.details),
-        }
-        if not canonical:
-            out["runtime"] = self.runtime
+        out = jsonable(self)
+        if canonical:
+            del out["runtime"]
         return out
 
 

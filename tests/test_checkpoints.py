@@ -80,16 +80,18 @@ def test_role_and_shape_validation():
                    theta=np.zeros(3))
 
 
-def _write_by_hand(path, drop=None, theta=None):
+def _write_by_hand(path, drop=None, theta=None, spec=None):
     """The toy checkpoint in the IEUC layout with a valid hash, written
     without ``save_checkpoint``: header key ``drop`` left out, parameters
-    replaced by ``theta``."""
+    replaced by ``theta``, model spec fields replaced by those in ``spec``."""
     ckpt = _toy_ckpt()
-    header = {"role": ckpt.role, "model_spec": ckpt.spec.to_dict(), "config": ckpt.config,
-              "root_seed": ckpt.root_seed, "dim": int(ckpt.theta.size), "extra": ckpt.extra}
+    theta = ckpt.theta if theta is None else np.asarray(theta)
+    header = {"role": ckpt.role, "model_spec": {**ckpt.spec.to_dict(), **(spec or {})},
+              "config": ckpt.config, "root_seed": ckpt.root_seed, "dim": int(theta.size),
+              "extra": ckpt.extra}
     header.pop(drop, None)
     head = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.asarray(ckpt.theta if theta is None else theta, dtype="<f8").tobytes()
+    payload = np.asarray(theta, dtype="<f8").tobytes()
     body = MAGIC + struct.pack("<IQ", 1, len(head)) + head + payload
     path.write_bytes(body + hashlib.sha256(body).digest())
 
@@ -114,6 +116,23 @@ def test_header_missing_key_detected(tmp_path, key):
         load_checkpoint(path)
 
 
+# an mlp without layers, which mlp_spec refuses; a logistic spec carrying an
+# mlp field; an mlp whose num_classes is not its last layer; a float count
+_BAD_SPECS = [({"layer_dims": [], "num_classes": 3}, 0),
+              ({"kind": "logistic", "n_features": 3, "num_classes": 2}, 4),
+              ({"num_classes": 3}, None),
+              ({"kind": "logistic", "layer_dims": [], "n_features": 3.0, "num_classes": 2}, 4)]
+
+
+@pytest.mark.parametrize("spec, dim", _BAD_SPECS, ids=["no-layers", "logistic-with-layers",
+                                                        "class-count", "float-count"])
+def test_spec_its_factory_refuses_is_rejected(tmp_path, spec, dim):
+    path = tmp_path / "model.ieuc"
+    _write_by_hand(path, spec=spec, theta=None if dim is None else np.zeros(dim))
+    with pytest.raises(CheckpointError, match="model.ieuc"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_nonfinite_parameters_detected(tmp_path, value):
     path = tmp_path / "model.ieuc"
@@ -128,7 +147,8 @@ def test_eval_of_malformed_checkpoint_exits_one(tmp_path, monkeypatch, capsys):
     save_uds(split_random(gen_blobs(10, 2, 3, separation=3.0, noise_sd=1.0, seed=1), 0.3, 1),
              data)
     path = tmp_path / "model.ieuc"
-    for kw in ({"drop": "config"}, {"theta": _nonfinite_theta(np.nan)}):
+    for kw in ({"drop": "config"}, {"theta": _nonfinite_theta(np.nan)},
+               {"spec": {"layer_dims": [], "num_classes": 3}, "theta": np.zeros(0)}):
         _write_by_hand(path, **kw)
         assert cli(["eval", "--data", str(data), "--ckpt", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")

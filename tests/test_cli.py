@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,8 +81,10 @@ def test_config_file_precedence(runs_dir, tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"epochs": "abc"}, {"epochs": 2.5}, {"epochs": True},
-                                 {"eta": "fast"}, {"optimizer": "sgdx"}, {"data": 5}],
-                         ids=["int-str", "int-float", "int-bool", "float-str", "choice", "str-int"])
+                                 {"eta": "fast"}, {"eta": 10**400}, {"optimizer": "sgdx"},
+                                 {"data": 5}],
+                         ids=["int-str", "int-float", "int-bool", "float-str", "float-huge",
+                              "choice", "str-int"])
 def test_config_values_must_fit_their_flags(runs_dir, tmp_path, capsys, bad):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(bad))
@@ -98,6 +101,11 @@ def test_usage_errors_exit_one(runs_dir, capsys):
     assert cli([]) == 1
     assert cli(["gen-data", "--seed", "0", "--separation", "nan"]) == 1  # no centers fit
     capsys.readouterr()
+    # each error names the setting, not the numpy call it would break
+    assert cli(["gen-data", "--seed", "0", "--split", "classwise", "--forget-fraction", "2"]) == 1
+    assert "fraction must be in (0, 1)" in capsys.readouterr().err
+    assert cli(["gen-data", "--seed", "0", "--n-per-class", "0"]) == 1
+    assert "n_per_class must be >= 2" in capsys.readouterr().err
 
 
 def test_silent_no_op_settings_exit_one(runs_dir, tmp_path, capsys):
@@ -241,6 +249,20 @@ def test_train_experiment_id_is_pinned(runs_dir, capsys):
     assert capsys.readouterr().out.split("\t")[0] == "c70a577d0187"
 
 
+def test_config_number_gives_the_flags_experiment_id(runs_dir, tmp_path, capsys):
+    data, _ = _trained(tmp_path, capsys)
+    train = ["train", "--seed", "1", "--data", str(data), "--model", "logistic:5,3",
+             "--epochs", "2"]
+    assert cli(train + ["--eta", "1"]) == 0
+    exp_id, ckpt = capsys.readouterr().out.split("\t")[:2]
+    by_flag = Path(ckpt).read_bytes()
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"eta": 1}))  # a JSON int for a float flag
+    assert cli(train + ["--config", str(cfg_file)]) == 0
+    assert capsys.readouterr().out.split("\t")[:2] == [exp_id, ckpt]
+    assert Path(ckpt).read_bytes() == by_flag
+
+
 def test_config_file_may_not_set_the_seed(runs_dir, tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"seed": 5}))
@@ -329,3 +351,52 @@ def test_checkpoint_of_no_classifier_exits_one(runs_dir, tmp_path, capsys):
                                np.zeros(2)), quadratic)
     assert cli(["eval", "--data", str(data), "--ckpt", str(quadratic)]) == 1
     assert "is no classifier" in capsys.readouterr().err
+
+
+def _is_cell(text):
+    """A CSV cell is empty, an int, a float, True or False."""
+    if text in ("", "True", "False"):
+        return True
+    try:
+        float(text)  # an int parses too
+    except ValueError:
+        return False
+    return True
+
+
+def test_artifact_formats(runs_dir, tmp_path, capsys):
+    """Each JSON report's keys and each CSV file's header and cells. No
+    float value is pinned: those vary with the BLAS build."""
+    data = tmp_path / "d.uds"
+    run = ["--seed", "2", "--data", str(data)]
+    assert cli(["gen-data", "--seed", "2", "--n-per-class", "10", "--features", "4",
+                "--out", str(data)]) == 0
+    assert cli(["train", *run, "--model", "logistic:4,3", "--epochs", "3"]) == 0
+    original = str(_one("*/checkpoints/original.ieuc", runs_dir))
+    assert cli(["unlearn", *run, "--ckpt", original, "--method", "scrub", "--epochs", "2"]) == 0
+    unlearned = str(_one("*/checkpoints/scrub.ieuc", runs_dir))
+    assert cli(["rcd", *run, "--ckpt", unlearned, "--k", "3", "--phi", "loss",
+                "--step", "fixed:0.05"]) == 0
+    assert cli(["eval", "--data", str(data), "--ckpt", unlearned, "--against", original]) == 0
+    capsys.readouterr()
+
+    rcd = json.loads(_one("*/reports/rcd.json", runs_dir).read_text())
+    assert set(rcd) == {"K", "phi_kind", "step_mode", "errors", "rcd_value", "phi_ref",
+                        "curvature_bound", "bound_diagnostic", "spectral"}
+    assert set(rcd["spectral"]) == {"lambda_max", "lambda_min", "kappa", "iterations_used",
+                                    "residual", "psd_flag"}
+    evaluation = json.loads(_one("*/reports/eval.json", runs_dir).read_text())
+    assert set(evaluation) == {"accuracies", "mia_rate", "gaps", "avg_gap"}
+    for manifest in runs_dir.glob("*/manifest.json"):
+        assert set(json.loads(manifest.read_text())) == {
+            "command", "experiment_id", "config", "seed", "artifacts", "created"}
+
+    headers = {"train.csv": "epoch,loss,acc,grad_norm,lambda_max,eta",
+               "scrub.csv": "epoch,retain_loss,forget_loss,retain_acc,forget_acc,"
+                            "clip_active,forget_kl",
+               "rcd.csv": "t,phi,e_t,cumulative"}
+    for name, header in headers.items():
+        lines = _one(f"*/*/{name}", runs_dir).read_text().splitlines()
+        assert lines[0] == header
+        cells = [cell for line in lines[1:] for cell in line.split(",")]
+        assert cells and all(_is_cell(c) for c in cells), (name, lines)
