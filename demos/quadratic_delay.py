@@ -11,7 +11,7 @@ Run:  python3 demos/quadratic_delay.py
 
 import numpy as np
 
-from unlearn_forge import make_quadratic, rcd, rcd_bound
+from unlearn_forge import make_quadratic, rcd
 from unlearn_forge.numcore import derive_stream
 from unlearn_forge.training import OptimizerConfig
 
@@ -30,8 +30,8 @@ def main():
         print(f"K={K:4d}  RCD^K={rep.rcd_value:.12f}  tail={tail:.3e}")
 
     print("\n== curvature bound ==")
-    bound = rcd_bound(theta0, obj, 0.0, rng=derive_stream(0, 2))
-    print(f"kappa * gap = {bound:.6f}  (delay {22/7:.6f} sits below it)")
+    # every loss-phi report carries it: kappa at theta0 times the loss gap there
+    print(f"kappa * gap = {rep.curvature_bound:.6f}  (delay {22/7:.6f} sits below it)")
 
     print("\n== first relearning epochs ==")
     rep = rcd(theta0, obj, 0.0, 3, cfg, "loss", derive_stream(0, 3))

@@ -47,7 +47,7 @@ from .unlearning import (
     irp_run,
     unlearn,
 )
-from .metrics import RcdReport, EvalReport, MiaResult, rcd, rcd_bound, mia_score, eval_report
+from .metrics import RcdReport, EvalReport, MiaResult, rcd, eval_report
 from .unlearning import RetainBoundReport, retain_bound_monitor
 from .verify import CheckResult, SuiteReport, run_suite
 

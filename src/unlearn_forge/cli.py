@@ -349,10 +349,7 @@ def _cmd_compare(cfg: dict, seed) -> int:
     if cfg["format"] == "json":
         print(json.dumps(rows, sort_keys=True, indent=2))
     else:
-        print(",".join(columns))
-        for row in rows:
-            print(",".join("" if row.get(c) is None else str(row.get(c, ""))
-                           for c in columns))
+        write_csv(sys.stdout, columns, ([row.get(c) for c in columns] for row in rows))
     return 0
 
 
@@ -406,7 +403,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--model", help="logistic:p,C or mlp:d0,d1,...,C")
     p.add_argument("--optimizer", choices=["gd_fixed", "gd_adaptive", "sgd", "adam"],
                    default="adam", help="update rule")
-    p.add_argument("--eta", type=float, default=0.01, help="step size")
+    p.add_argument("--eta", type=float, default=0.01,
+                   help="step size; for gd_adaptive, the multiple of 1/lambda_max")
     p.add_argument("--epochs", type=int, default=100, help="most epochs to train")
     p.add_argument("--batch-size", dest="batch_size", type=int, help="None is the full batch")
 

@@ -129,7 +129,9 @@ def gen_blobs(n_per_class: int, C: int, p: int, separation: float, noise_sd: flo
         cls_idx = np.arange(c * n_per_class, (c + 1) * n_per_class)
         test_parts.append(cls_idx[split_rng.permutation(n_per_class)[:n_test_per_class]])
     test_idx = np.sort(np.concatenate(test_parts))
-    train_idx = np.setdiff1d(np.arange(C * n_per_class), test_idx)
+    in_test = np.zeros(C * n_per_class, dtype=bool)  # not np.setdiff1d, which imports numpy.ma
+    in_test[test_idx] = True
+    train_idx = np.flatnonzero(~in_test)
 
     return SplitDataset(
         features=X,
@@ -159,8 +161,9 @@ def split_random(ds: SplitDataset, fraction: float, seed: int) -> SplitDataset:
     if k == 0 or k == len(train):
         raise ValueError(f"fraction {fraction} yields an empty retain or forget set")
     rng = derive_stream(seed, _STREAM_FORGET)
-    forget = np.sort(train[rng.choice(len(train), k)])
-    retain = np.setdiff1d(train, forget)
+    forgotten = np.zeros(len(train), dtype=bool)
+    forgotten[rng.choice(len(train), k)] = True
+    forget, retain = train[forgotten], train[~forgotten]  # train_idx is sorted
     prov = dict(ds.provenance, split="random", forget_fraction=fraction, split_seed=seed)
     return replace(ds, retain_idx=retain, forget_idx=forget, forgotten_classes=(),
                    provenance=prov)

@@ -1,5 +1,5 @@
 """Relearning convergence delay, its curvature-based upper bound, the
-loss-threshold membership inference score, and per-split evaluation
+loss-threshold membership inference attack, and per-split evaluation
 reports.
 
 The delay metric relearns a model on the forgetting set for K epochs and
@@ -25,7 +25,7 @@ from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
 from .numcore import RngStream, jsonable, write_csv, write_json
-from .spectral import SpectralEstimate, estimate_spectrum, condition_number, NON_PSD_DIAGNOSTIC
+from .spectral import SpectralEstimate, estimate_spectrum, condition_number
 from .training import OptimizerConfig, _Stepper
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "EvalReport",
     "MiaResult",
     "rcd",
-    "rcd_bound",
-    "mia_score",
     "mia_threshold_attack",
     "eval_report",
 ]
@@ -78,7 +76,7 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
     """Relearn on the forgetting set for K epochs and sum the excess error.
 
     ``relearn_cfg.kind`` selects the relearning schedule: ``gd_fixed`` /
-    ``sgd`` for a fixed step, ``gd_adaptive`` for the 1/lambda_max schedule,
+    ``sgd`` for a fixed step, ``gd_adaptive`` for the eta/lambda_max schedule,
     ``adam`` for the Adam-labeled variant.
     """
     if K < 0:
@@ -98,39 +96,17 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
             )
         errors[t] = e
     bound = diag = est = None
-    if attach_bound and phi_kind == "loss":  # errors[0] is the loss gap at theta0
-        bound, diag, est = _bound_from_spectrum(theta0, forget_obj, errors[0], rng)
+    if attach_bound and phi_kind == "loss":  # kappa at theta0 times the loss gap there
+        est = estimate_spectrum(forget_obj, theta0, rng=rng)
+        kappa = condition_number(est)
+        if isinstance(kappa, str):
+            diag = kappa
+        else:
+            bound = float(kappa * errors[0])
     step_mode = relearn_cfg.kind if relearn_cfg.kind != "gd_adaptive" else "adaptive_inv_lambda_max"
     return RcdReport(K=K, phi_kind=phi_kind, step_mode=step_mode, errors=errors,
                      rcd_value=float(errors.sum()), phi_ref=phi_ref, curvature_bound=bound,
                      bound_diagnostic=diag, spectral=est)
-
-
-def _bound_from_spectrum(theta0, forget_obj, gap, rng):
-    """Kappa at ``theta0`` times the loss gap ``gap`` there."""
-    est = estimate_spectrum(forget_obj, theta0, rng=rng)
-    kappa = condition_number(est)
-    if isinstance(kappa, str):
-        return None, kappa, est
-    return float(kappa * gap), None, est
-
-
-def rcd_bound(theta: np.ndarray, forget_obj: Objective, loss_ref: float,
-              rng: RngStream | None = None, mu: float | None = None,
-              beta: float | None = None):
-    """Curvature bound on the delay metric: kappa times the loss gap.
-
-    When global smoothness/strong-convexity constants are supplied, the
-    looser global form ``(beta/mu) * gap`` is used instead of the local
-    spectral estimate. Returns a float or a diagnostic string.
-    """
-    gap = forget_obj.value(theta) - loss_ref
-    if mu is not None and beta is not None:
-        if mu <= 0:
-            return "mu must be positive for the global bound"
-        return float((beta / mu) * gap)
-    bound, diag, _ = _bound_from_spectrum(theta, forget_obj, gap, rng or RngStream(0, 7))
-    return bound if diag is None else diag
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +146,6 @@ def mia_threshold_attack(member_losses: np.ndarray, nonmember_losses: np.ndarray
         threshold=float(best_tau),
         balanced_accuracy=float(best_acc),
         forget_member_rate=float(np.mean(audit_losses <= best_tau)),
-    )
-
-
-def mia_score(theta: np.ndarray, retain_obj: Objective, test_obj: Objective,
-              forget_obj: Objective) -> MiaResult:
-    """Attack on per-example losses: retain = members, test = non-members,
-    forget examples audited."""
-    return mia_threshold_attack(
-        retain_obj.per_example_loss(theta),
-        test_obj.per_example_loss(theta),
-        forget_obj.per_example_loss(theta),
     )
 
 

@@ -115,10 +115,14 @@ def write_json(path, value) -> None:
         fh.write("\n")
 
 
-def write_csv(path, header, rows) -> None:
-    """The one CSV layout of every trace: ``None`` is an empty cell and a
-    float, numpy or not, its shortest repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def write_csv(dest, header, rows) -> None:
+    """The one CSV layout of every table: ``None`` is an empty cell, a
+    float, numpy or not, its shortest repr, and a cell holding a comma, a
+    quote or a line break is quoted. ``dest`` is a path or an open text
+    stream such as ``sys.stdout``."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", newline="") as fh:
+            return write_csv(fh, header, rows)
+    writer = csv.writer(dest)
+    writer.writerow(header)
+    writer.writerows(rows)

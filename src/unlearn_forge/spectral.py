@@ -46,7 +46,7 @@ class SpectralEstimate:
         return jsonable(self)
 
 
-def _lanczos(obj, theta: np.ndarray, rng: RngStream | None):
+def _lanczos(obj, theta: np.ndarray, rng: RngStream):
     """Extreme Ritz values of the Hessian of ``obj`` at ``theta``.
 
     Stops when both extreme Ritz residuals ``beta_k * |s_k|`` are at most
@@ -55,8 +55,6 @@ def _lanczos(obj, theta: np.ndarray, rng: RngStream | None):
     """
     from scipy.linalg.lapack import dstebz, dstein  # deferred: scipy.linalg is slow to import
 
-    if rng is None:
-        rng = RngStream(0, 0)
     steps = min(theta.size, LANCZOS_MAX_ITER)
     q = rng.standard_normal(theta.size)
     Q = (q / np.linalg.norm(q))[None]  # the Lanczos basis, one row per step, grown by doubling
@@ -86,7 +84,7 @@ def _lanczos(obj, theta: np.ndarray, rng: RngStream | None):
     return ends[0][0], ends[1][0], k + 1, float(residual)
 
 
-def lambda_max(obj, theta: np.ndarray, rng: RngStream | None = None):
+def lambda_max(obj, theta: np.ndarray, rng: RngStream):
     """Largest-magnitude Hessian eigenvalue of ``obj`` at ``theta``: the
     extreme Ritz value of one Lanczos run with the larger absolute value,
     so it is negative when the most negative eigenvalue dominates.
@@ -110,7 +108,7 @@ def condition_number(est: SpectralEstimate):
     return est.lambda_max / est.lambda_min
 
 
-def estimate_spectrum(obj, theta: np.ndarray, rng: RngStream | None = None) -> SpectralEstimate:
+def estimate_spectrum(obj, theta: np.ndarray, rng: RngStream) -> SpectralEstimate:
     """Estimate both algebraic extreme eigenvalues and the condition number."""
     low, high, steps, residual = _lanczos(obj, theta, rng)
     est = SpectralEstimate(lambda_max=high, lambda_min=low, kappa=None, iterations_used=steps,

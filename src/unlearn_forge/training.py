@@ -2,7 +2,7 @@
 reference models.
 
 Four update rules are provided: fixed-step gradient descent, gradient
-descent with the adaptive step 1/lambda_max re-estimated each epoch,
+descent with the adaptive step eta/lambda_max re-estimated each epoch,
 minibatch SGD with a seeded epoch shuffle, and Adam. Convergence is
 declared when the full-batch gradient norm drops below ``grad_norm_tol``;
 the finite criterion is recorded in every checkpoint because downstream
@@ -50,7 +50,7 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "gd_fixed"  # gd_fixed | gd_adaptive | sgd | adam
-    eta: float = 0.1  # ignored by gd_adaptive
+    eta: float = 0.1
     batch_size: int | str = "full"
     max_epochs: int = 100
     grad_norm_tol: float = 1e-8
@@ -124,7 +124,7 @@ class _Stepper:
             if lam <= 0:
                 raise DivergenceError("adaptive step-size needs a positive lambda_max")
             self.last_lambda_max = lam
-            self.last_eta = 1.0 / lam
+            self.last_eta = cfg.eta / lam
             return theta - self.last_eta * point.gradient()
         if cfg.kind == "sgd":
             self.last_eta = cfg.eta

@@ -18,7 +18,7 @@ Every method is ``unlearn(ckpt, data, UnlearnConfig(method=...))``. Each
 supplies only its per-epoch update rule; one epoch loop owns the timer,
 the finiteness check, the trace rows and the optional trajectory.
 
-Stabilization: the forget gradient is norm-clipped at ``clip_ratio`` times
+Stabilization: the forget gradient is norm-clipped at ``CLIP_RATIO`` times
 the retain gradient before the ascent term is applied; activations of the
 clip are recorded in the trace. The stationary per-coordinate variance of
 the re-initialization process alone is ``(1-alpha)/(1+alpha) * (2/d)``,
@@ -53,11 +53,13 @@ METHODS = ("ft", "rl", "scrub", "salun", "ieu")
 
 _STREAM_UNLEARN = 301
 
+CLIP_RATIO = 10.0  # the forget gradient's norm is clipped at this multiple of the retain one
+
 # the methods that read each setting beyond eta, epochs and seed; for any
 # other method a value away from the default would silently do nothing (ft
 # is the alpha=1, c=0 limit of ieu, so it reads none of the ieu settings)
 _READ_BY = {"alpha": ("ieu",), "c": ("ieu",), "noise_scope": ("ieu",),
-            "clip_ratio": ("ieu",), "scrub_max_epochs": ("scrub",), "salun_fraction": ("salun",)}
+            "scrub_max_epochs": ("scrub",), "salun_fraction": ("salun",)}
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,6 @@ class UnlearnConfig:
     scrub_max_epochs: int = 2  # KL-maximization phase length
     salun_fraction: float = 0.5  # top fraction of coordinates by |grad_f|
     noise_scope: str = "global_d"  # global_d | per_layer_fan_in
-    clip_ratio: float = 10.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -90,18 +91,14 @@ class UnlearnConfig:
             raise ValueError("salun saliency fraction must lie in (0, 1]")
         if self.noise_scope not in ("global_d", "per_layer_fan_in"):
             raise ValueError(f"unknown noise scope {self.noise_scope!r}")
-        if not self.clip_ratio > 0:
-            raise ValueError("clip_ratio must be positive")
         ignored = [f.name for f in fields(self) if f.name in _READ_BY
                    and self.method not in _READ_BY[f.name] and getattr(self, f.name) != f.default]
         if ignored:
             raise ValueError(f"method {self.method!r} does not read {', '.join(ignored)}; "
                              "leave each at its default")
-        # ieu reads noise_scope only through its noise term, clip_ratio only through its ascent
+        # ieu reads noise_scope only through its noise term
         if self.alpha == 1.0 and self.noise_scope != UnlearnConfig.noise_scope:
             raise ValueError("noise_scope does nothing at alpha = 1; leave it at its default")
-        if self.c == 0.0 and self.clip_ratio != UnlearnConfig.clip_ratio:
-            raise ValueError("clip_ratio does nothing at c = 0; leave it at its default")
 
     def to_dict(self) -> dict:
         return jsonable(self)
@@ -214,11 +211,12 @@ def _eval_row(epoch, retain, forget, clip_active=False, teacher_probs=None) -> E
 
 
 def ieu_run(retain_obj: Objective | None, forget_obj: Objective, theta0: np.ndarray,
-            cfg: UnlearnConfig, rng: RngStream, init_sampler=None,
-            record_thetas: bool = False) -> UnlearnRun:
+            cfg: UnlearnConfig, record_thetas: bool = False) -> UnlearnRun:
     """Run the influence-eliminating update (``ieu`` or its ``ft`` limit) on
     explicit objectives.
 
+    The fresh init draws come from the stream of ``cfg.seed``, with the
+    variance ``cfg.noise_scope`` names for the forget objective's model.
     ``retain_obj`` may be None only for the retain-free scenario, where the
     descent term drops out entirely. With ``record_thetas`` the full
     parameter trajectory (including the start point) is kept on the run as
@@ -226,14 +224,18 @@ def ieu_run(retain_obj: Objective | None, forget_obj: Objective, theta0: np.ndar
     """
     if cfg.method not in ("ieu", "ft"):
         raise ValueError(f"ieu_run runs methods 'ieu' and 'ft', not {cfg.method!r}")
+    rng = derive_stream(cfg.seed, _STREAM_UNLEARN)
+    sampler = None
+    if cfg.noise_scope == "per_layer_fan_in":
+        sampler = per_layer_fan_in_sampler(forget_obj.spec)
 
     def step(epoch, theta, retain, forget):
         grad_r = np.zeros_like(theta) if retain is None else retain.gradient()
         grad_f = forget.gradient()
         clipped = False
         if cfg.c > 0:
-            grad_f, clipped = _clip_forget_grad(grad_r, grad_f, cfg.clip_ratio)
-        theta = ieu_step(theta, grad_r, grad_f, cfg.alpha, cfg.c, cfg.eta, rng, init_sampler)
+            grad_f, clipped = _clip_forget_grad(grad_r, grad_f, CLIP_RATIO)
+        theta = ieu_step(theta, grad_r, grad_f, cfg.alpha, cfg.c, cfg.eta, rng, sampler)
         return theta, {"clip_active": clipped}
 
     return _run_loop(cfg, theta0, retain_obj, forget_obj, step, record_thetas)
@@ -339,25 +341,17 @@ class RetainBoundReport:
 
 
 def retain_bound_monitor(retain_obj: Objective, forget_obj: Objective,
-                         theta0: np.ndarray, cfg: UnlearnConfig, rng: RngStream,
-                         mu: float | None = None,
-                         beta: float | None = None) -> RetainBoundReport:
-    """Run the unlearning loop on a strongly-convex retain objective and
-    audit the retain-loss gap against its decay bound at every step.
-
-    ``mu`` / ``beta`` default to the extreme eigenvalues of a quadratic
-    retain objective; for any other model kind they must be supplied."""
+                         theta0: np.ndarray, cfg: UnlearnConfig) -> RetainBoundReport:
+    """Run ``ieu_run`` on a quadratic retain objective and audit the
+    retain-loss gap against its decay bound at every step; ``mu`` and
+    ``beta`` are the extreme eigenvalues of its spectrum."""
     spec = retain_obj.spec
-    if mu is None or beta is None:
-        if spec.kind != "quadratic":
-            raise ValueError("mu and beta are only derivable for quadratic objectives")
-        mu = float(min(spec.spectrum))
-        beta = float(max(spec.spectrum))
-    if mu <= 0 or beta < mu:
-        raise ValueError("need 0 < mu <= beta")
+    if spec.kind != "quadratic":
+        raise ValueError("mu and beta are only derivable for quadratic objectives")
+    mu, beta = float(min(spec.spectrum)), float(max(spec.spectrum))
     from scipy.spatial.distance import pdist  # deferred: scipy.spatial is slow to import
 
-    run = ieu_run(retain_obj, forget_obj, theta0, cfg, rng, record_thetas=True)
+    run = ieu_run(retain_obj, forget_obj, theta0, cfg, record_thetas=True)
     thetas = run.thetas
     grad_norm_max = max(float(np.linalg.norm(retain_obj.gradient(th))) for th in thetas)
     half_diameter = float(pdist(thetas).max() / 2.0) if len(thetas) > 1 else 0.0
@@ -386,14 +380,11 @@ def unlearn(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> Unlearn
     """Run ``cfg.method`` from ``ckpt`` on the shared epoch loop."""
     retain = split_objective(data, ckpt.spec, "retain")
     forget = split_objective(data, ckpt.spec, "forget")
-    rng = derive_stream(cfg.seed, _STREAM_UNLEARN)
     if cfg.method in ("ieu", "ft"):
-        sampler = None
-        if cfg.noise_scope == "per_layer_fan_in":
-            sampler = per_layer_fan_in_sampler(ckpt.spec)
-        return ieu_run(retain, forget, ckpt.theta, cfg, rng, sampler)
+        return ieu_run(retain, forget, ckpt.theta, cfg)
     if not ckpt.spec.is_classifier:
         raise TypeError(f"method {cfg.method!r} requires a classification task")
+    rng = derive_stream(cfg.seed, _STREAM_UNLEARN)
     if cfg.method == "scrub":
         step = _scrub_step(retain, forget, ckpt.theta, cfg)
     else:

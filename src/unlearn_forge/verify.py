@@ -293,16 +293,13 @@ def check_condition_number_trends() -> CheckResult:
         ds = gen_blobs(100, C, p, separation=1.0, noise_sd=3.0, seed=seed)
         spec = logistic_spec(p, C)
         obj = split_objective(ds, spec, "train")
-        theta0 = kaiming_sample(spec.param_count, derive_stream(seed, 907))
-        cfg = OptimizerConfig(kind="gd_fixed", eta=1.0, max_epochs=epochs)
-        trace = train(obj, theta0, cfg, derive_stream(seed, 908))
-        # replay the recorded trajectory for the kappa curve
-        theta = np.array(theta0)
+        # the kappa curve along `epochs` steps of full-batch gradient descent, step 1
+        theta = kaiming_sample(spec.param_count, derive_stream(seed, 907))
         for t in range(epochs + 1):
             train_curves[seed, t] = _explicit_kappa(obj, theta)
             if t < epochs:
-                theta = theta - cfg.eta * obj.gradient(theta)
-        opt = train(obj, trace.theta,
+                theta = theta - obj.gradient(theta)
+        opt = train(obj, theta,
                     OptimizerConfig(kind="gd_fixed", eta=1.0, max_epochs=800,
                                     grad_norm_tol=1e-7),
                     derive_stream(seed, 909)).theta
@@ -468,8 +465,7 @@ def check_retain_bound_monitor() -> CheckResult:
             cfg = UnlearnConfig(method="ieu", alpha=alpha, c=c,
                                 eta=1.0 / float(spectrum[0]), epochs=200, seed=0)
             theta0 = kaiming_sample(d, derive_stream(_ROOT_SEED, 914)) + 0.5
-            rep = retain_bound_monitor(retain, forget, theta0, cfg,
-                                       derive_stream(_ROOT_SEED, 915))
+            rep = retain_bound_monitor(retain, forget, theta0, cfg)
             worst = min(worst, -rep.worst_slack)
             n += 1
     return CheckResult(name="retain_bound_monitor", passed=worst >= 0.0,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -318,6 +320,15 @@ def test_compare_rejects_what_is_not_an_eval_report(runs_dir, tmp_path, capsys, 
     assert cli(["compare", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("name", ["r.json", "a,b.json", 'say "a".json'])
+def test_compare_csv_quotes_cells(runs_dir, tmp_path, capsys, name):
+    report = tmp_path / name
+    report.write_text(json.dumps({"accuracies": {"retain": 0.5}, "mia_rate": 0.25}))
+    assert cli(["compare", str(report), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [["report", "mia", "retain"], [str(report), "0.25", "0.5"]]
 
 
 @pytest.mark.parametrize("flag", ["--data", "--ckpt", "--config"])

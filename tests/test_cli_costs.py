@@ -66,21 +66,28 @@ def test_cli_chain_loads_no_scipy(tmp_path):
     assert out["bound"] is not None and out["bound"] > 0
 
 
-def test_eval_loads_no_numpy_ma(tmp_path, capsys, monkeypatch):
-    # gen-data loads numpy.ma through np.setdiff1d, so eval runs in a process of its own
-    monkeypatch.setenv("UNLEARN_FORGE_RUNS_DIR", str(tmp_path / "runs"))
-    monkeypatch.chdir(tmp_path)
-    _run(capsys, "gen-data", "--seed", 1, "--n-per-class", 10, "--features", 4, "--out", "d.uds")
-    ckpt = _run(capsys, "train", "--seed", 1, "--data", "d.uds", "--model", "logistic:4,3",
-                "--epochs", 2)[1]
+def _loads_numpy_ma(cwd, *argv) -> bool:
+    """Whether one command, run through cli() in a fresh process, loads numpy.ma."""
     code = ("import sys\nfrom unlearn_forge.cli import cli\n"
-            f"assert cli(['eval', '--data', 'd.uds', '--ckpt', {ckpt!r}]) == 0\n"
+            f"assert cli({[str(a) for a in argv]!r}) == 0\n"
             "print('numpy.ma' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+    env = dict(os.environ, UNLEARN_FORGE_RUNS_DIR=str(cwd / "runs"),
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    return proc.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_eval_loads_no_numpy_ma(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("UNLEARN_FORGE_RUNS_DIR", str(tmp_path / "runs"))
+    monkeypatch.chdir(tmp_path)
+    for split in ("random", "classwise"):
+        assert not _loads_numpy_ma(tmp_path, "gen-data", "--seed", 1, "--n-per-class", 10,
+                                   "--features", 4, "--split", split, "--out", f"{split}.uds")
+    ckpt = _run(capsys, "train", "--seed", 1, "--data", "random.uds", "--model", "logistic:4,3",
+                "--epochs", 2)[1]
+    assert not _loads_numpy_ma(tmp_path, "eval", "--data", "random.uds", "--ckpt", ckpt)
 
 
 def _run(capsys, *argv):

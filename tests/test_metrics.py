@@ -7,9 +7,7 @@ from unlearn_forge.checkpoints import Checkpoint
 from unlearn_forge.datasets import gen_blobs, split_random, split_objective
 from unlearn_forge.metrics import (
     rcd,
-    rcd_bound,
     mia_threshold_attack,
-    mia_score,
     eval_report,
 )
 from unlearn_forge.models import make_quadratic, logistic_spec
@@ -64,15 +62,18 @@ def test_rcd_report_serialization(tmp_path):
     assert len(path.read_text().strip().splitlines()) == 7
 
 
+def _curvature_bound(obj, theta, rng):
+    return rcd(theta, obj, 0.0, 0, _adaptive_cfg(), "loss", rng).curvature_bound
+
+
 def test_rcd_bound_forms():
     obj = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
     theta = np.array([1.0, 1.0])
-    assert rcd_bound(theta, obj, 0.0, rng=derive_stream(5, 0)) == pytest.approx(10.0, rel=1e-6)
-    assert rcd_bound(theta, obj, 0.0, mu=1.0, beta=4.0) == pytest.approx(10.0)
+    assert _curvature_bound(obj, theta, derive_stream(5, 0)) == pytest.approx(10.0, rel=1e-6)
     # isotropic: bound collapses to the gap itself
     iso = make_quadratic([2.0, 2.0], np.zeros(2), 0.0)
     gap = iso.value(theta)
-    assert rcd_bound(theta, iso, 0.0, rng=derive_stream(6, 0)) == pytest.approx(gap, rel=1e-6)
+    assert _curvature_bound(iso, theta, derive_stream(6, 0)) == pytest.approx(gap, rel=1e-6)
 
 
 def test_mia_separable_losses():
@@ -112,13 +113,13 @@ def trained_world():
 
 
 def test_mia_score_rate_in_unit_interval(trained_world):
+    # eval_report attacks with retain = members, test = non-members, forget audited
     ckpt, ds, _ = trained_world
-    res = mia_score(ckpt.theta,
-                    split_objective(ds, ckpt.spec, "retain"),
-                    split_objective(ds, ckpt.spec, "test"),
-                    split_objective(ds, ckpt.spec, "forget"))
+    res = mia_threshold_attack(*(split_objective(ds, ckpt.spec, which).per_example_loss(ckpt.theta)
+                                 for which in ("retain", "test", "forget")))
     assert 0.0 <= res.forget_member_rate <= 1.0
     assert 0.5 <= res.balanced_accuracy <= 1.0
+    assert eval_report(ckpt, ds).mia_rate == res.forget_member_rate
 
 
 def test_eval_report_and_gaps(trained_world):
