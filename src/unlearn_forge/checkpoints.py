@@ -41,6 +41,8 @@ class Checkpoint:
     def __post_init__(self):
         if self.role not in ROLES:
             raise ValueError(f"unknown checkpoint role {self.role!r}")
+        if not isinstance(self.config, dict) or not isinstance(self.extra, dict):
+            raise ValueError("a checkpoint's config and extra must be dicts")
         self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
         if self.theta.size != self.spec.param_count:
             raise ValueError("theta length does not match the model spec")
@@ -71,6 +73,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at ``path``; a ``CheckpointError`` for any file that
+    is not one this module writes (an ``OSError`` if it cannot be read)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 48 or blob[:4] != MAGIC:
@@ -82,11 +86,16 @@ def load_checkpoint(path) -> Checkpoint:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (hlen,) = struct.unpack("<Q", body[8:16])
-    header = json.loads(body[16 : 16 + hlen].decode("utf-8"))
-    theta = np.frombuffer(body[16 + hlen :], dtype="<f8").copy()
+    payload = body[16 + hlen :]
     try:
-        if theta.size != header["dim"]:
-            raise CheckpointError(f"{path}: parameter payload truncated")
+        header = json.loads(body[16 : 16 + hlen].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+        dim = header["dim"]
+        if type(dim) is not int or len(payload) != 8 * dim:
+            raise CheckpointError(f"{path}: parameter payload of {len(payload)} bytes does "
+                                  f"not hold dim = {dim!r} float64 values")
+        theta = np.frombuffer(payload, dtype="<f8").copy()
         ckpt = Checkpoint(
             role=header["role"],
             spec=ModelSpec.from_dict(header["model_spec"]),
@@ -97,7 +106,7 @@ def load_checkpoint(path) -> Checkpoint:
         )
     except KeyError as exc:
         raise CheckpointError(f"{path}: header lacks key {exc}") from exc
-    except ValueError as exc:  # a spec its factory refuses, or a bad role or length
+    except (ValueError, TypeError) as exc:  # not JSON, a value of a wrong type or a bad spec
         raise CheckpointError(f"{path}: {exc}") from exc
     if not np.all(np.isfinite(theta)):
         raise CheckpointError(f"{path}: non-finite parameters")

@@ -286,7 +286,7 @@ def _cached_forget_oracle(ds, spec: ModelSpec, cfg: OptimizerConfig, seed: int):
         cached = load_checkpoint(path)
         if cached.extra.get("oracle_key") == key:
             return cached.extra["phi_ref"], path, "hit"
-    except (OSError, ValueError, CheckpointError):
+    except (OSError, CheckpointError):
         pass  # absent or damaged: retrain and replace it
     ck, phi_ref = forget_oracle(ds, spec, cfg, seed)
     ck.extra["oracle_key"] = key

@@ -19,8 +19,8 @@ Conventions
 * Logistic regression uses the identifiable C-1 parameterization (the last
   class logit is pinned to 0), which removes the softmax gauge direction and
   keeps the Hessian positive definite on generic data.
-* ReLU uses the subgradient convention derivative 0 at exactly 0, so
-  Hessian-vector products near kinks are deterministic.
+* An MLP is a ReLU network, with the subgradient convention derivative 0
+  at exactly 0, so Hessian-vector products near kinks are deterministic.
 * Cross-entropy goes through log-sum-exp with max subtraction.
 """
 
@@ -55,9 +55,8 @@ class ModelSpec:
 
     kind: str  # quadratic | logistic | mlp
     layer_dims: tuple = ()  # mlp only, (p, h1, ..., C)
-    activation: str = "relu"  # mlp only
     num_classes: int = 0  # classification kinds
-    n_features: int = 0  # logistic only
+    n_features: int = 0  # classification kinds
     spectrum: tuple = ()  # quadratic only, non-increasing positive
     theta_star: tuple = ()  # quadratic only
     l_star: float = 0.0  # quadratic only
@@ -94,8 +93,8 @@ class ModelSpec:
             elif kind == "logistic":
                 spec = logistic_spec(d["n_features"], d["num_classes"])
             else:
-                spec = mlp_spec(d["layer_dims"], d["activation"])
-        except (KeyError, TypeError) as exc:
+                spec = mlp_spec(d["layer_dims"])
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"bad {kind} spec {d!r}: {exc!r}") from exc
         if json.dumps(spec.to_dict(), sort_keys=True) != json.dumps(d, sort_keys=True):
             raise ValueError(f"{kind} spec {d!r} is not the spec its factory builds "
@@ -131,14 +130,12 @@ def logistic_spec(n_features: int, num_classes: int) -> ModelSpec:
     return ModelSpec(kind="logistic", n_features=n_features, num_classes=num_classes)
 
 
-def mlp_spec(layer_dims, activation: str = "relu") -> ModelSpec:
+def mlp_spec(layer_dims) -> ModelSpec:
+    """A ReLU network with the sizes ``(p, h1, ..., C)``."""
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError("layer_dims must list at least input and output sizes, all >= 1")
-    if activation not in ("relu", "tanh"):
-        raise ValueError(f"unsupported activation {activation!r}")
-    return ModelSpec(kind="mlp", layer_dims=dims, activation=activation,
-                     num_classes=dims[-1], n_features=dims[0])
+    return ModelSpec(kind="mlp", layer_dims=dims, num_classes=dims[-1], n_features=dims[0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,52 +282,40 @@ class _LogisticPoint(_ClassifierPoint):
 
 class _MlpPoint(_ClassifierPoint):
     def _forward(self):
-        z, self.acts, self.zs = _mlp_forward(self.obj.spec, self.theta, self.obj.X)
+        z, self.acts, self.masks = _mlp_forward(self.obj.spec, self.theta, self.obj.X)
         return z
 
     def backprop(self, dlogits):
-        return _mlp_backward(self.obj.spec, self.theta, self.acts, self.zs, dlogits)
+        return _mlp_backward(self.obj.spec, self.theta, self.acts, self.masks, dlogits)
 
     def _hvp(self, v):
-        """Pearlmutter's R-op on the point's activations and loss delta."""
-        spec, acts, zs = self.obj.spec, self.acts, self.zs
+        """Pearlmutter's R-op on the point's activations, ReLU masks and loss
+        delta; ReLU's second derivative is 0, so it adds no term."""
+        spec, acts, masks = self.obj.spec, self.acts, self.masks
         wb = _mlp_unpack(spec, self.theta)
         vb = _mlp_unpack(spec, v)
         n = len(self.logits)
 
-        # forward tangent pass
-        ra = np.zeros_like(self.obj.X)
-        ras = [ra]
-        rzs = []
+        # forward tangent pass; rz ends as the logits' tangent
+        ras = [np.zeros_like(self.obj.X)]
         for layer, ((W, b), (Vw, Vb)) in enumerate(zip(wb, vb)):
             rz = ras[-1] @ W + acts[layer] @ Vw + Vb
-            rzs.append(rz)
-            if layer < len(wb) - 1:
-                ra = _act_deriv(spec.activation, zs[layer]) * rz
-                ras.append(ra)
-        rlogits = rzs[-1]
+            if layer < len(masks):
+                ras.append(rz * masks[layer])
 
         p, delta = self.probs, self.delta
-        rdelta = p * (rlogits - np.sum(p * rlogits, axis=1, keepdims=True)) / n
+        rdelta = p * (rz - np.sum(p * rz, axis=1, keepdims=True)) / n
 
         # reverse pass carrying both the gradient and its tangent
         out = np.zeros_like(self.theta)
         grads = _mlp_unpack(spec, out)  # views into out
         for layer in reversed(range(len(wb))):
-            W, _ = wb[layer]
-            Vw, _ = vb[layer]
-            a_prev, ra_prev = acts[layer], ras[layer]
-            gw, gb = grads[layer]
-            gw += ra_prev.T @ delta + a_prev.T @ rdelta
+            (W, _), (Vw, _), (gw, gb) = wb[layer], vb[layer], grads[layer]
+            gw += ras[layer].T @ delta + acts[layer].T @ rdelta
             gb += rdelta.sum(axis=0)
             if layer > 0:
-                sp = _act_deriv(spec.activation, zs[layer - 1])
-                back = delta @ W.T
-                rback = rdelta @ W.T + delta @ Vw.T
-                rdelta = sp * rback + _act_second_deriv(spec.activation, zs[layer - 1]) * rzs[
-                    layer - 1
-                ] * back
-                delta = sp * back
+                rdelta = (rdelta @ W.T + delta @ Vw.T) * masks[layer - 1]
+                delta = (delta @ W.T) * masks[layer - 1]
         return out
 
 
@@ -353,26 +338,6 @@ def _ce_per_example(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lse - z[np.arange(len(z)), y]
 
 
-def _act(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _act_deriv(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0).astype(np.float64)  # derivative 0 at the kink
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
-def _act_second_deriv(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return np.zeros_like(z)
-    t = np.tanh(z)
-    return -2.0 * t * (1.0 - t * t)
-
-
 def _mlp_unpack(spec: ModelSpec, theta: np.ndarray):
     out, off = [], 0
     dims = spec.layer_dims
@@ -387,20 +352,24 @@ def _mlp_unpack(spec: ModelSpec, theta: np.ndarray):
 
 
 def _mlp_forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
+    """The logits, the input of each layer, and each hidden layer's ReLU
+    mask (1 where the pre-activation is positive, 0 at and below the kink)."""
     wb = _mlp_unpack(spec, theta)
     acts = [X]
-    zs = []
+    masks = []
     a = X
     for layer, (W, b) in enumerate(wb):
-        z = a @ W + b
-        zs.append(z)
+        z = a @ W
+        z += b
         if layer < len(wb) - 1:
-            a = _act(spec.activation, z)
+            masks.append((z > 0).astype(np.float64))
+            a = np.maximum(z, 0.0, out=z)
             acts.append(a)
-    return zs[-1], acts, zs
+    return z, acts, masks
 
 
-def _mlp_backward(spec: ModelSpec, theta: np.ndarray, acts, zs, dlogits: np.ndarray) -> np.ndarray:
+def _mlp_backward(spec: ModelSpec, theta: np.ndarray, acts, masks,
+                  dlogits: np.ndarray) -> np.ndarray:
     wb = _mlp_unpack(spec, theta)
     out = np.zeros_like(theta)
     grads = _mlp_unpack(spec, out)  # views into out
@@ -411,7 +380,8 @@ def _mlp_backward(spec: ModelSpec, theta: np.ndarray, acts, zs, dlogits: np.ndar
         gw += acts[layer].T @ delta
         gb += delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ W.T) * _act_deriv(spec.activation, zs[layer - 1])
+            delta = delta @ W.T
+            delta *= masks[layer - 1]
     return out
 
 
@@ -430,9 +400,9 @@ def make_classifier(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> Objective:
     check_finite(X, "features")
     if not spec.is_classifier:
         raise ValueError(f"a {spec.kind!r} model with {spec.num_classes} classes is no classifier")
-    n_in = spec.n_features if spec.kind == "logistic" else spec.layer_dims[0]
-    if X.ndim != 2 or X.shape[1] != n_in:
-        raise ValueError(f"features have shape {X.shape}; this model reads {n_in} per example")
+    if X.ndim != 2 or X.shape[1] != spec.n_features:
+        raise ValueError(f"features have shape {X.shape}; this model reads "
+                         f"{spec.n_features} per example")
     if y.size and not 0 <= y.min() <= y.max() < spec.num_classes:
         raise ValueError(f"labels must lie in [0, {spec.num_classes}) for this model, "
                          f"not [{y.min()}, {y.max()}]")

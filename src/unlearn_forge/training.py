@@ -106,7 +106,7 @@ class _Stepper:
     def _batches(self):
         n = self.obj.n_examples
         bs = self.cfg.batch_size
-        if bs == "full" or self.obj.spec.kind == "quadratic" or bs >= n:
+        if bs == "full" or bs >= n:  # so always for a quadratic, which has n = 0
             yield self.obj  # the one batch; step_epoch takes its gradient from the point
             return
         order = self.rng.permutation(n)

@@ -127,7 +127,8 @@ class UnlearnRun:
 
 def per_layer_fan_in_sampler(spec: ModelSpec):
     """Kaiming draws with per-layer fan-in variance (conventional Kaiming)
-    instead of the global 2/d."""
+    instead of the global 2/d. A quadratic has no layers, so its only law
+    would be the global one: it is refused."""
     if spec.kind == "mlp":
         dims = spec.layer_dims
         fans = []
@@ -138,7 +139,8 @@ def per_layer_fan_in_sampler(spec: ModelSpec):
     elif spec.kind == "logistic":
         scale = np.full(spec.param_count, np.sqrt(2.0 / (spec.n_features + 1)))
     else:
-        scale = np.full(spec.param_count, np.sqrt(2.0 / spec.param_count))
+        raise ValueError(f"noise scope 'per_layer_fan_in' needs a layered model, not a "
+                         f"{spec.kind!r} one, whose only law is the global 2/d")
 
     def sampler(rng: RngStream) -> np.ndarray:
         return scale * rng.standard_normal(scale.size)
@@ -349,14 +351,14 @@ def retain_bound_monitor(retain_obj: Objective, forget_obj: Objective,
     if spec.kind != "quadratic":
         raise ValueError("mu and beta are only derivable for quadratic objectives")
     mu, beta = float(min(spec.spectrum)), float(max(spec.spectrum))
-    from scipy.spatial.distance import pdist  # deferred: scipy.spatial is slow to import
-
-    run = ieu_run(retain_obj, forget_obj, theta0, cfg, record_thetas=True)
-    thetas = run.thetas
-    grad_norm_max = max(float(np.linalg.norm(retain_obj.gradient(th))) for th in thetas)
-    half_diameter = float(pdist(thetas).max() / 2.0) if len(thetas) > 1 else 0.0
-    l_star = spec.l_star if spec.kind == "quadratic" else 0.0
-    gaps = np.array([retain_obj.value(th) - l_star for th in thetas])
+    thetas = ieu_run(retain_obj, forget_obj, theta0, cfg, record_thetas=True).thetas
+    points = [retain_obj.evaluate(th) for th in thetas]
+    grad_norm_max = max(float(np.linalg.norm(p.gradient())) for p in points)
+    sq_dists = np.zeros((len(thetas), len(thetas)))
+    for col in thetas.T:  # summed coordinate by coordinate, as scipy's pdist sums
+        sq_dists += (col[:, None] - col[None, :]) ** 2
+    half_diameter = float(np.sqrt(sq_dists.max()) / 2.0)
+    gaps = np.array([p.loss - spec.l_star for p in points])
     ts = np.arange(len(thetas))
     const = (2.0 * beta * (half_diameter * (1.0 - cfg.alpha) / 2.0
                            + grad_norm_max * cfg.c / (2.0 * beta)

@@ -1,6 +1,6 @@
-"""Property tests for two input boundaries of the CLI: ``--config`` JSON
-files and ``.uds`` headers. Whatever a file holds, a command exits 0 or 1
-and never raises.
+"""Property tests for three input boundaries of the CLI: ``--config`` JSON
+files, ``.uds`` headers and IEUC checkpoints. Whatever a file holds, a
+command exits 0 or 1 and never raises.
 
 Integers drawn for settings stay small, so a draw that happens to be a
 valid configuration runs in milliseconds; paths and model specs are fixed
@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from unlearn_forge.checkpoints import Checkpoint, CheckpointError, load_checkpoint
 from unlearn_forge.cli import cli
+from unlearn_forge.models import logistic_spec
+from test_checkpoints import write_raw
 
 _COUNTS = st.integers(-2, 12)
 _SCALARS = (st.none() | st.booleans() | _COUNTS | st.floats() | st.text(max_size=6)
@@ -120,4 +123,54 @@ def test_any_dataset_header_exits_zero_or_one(workdir, capsys, blob):
     data = tmp_path / "fuzz.uds"
     data.write_bytes(blob)
     assert cli(["eval", "--data", str(data), "--ckpt", ckpt]) in (0, 1)
+    capsys.readouterr()
+
+
+_SPEC = logistic_spec(5, 3)  # the model the workdir's data fits
+
+
+@st.composite
+def _checkpoint_files(draw):
+    """Header bytes and a payload for an IEUC file: mostly a valid header
+    of a small logistic model with a few keys, or model spec keys, replaced
+    or deleted, at times any JSON or any bytes; the payload fits ``dim`` or
+    has a drawn length."""
+    spec = _SPEC.to_dict()
+    header = {"role": draw(st.sampled_from(["original", "unlearned", "retrain"])),
+              "model_spec": spec, "config": {}, "root_seed": 1,
+              "dim": _SPEC.param_count, "extra": {}}
+    for part in (spec, header):  # the spec first, while the header still holds it
+        for key in draw(st.lists(st.sampled_from(sorted(part)), max_size=1)):
+            if draw(st.booleans()):
+                part.pop(key, None)
+            else:
+                part[key] = draw(_JSON | st.lists(st.integers(-3, 2**64), max_size=4))
+    head = json.dumps(header).encode()
+    form = draw(st.integers(0, 9))
+    if form == 0:
+        head = json.dumps(draw(_JSON)).encode()
+    elif form == 1:
+        head = draw(st.binary(max_size=12))
+    count = _SPEC.param_count
+    values = draw(st.lists(st.floats(-10, 10), min_size=count, max_size=count)
+                  | st.lists(st.floats(), min_size=count, max_size=count))
+    payload = np.array(values, dtype="<f8").tobytes()
+    if draw(st.integers(0, 3)) == 0:
+        payload = payload[: draw(st.integers(0, len(payload) + 8))]
+    return head, payload
+
+
+@_FUZZ
+@given(drawn=_checkpoint_files())
+def test_any_checkpoint_loads_or_is_refused(workdir, capsys, drawn):
+    tmp_path, _ = workdir
+    path = tmp_path / "fuzz.ieuc"
+    write_raw(path, *drawn)
+    try:
+        assert isinstance(load_checkpoint(path), Checkpoint)
+        refused = False
+    except CheckpointError:
+        refused = True
+    code = cli(["eval", "--data", "d.uds", "--ckpt", str(path)])
+    assert code == 1 if refused else code in (0, 1)
     capsys.readouterr()

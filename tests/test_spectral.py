@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,20 +16,43 @@ from unlearn_forge.spectral import (
 from unlearn_forge.training import OptimizerConfig, DivergenceError, train
 
 
-def _negative_dominant_mlp():
-    """A tanh MLP objective whose Hessian eigenvalues run from about -1.160
-    to 1.023, so the most negative one has the largest magnitude."""
-    spec = mlp_spec([2, 4, 2], activation="tanh")
-    rng = derive_stream(3, 1)
+class _NegativeDominant:
+    """A test-local objective ``0.5 theta^T H theta`` whose Hessian ``H`` is
+    fixed, seeded, symmetric and indefinite with eigenvalues ``EIGS``: the
+    most negative one has the largest magnitude. No library objective has
+    such a Hessian (a ReLU MLP with one hidden layer cannot), yet the
+    spectral code must keep the extremes in order and ``gd_adaptive`` must
+    refuse the negative ``lambda_max``."""
+
+    EIGS = np.array([-3.0, -1.0, 0.5, 1.0, 2.0])
+    spec = SimpleNamespace(is_classifier=False)
+    n_examples = 0
+
+    def __init__(self):
+        d = self.EIGS.size
+        basis, _ = np.linalg.qr(derive_stream(3, 1).standard_normal(d * d).reshape(d, d))
+        H = (basis * self.EIGS) @ basis.T
+        self.H = (H + H.T) / 2.0
+
+    def evaluate(self, theta):
+        grad = self.H @ theta
+        return SimpleNamespace(theta=theta, loss=0.5 * float(theta @ grad),
+                               gradient=lambda: grad, hvp=lambda v: self.H @ v)
+
+
+def _negative_dominant():
+    obj = _NegativeDominant()
+    return obj, derive_stream(3, 2).normal(1.0, obj.EIGS.size)
+
+
+def _relu_mlp(seed=1):
+    """A small ReLU MLP objective at a random point."""
+    spec = mlp_spec([2, 4, 2])
+    rng = derive_stream(3, seed)
     X = rng.normal(1.0, 40).reshape(20, 2)
     y = rng.integers(2, size=20)
     obj = make_classifier(spec, X, y)
     return obj, rng.normal(2.0, spec.param_count)
-
-
-def _dense_hessian_eigvals(obj, theta):
-    eye = np.eye(theta.size)
-    return np.linalg.eigvalsh(np.column_stack([obj.hvp(theta, e) for e in eye]))
 
 
 def test_known_spectrum_extremes():
@@ -40,12 +64,11 @@ def test_known_spectrum_extremes():
 
 
 def test_negative_dominant_extremes_keep_their_order():
-    obj, theta = _negative_dominant_mlp()
-    eig = _dense_hessian_eigvals(obj, theta)
-    assert abs(eig[0]) > abs(eig[-1])
+    obj, theta = _negative_dominant()
+    assert np.allclose(np.linalg.eigvalsh(obj.H), obj.EIGS, atol=1e-12)
     est = estimate_spectrum(obj, theta, rng=derive_stream(9, 1))
-    assert est.lambda_max == pytest.approx(eig[-1], abs=1e-8)
-    assert est.lambda_min == pytest.approx(eig[0], abs=1e-8)
+    assert est.lambda_max == pytest.approx(obj.EIGS[-1], abs=1e-8)
+    assert est.lambda_min == pytest.approx(obj.EIGS[0], abs=1e-8)
     assert not est.psd_flag
     assert est.kappa is None
     report = rcd(theta, obj, 0.0, 2, OptimizerConfig(kind="gd_fixed", eta=0.01, max_epochs=1),
@@ -56,9 +79,9 @@ def test_negative_dominant_extremes_keep_their_order():
 
 def test_lambda_max_is_largest_magnitude():
     # the adaptive step 1/lambda_max must refuse a negative-dominant Hessian
-    obj, theta = _negative_dominant_mlp()
+    obj, theta = _negative_dominant()
     lam, diag = lambda_max(obj, theta, rng=derive_stream(9, 1))
-    assert lam == pytest.approx(_dense_hessian_eigvals(obj, theta)[0], abs=1e-8)
+    assert lam == pytest.approx(obj.EIGS[0], abs=1e-8)
     assert lam < 0
     assert diag["converged"]
     with pytest.raises(DivergenceError):
@@ -70,7 +93,7 @@ def test_lambda_max_is_largest_magnitude():
                                       list(np.geomspace(50.0, 0.5, 40)), "mlp"])
 def test_lanczos_steps_at_most_d(spectrum):
     if spectrum == "mlp":
-        obj, theta = _negative_dominant_mlp()
+        obj, theta = _relu_mlp()
     else:
         obj = make_quadratic(spectrum, np.zeros(len(spectrum)), 0.0)
         theta = np.ones(len(spectrum))
@@ -114,15 +137,9 @@ def test_estimate_full_report():
 
 
 def test_non_psd_diagnostic():
-    # a saturated relu network at a random point routinely has an
-    # indefinite Hessian; force one with a rank-deficient toy instead
-    spec = mlp_spec([2, 4, 2], activation="tanh")
-    rng = derive_stream(3, 0)
-    X = rng.normal(1.0, 40).reshape(20, 2)
-    y = rng.integers(2, size=20)
-    obj = make_classifier(spec, X, y)
-    theta = rng.normal(2.0, spec.param_count)
-    est = estimate_spectrum(obj, theta, rng=rng)
+    # a relu network at a random point routinely has an indefinite Hessian
+    obj, theta = _relu_mlp(seed=0)
+    est = estimate_spectrum(obj, theta, rng=derive_stream(3, 3))
     if not est.psd_flag:
         assert condition_number(est) == NON_PSD_DIAGNOSTIC
     else:  # fall back: the diagnostic path must still trigger on a forged estimate

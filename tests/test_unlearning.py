@@ -214,6 +214,18 @@ def test_per_layer_sampler_scales():
     assert v[4 * 8 + 8 : 4 * 8 + 8 + 8 * 3].mean() == pytest.approx(2.0 / 8, rel=0.2)
 
 
+def test_per_layer_fan_in_refuses_a_quadratic():
+    # a quadratic has no layers: the scope would silently draw the global 2/d law
+    retain = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
+    forget = make_quadratic([4.0, 1.0], np.ones(2), 0.0)
+    with pytest.raises(ValueError, match="per_layer_fan_in"):
+        per_layer_fan_in_sampler(retain.spec)
+    cfg = UnlearnConfig(alpha=0.9, eta=0.25, epochs=3, noise_scope="per_layer_fan_in")
+    for run in (ieu_run, retain_bound_monitor):
+        with pytest.raises(ValueError, match="per_layer_fan_in"):
+            run(retain, forget, np.array([0.5, 0.5]), cfg)
+
+
 def test_retain_bound_monitor_quadratic():
     retain = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
     forget = make_quadratic([4.0, 1.0], np.ones(2), 0.0)
@@ -225,6 +237,21 @@ def test_retain_bound_monitor_quadratic():
     assert rep.worst_slack <= 0.0
     assert len(rep.gaps) == cfg.epochs + 1
     assert rep.mu == 1.0 and rep.beta == 4.0
+
+
+@pytest.mark.parametrize("spectrum", [[4.0, 1.0], list(np.linspace(10.0, 0.5, 12))])
+def test_retain_bound_half_diameter_is_pdists(spectrum):
+    # the numpy pairwise maximum sums in pdist's order, so it is bitwise pdist's
+    from scipy.spatial.distance import pdist
+
+    d = len(spectrum)
+    retain = make_quadratic(spectrum, np.zeros(d), 0.0)
+    forget = make_quadratic(spectrum, np.ones(d), 0.0)
+    cfg = UnlearnConfig(alpha=0.99, c=0.05, eta=0.1, epochs=60, seed=2)
+    theta0 = kaiming_sample(d, derive_stream(1, 2)) + 0.5
+    thetas = ieu_run(retain, forget, theta0, cfg, record_thetas=True).thetas
+    rep = retain_bound_monitor(retain, forget, theta0, cfg)
+    assert rep.half_diameter == pdist(thetas).max() / 2.0
 
 
 def test_retain_bound_monitor_needs_constants_for_nonquadratic(blob_ckpt):
