@@ -421,8 +421,6 @@ def _build_parser() -> tuple[_Parser, dict]:
                    help="scrub's KL-ascent epochs")
     p.add_argument("--salun-fraction", dest="salun_fraction", type=float,
                    help="salun's share of salient coordinates")
-    p.add_argument("--noise-scope", dest="noise_scope", choices=["global_d", "per_layer_fan_in"],
-                   help="variance of the re-initialization noise")
 
     p = add("rcd", _cmd_rcd, "--data", "--ckpt")
     p.add_argument("--k", type=int, default=100, help="relearning epochs K")

@@ -177,26 +177,25 @@ def train(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: RngStre
     return TrainTrace(records=records, theta=theta, stop_reason=stop_reason)
 
 
-def _fresh_init(spec: ModelSpec, seed: int) -> np.ndarray:
-    return kaiming_sample(spec.param_count, derive_stream(seed, _STREAM_ORACLE_INIT))
+def _train_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, seed: int,
+                  which: str, role: str, extra) -> Checkpoint:
+    """A fresh Kaiming init trained on split ``which`` alone; ``extra(last)``
+    adds the entries read off the last epoch record, which is evaluated at
+    the returned theta, to its stop reason."""
+    trace = train(split_objective(data, spec, which),
+                  kaiming_sample(spec.param_count, derive_stream(seed, _STREAM_ORACLE_INIT)),
+                  cfg, derive_stream(seed, _STREAM_ORACLE_TRAIN))
+    return Checkpoint(role=role, spec=spec, config=cfg.to_dict(), root_seed=seed,
+                      theta=trace.theta,
+                      extra={"stop_reason": trace.stop_reason, **extra(trace.records[-1])})
 
 
 def retrain_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig,
                    seed: int) -> Checkpoint:
     """Exact-unlearning reference: fresh Kaiming init trained on the retain
     set only."""
-    if len(data.retain_idx) == 0:
-        raise ValueError("retrain oracle needs a non-empty retain set")
-    obj = split_objective(data, spec, "retain")
-    trace = train(obj, _fresh_init(spec, seed), cfg, derive_stream(seed, _STREAM_ORACLE_TRAIN))
-    return Checkpoint(
-        role="retrain",
-        spec=spec,
-        config=cfg.to_dict(),
-        root_seed=seed,
-        theta=trace.theta,
-        extra={"stop_reason": trace.stop_reason, "epochs_run": trace.records[-1].epoch},
-    )
+    return _train_oracle(data, spec, cfg, seed, "retain", "retrain",
+                         lambda last: {"epochs_run": last.epoch})
 
 
 def forget_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, seed: int):
@@ -206,21 +205,9 @@ def forget_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, see
     The reference values depend only on (forget set, spec, cfg, seed), never
     on the model under audit. This function trains the oracle on every call;
     the CLI's ``rcd`` caches it under ``<runs-root>/oracles/``."""
-    if len(data.forget_idx) == 0:
-        raise ValueError("forget oracle needs a non-empty forget set")
-    obj = split_objective(data, spec, "forget")
-    trace = train(obj, _fresh_init(spec, seed), cfg, derive_stream(seed, _STREAM_ORACLE_TRAIN))
-    last = trace.records[-1]  # evaluated at trace.theta
-    phi_ref = {"loss": last.loss, "one_minus_accuracy": 1.0 - last.accuracy}
-    ckpt = Checkpoint(
-        role="forget_oracle",
-        spec=spec,
-        config=cfg.to_dict(),
-        root_seed=seed,
-        theta=trace.theta,
-        extra={"stop_reason": trace.stop_reason, "phi_ref": phi_ref},
-    )
-    return ckpt, phi_ref
+    ckpt = _train_oracle(data, spec, cfg, seed, "forget", "forget_oracle", lambda last: {
+        "phi_ref": {"loss": last.loss, "one_minus_accuracy": 1.0 - last.accuracy}})
+    return ckpt, ckpt.extra["phi_ref"]
 
 
 def trace_to_csv(trace: TrainTrace, path) -> None:

@@ -15,8 +15,11 @@ for the first few epochs, regularize toward it on the retain set
 throughout), and a saliency-masked variant of random labeling.
 
 Every method is ``unlearn(ckpt, data, UnlearnConfig(method=...))``. Each
-supplies only its per-epoch update rule; one epoch loop owns the timer,
-the finiteness check, the trace rows and the optional trajectory.
+supplies only its update rule over the retain and forget points that one
+epoch loop has already evaluated: the loop owns the evaluations, the timer,
+the finiteness check, the trace rows and the optional trajectory. The
+baselines' start-up (scrub's teacher, salun's mask) reads the loop's points
+at the input checkpoint, so no method evaluates a point the loop has.
 
 Stabilization: the forget gradient is norm-clipped at ``CLIP_RATIO`` times
 the retain gradient before the ascent term is applied; activations of the
@@ -29,12 +32,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
-from .models import Objective, ModelSpec
+from .models import Objective
 from .numcore import RngStream, derive_stream, kaiming_sample, check_finite, jsonable
 
 __all__ = [
@@ -46,7 +50,6 @@ __all__ = [
     "unlearn",
     "RetainBoundReport",
     "retain_bound_monitor",
-    "per_layer_fan_in_sampler",
 ]
 
 METHODS = ("ft", "rl", "scrub", "salun", "ieu")
@@ -58,8 +61,8 @@ CLIP_RATIO = 10.0  # the forget gradient's norm is clipped at this multiple of t
 # the methods that read each setting beyond eta, epochs and seed; for any
 # other method a value away from the default would silently do nothing (ft
 # is the alpha=1, c=0 limit of ieu, so it reads none of the ieu settings)
-_READ_BY = {"alpha": ("ieu",), "c": ("ieu",), "noise_scope": ("ieu",),
-            "scrub_max_epochs": ("scrub",), "salun_fraction": ("salun",)}
+_READ_BY = {"alpha": ("ieu",), "c": ("ieu",), "scrub_max_epochs": ("scrub",),
+            "salun_fraction": ("salun",)}
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,6 @@ class UnlearnConfig:
     seed: int = 0
     scrub_max_epochs: int = 2  # KL-maximization phase length
     salun_fraction: float = 0.5  # top fraction of coordinates by |grad_f|
-    noise_scope: str = "global_d"  # global_d | per_layer_fan_in
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -89,16 +91,11 @@ class UnlearnConfig:
             raise ValueError("scrub_max_epochs must be >= 0")
         if not 0.0 < self.salun_fraction <= 1.0:
             raise ValueError("salun saliency fraction must lie in (0, 1]")
-        if self.noise_scope not in ("global_d", "per_layer_fan_in"):
-            raise ValueError(f"unknown noise scope {self.noise_scope!r}")
         ignored = [f.name for f in fields(self) if f.name in _READ_BY
                    and self.method not in _READ_BY[f.name] and getattr(self, f.name) != f.default]
         if ignored:
             raise ValueError(f"method {self.method!r} does not read {', '.join(ignored)}; "
                              "leave each at its default")
-        # ieu reads noise_scope only through its noise term
-        if self.alpha == 1.0 and self.noise_scope != UnlearnConfig.noise_scope:
-            raise ValueError("noise_scope does nothing at alpha = 1; leave it at its default")
 
     def to_dict(self) -> dict:
         return jsonable(self)
@@ -109,10 +106,10 @@ class EpochRow:
     epoch: int
     retain_loss: float | None
     forget_loss: float
-    retain_acc: float | None = None
-    forget_acc: float | None = None
-    clip_active: bool = False
-    forget_kl: float | None = None  # scrub only
+    retain_acc: float | None
+    forget_acc: float | None
+    clip_active: bool
+    forget_kl: float | None  # scrub only
 
 
 @dataclass
@@ -121,44 +118,18 @@ class UnlearnRun:
     config: dict
     trace: list
     theta: np.ndarray
-    wall_clock: float = 0.0
-    thetas: np.ndarray | None = None  # full trajectory, only when requested
-
-
-def per_layer_fan_in_sampler(spec: ModelSpec):
-    """Kaiming draws with per-layer fan-in variance (conventional Kaiming)
-    instead of the global 2/d. A quadratic has no layers, so its only law
-    would be the global one: it is refused."""
-    if spec.kind == "mlp":
-        dims = spec.layer_dims
-        fans = []
-        for i in range(len(dims) - 1):
-            fans.extend([dims[i]] * (dims[i] * dims[i + 1]))
-            fans.extend([dims[i]] * dims[i + 1])
-        scale = np.sqrt(2.0 / np.asarray(fans, dtype=np.float64))
-    elif spec.kind == "logistic":
-        scale = np.full(spec.param_count, np.sqrt(2.0 / (spec.n_features + 1)))
-    else:
-        raise ValueError(f"noise scope 'per_layer_fan_in' needs a layered model, not a "
-                         f"{spec.kind!r} one, whose only law is the global 2/d")
-
-    def sampler(rng: RngStream) -> np.ndarray:
-        return scale * rng.standard_normal(scale.size)
-
-    return sampler
+    wall_clock: float
+    thetas: np.ndarray | None  # full trajectory, only when requested
 
 
 def ieu_step(theta: np.ndarray, grad_r: np.ndarray, grad_f: np.ndarray, alpha: float,
-             c: float, eta: float, rng: RngStream, init_sampler=None) -> np.ndarray:
+             c: float, eta: float, rng: RngStream) -> np.ndarray:
     """One influence-eliminating update with a fresh init draw."""
     if grad_r.shape != theta.shape or grad_f.shape != theta.shape:
         raise ValueError("gradient dimension mismatch")
     check_finite(grad_r, "retain gradient")
     check_finite(grad_f, "forget gradient")
-    if init_sampler is None:
-        theta_init = kaiming_sample(theta.size, rng)
-    else:
-        theta_init = init_sampler(rng)
+    theta_init = kaiming_sample(theta.size, rng)
     return alpha * theta + (1.0 - alpha) * theta_init - eta * grad_r + c * eta * grad_f
 
 
@@ -175,16 +146,19 @@ def _points(retain_obj: Objective | None, forget_obj: Objective, theta: np.ndarr
 
 
 def _run_loop(cfg: UnlearnConfig, theta0: np.ndarray, retain_obj: Objective | None,
-              forget_obj: Objective, step, record_thetas: bool = False) -> UnlearnRun:
-    """The one epoch loop every method runs. ``step(epoch, theta, retain,
-    forget)`` is the method's update rule, given the two objectives
-    evaluated at ``theta``, the points of the previous row: it returns the
-    new parameters and the extra ``EpochRow`` fields of that epoch."""
+              forget_obj: Objective, make_step, record_thetas: bool = False) -> UnlearnRun:
+    """The one epoch loop every method runs. ``make_step(retain, forget)``
+    gets the two objectives evaluated at ``theta0`` and returns the method's
+    update rule ``step(epoch, theta, retain, forget)``, which is given the
+    two objectives evaluated at ``theta``, the points of the previous row:
+    it returns the new parameters and the extra ``EpochRow`` fields of that
+    epoch."""
     start = time.perf_counter()
     theta = np.array(theta0, dtype=np.float64)
     trace = []
     thetas = [theta.copy()] if record_thetas else None
     points = _points(retain_obj, forget_obj, theta)
+    step = make_step(*points)
     for epoch in range(cfg.epochs):
         theta, fields = step(epoch, theta, *points)
         check_finite(theta, "unlearned parameters")
@@ -217,8 +191,8 @@ def ieu_run(retain_obj: Objective | None, forget_obj: Objective, theta0: np.ndar
     """Run the influence-eliminating update (``ieu`` or its ``ft`` limit) on
     explicit objectives.
 
-    The fresh init draws come from the stream of ``cfg.seed``, with the
-    variance ``cfg.noise_scope`` names for the forget objective's model.
+    The fresh init draws ``theta_init ~ N(0, 2/d)`` come from the stream of
+    ``cfg.seed``, the one ``unlearn`` draws from.
     ``retain_obj`` may be None only for the retain-free scenario, where the
     descent term drops out entirely. With ``record_thetas`` the full
     parameter trajectory (including the start point) is kept on the run as
@@ -227,9 +201,6 @@ def ieu_run(retain_obj: Objective | None, forget_obj: Objective, theta0: np.ndar
     if cfg.method not in ("ieu", "ft"):
         raise ValueError(f"ieu_run runs methods 'ieu' and 'ft', not {cfg.method!r}")
     rng = derive_stream(cfg.seed, _STREAM_UNLEARN)
-    sampler = None
-    if cfg.noise_scope == "per_layer_fan_in":
-        sampler = per_layer_fan_in_sampler(forget_obj.spec)
 
     def step(epoch, theta, retain, forget):
         grad_r = np.zeros_like(theta) if retain is None else retain.gradient()
@@ -237,10 +208,10 @@ def ieu_run(retain_obj: Objective | None, forget_obj: Objective, theta0: np.ndar
         clipped = False
         if cfg.c > 0:
             grad_f, clipped = _clip_forget_grad(grad_r, grad_f, CLIP_RATIO)
-        theta = ieu_step(theta, grad_r, grad_f, cfg.alpha, cfg.c, cfg.eta, rng, sampler)
+        theta = ieu_step(theta, grad_r, grad_f, cfg.alpha, cfg.c, cfg.eta, rng)
         return theta, {"clip_active": clipped}
 
-    return _run_loop(cfg, theta0, retain_obj, forget_obj, step, record_thetas)
+    return _run_loop(cfg, theta0, retain_obj, forget_obj, lambda *_: step, record_thetas)
 
 
 def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: RngStream) -> np.ndarray:
@@ -261,23 +232,34 @@ def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: RngStream) -> np.n
 # update rules of the baselines
 
 
-def _relabel_step(retain: Objective, forget: Objective, cfg: UnlearnConfig, rng: RngStream,
-                  mask: np.ndarray | None):
+def _relabel_step(cfg: UnlearnConfig, rng: RngStream, retain0, forget0):
     """Random labeling: descend the retain set plus the forget set with its
-    labels resampled uniformly over the other C-1 classes each epoch;
-    ``mask`` restricts the update to salient coordinates."""
-    C = forget.spec.num_classes
-    X = np.vstack([retain.X, forget.X])
+    labels resampled uniformly over the other C-1 classes each epoch; salun
+    restricts the update to the coordinates salient at the start."""
+    mask = _saliency_mask(forget0, cfg.salun_fraction) if cfg.method == "salun" else None
+    C = forget0.obj.spec.num_classes
+    y_f = forget0.obj.y
+    n = len(retain0.obj.y) + len(y_f)
 
-    def step(epoch, theta, *_):
-        fake = (forget.y + 1 + rng.integers(C - 1, size=len(forget.y))) % C
-        combined = Objective(spec=forget.spec, X=X, y=np.concatenate([retain.y, fake]))
-        update = cfg.eta * combined.gradient(theta)
+    def step(epoch, theta, retain, forget):
+        fake = (y_f + 1 + rng.integers(C - 1, size=len(y_f))) % C
+        # the mean cross-entropy over all n rows, split into its two sums
+        grad = (retain.backprop(_ce_dlogits(retain, retain.obj.y, n))
+                + forget.backprop(_ce_dlogits(forget, fake, n)))
+        update = cfg.eta * grad
         if mask is not None:
             update = update * mask
         return theta - update, {}
 
     return step
+
+
+def _ce_dlogits(point, labels: np.ndarray, n: int) -> np.ndarray:
+    """d(sum of the point's cross-entropies with ``labels``)/d(logits), over n."""
+    d = point.probs.copy()
+    d[np.arange(len(d)), labels] -= 1.0
+    d /= n
+    return d
 
 
 def _saliency_mask(forget, fraction: float) -> np.ndarray:
@@ -290,22 +272,21 @@ def _saliency_mask(forget, fraction: float) -> np.ndarray:
     return mask
 
 
-def _scrub_step(retain: Objective, forget: Objective, teacher: np.ndarray, cfg: UnlearnConfig):
+def _scrub_step(cfg: UnlearnConfig, retain0, forget0):
     """Distillation with the input checkpoint as teacher: ascend the forget
     KL for the first ``scrub_max_epochs`` epochs, descend cross-entropy
     plus the retain KL throughout."""
-    p_teacher_f = forget.evaluate(teacher).probs
-    p_teacher_r = retain.evaluate(teacher).probs
+    p_teacher_f, p_teacher_r = forget0.probs, retain0.probs
 
-    def step(epoch, theta, retain_point, forget_point):
+    def step(epoch, theta, retain, forget):
         if epoch < cfg.scrub_max_epochs:
             # ascend KL(teacher || student) on the forget set
-            dlog = (forget_point.probs - p_teacher_f) / len(p_teacher_f)
-            theta = theta + cfg.eta * forget_point.backprop(dlog)
-            retain_point = retain.evaluate(theta)
+            dlog = (forget.probs - p_teacher_f) / len(p_teacher_f)
+            theta = theta + cfg.eta * forget.backprop(dlog)
+            retain = retain.obj.evaluate(theta)
         # descend cross-entropy + KL(teacher || student) on the retain set
-        dlog = retain_point.delta + (retain_point.probs - p_teacher_r) / len(p_teacher_r)
-        theta = theta - cfg.eta * retain_point.backprop(dlog)
+        dlog = retain.delta + (retain.probs - p_teacher_r) / len(p_teacher_r)
+        theta = theta - cfg.eta * retain.backprop(dlog)
         return theta, {"teacher_probs": p_teacher_f}
 
     return step
@@ -384,14 +365,8 @@ def unlearn(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> Unlearn
     forget = split_objective(data, ckpt.spec, "forget")
     if cfg.method in ("ieu", "ft"):
         return ieu_run(retain, forget, ckpt.theta, cfg)
-    if not ckpt.spec.is_classifier:
-        raise TypeError(f"method {cfg.method!r} requires a classification task")
-    rng = derive_stream(cfg.seed, _STREAM_UNLEARN)
     if cfg.method == "scrub":
-        step = _scrub_step(retain, forget, ckpt.theta, cfg)
+        make_step = partial(_scrub_step, cfg)
     else:
-        mask = None
-        if cfg.method == "salun":
-            mask = _saliency_mask(forget.evaluate(ckpt.theta), cfg.salun_fraction)
-        step = _relabel_step(retain, forget, cfg, rng, mask)
-    return _run_loop(cfg, ckpt.theta, retain, forget, step)
+        make_step = partial(_relabel_step, cfg, derive_stream(cfg.seed, _STREAM_UNLEARN))
+    return _run_loop(cfg, ckpt.theta, retain, forget, make_step)

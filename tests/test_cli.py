@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unlearn_forge.checkpoints import load_checkpoint
+from unlearn_forge.checkpoints import load_checkpoint, save_checkpoint
 from unlearn_forge.cli import cli
 
 
@@ -124,9 +125,14 @@ def test_silent_no_op_settings_exit_one(runs_dir, tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
     assert cli(unlearn + ["--method", "rl", "--alpha", "0.5"]) == 1
     assert "alpha" in capsys.readouterr().err
-    # the default alpha = 1 draws no re-initialization noise to scope
-    assert cli(unlearn + ["--method", "ieu", "--noise-scope", "per_layer_fan_in"]) == 1
-    assert "noise_scope" in capsys.readouterr().err
+    # the re-initialization noise has one law, N(0, 2/d), so there is no scope to set
+    assert cli(unlearn + ["--method", "ieu", "--alpha", "0.9", "--noise-scope", "global_d"]) == 1
+    assert "--noise-scope" in capsys.readouterr().err
+    cfg_file = tmp_path / "scope.json"
+    cfg_file.write_text(json.dumps({"alpha": 0.9, "noise_scope": "global_d"}))
+    assert cli(unlearn + ["--method", "ieu", "--config", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "noise_scope" in err
     # no unlearning method reads a batch size, so unlearn has no such flag
     assert cli(unlearn + ["--method", "ieu", "--batch-size", "4"]) == 1
     capsys.readouterr()
@@ -142,6 +148,15 @@ def test_silent_no_op_settings_exit_one(runs_dir, tmp_path, capsys):
     assert cli(rcd + ["--step", "fixed:0.05", "--batch-size", "4"]) == 0
     report = json.loads(_one("*/reports/rcd.json", runs_dir).read_text())
     assert report["step_mode"] == "sgd"
+    # an unlearned checkpoint of an older run keeps noise_scope in its config
+    # snapshot; nothing reads that snapshot back, so it still audits
+    assert cli(unlearn + ["--method", "ieu", "--alpha", "0.9", "--epochs", "2"]) == 0
+    unlearned = load_checkpoint(_one("*/checkpoints/ieu.ieuc", runs_dir))
+    older = tmp_path / "older.ieuc"
+    save_checkpoint(replace(unlearned, config={**unlearned.config, "noise_scope": "global_d"}),
+                    older)
+    assert cli(["rcd", "--seed", "1", "--data", str(data), "--ckpt", str(older), "--k", "2"]) == 0
+    assert cli(["eval", "--data", str(data), "--ckpt", str(older)]) == 0
     capsys.readouterr()
 
 

@@ -24,7 +24,6 @@ UNLEARN_CASES = {
     "seed": ({"alpha": 0.9}, 1),
     "scrub_max_epochs": ({"method": "scrub"}, 0),
     "salun_fraction": ({"method": "salun"}, 0.2),
-    "noise_scope": ({"alpha": 0.9}, "per_layer_fan_in"),
 }
 
 OPTIMIZER_CASES = {
@@ -59,7 +58,7 @@ def test_unlearn_setting_changes_the_run(world, name):
     assert not np.array_equal(default.theta, moved.theta)
 
 
-@pytest.mark.parametrize("name", ["alpha", "c", "eta", "epochs", "seed", "noise_scope"])
+@pytest.mark.parametrize("name", ["alpha", "c", "eta", "epochs", "seed"])
 def test_ieu_run_setting_changes_the_run(world, name):
     # ieu_run on explicit objectives reads every setting unlearn gives it
     ckpt, ds = world
@@ -73,7 +72,7 @@ def test_ieu_run_setting_changes_the_run(world, name):
 
 def test_ieu_run_draws_what_unlearn_draws(world):
     ckpt, ds = world
-    cfg = UnlearnConfig(alpha=0.9, c=0.1, seed=4, noise_scope="per_layer_fan_in")
+    cfg = UnlearnConfig(alpha=0.9, c=0.1, seed=4)
     run = ieu_run(split_objective(ds, ckpt.spec, "retain"),
                   split_objective(ds, ckpt.spec, "forget"), ckpt.theta, cfg)
     assert np.array_equal(run.theta, unlearn(ckpt, ds, cfg).theta)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,15 @@ def test_oracles_are_deterministic_and_fresh():
     assert set(phi_ref) == {"loss", "one_minus_accuracy"}
     assert phi_ref["loss"] >= 0.0
     assert 0.0 <= phi_ref["one_minus_accuracy"] <= 1.0
+
+
+@pytest.mark.parametrize("oracle,which", [(retrain_oracle, "retain"), (forget_oracle, "forget")])
+def test_oracle_on_an_empty_split_names_it(oracle, which):
+    ds = gen_blobs(10, 3, 4, 2.0, 1.0, seed=12)  # no split yet: every training row is retained
+    if which == "retain":
+        ds = replace(ds, retain_idx=ds.forget_idx, forget_idx=ds.retain_idx)
+    with pytest.raises(ValueError, match=f"split '{which}' is empty"):
+        oracle(ds, logistic_spec(4, 3), OptimizerConfig(max_epochs=1), seed=12)
 
 
 def test_config_validation():

@@ -3,7 +3,7 @@ import pytest
 
 from unlearn_forge.checkpoints import Checkpoint
 from unlearn_forge.datasets import gen_blobs, split_random, split_objective
-from unlearn_forge.models import make_quadratic, mlp_spec
+from unlearn_forge.models import Objective, make_quadratic, mlp_spec
 from unlearn_forge.numcore import derive_stream, kaiming_sample
 from unlearn_forge.training import OptimizerConfig, train
 from unlearn_forge.unlearning import (
@@ -13,7 +13,6 @@ from unlearn_forge.unlearning import (
     irp_run,
     unlearn,
     retain_bound_monitor,
-    per_layer_fan_in_sampler,
 )
 
 
@@ -76,8 +75,7 @@ def test_ft_rejects_alpha_and_c(kw):
         UnlearnConfig(method="ft", **kw)
 
 
-_IEU_SETTINGS = [{"alpha": 0.5}, {"c": 0.1}, {"noise_scope": "per_layer_fan_in"},
-                 {"alpha": 0.5, "c": 0.1}]
+_IEU_SETTINGS = [{"alpha": 0.5}, {"c": 0.1}, {"alpha": 0.0}, {"alpha": 0.5, "c": 0.1}]
 
 
 @pytest.mark.parametrize("method,kw", [(m, kw) for m in ("ft", "rl", "scrub", "salun")
@@ -105,13 +103,6 @@ def test_scrub_max_epochs_not_negative():
     # a negative phase length would act as 0 and skip the KL ascent silently
     with pytest.raises(ValueError, match="scrub_max_epochs"):
         UnlearnConfig(method="scrub", scrub_max_epochs=-5)
-
-
-def test_ieu_rejects_noise_scope_without_noise():
-    # at alpha = 1 the fresh draw is multiplied by zero, whatever its scope
-    with pytest.raises(ValueError, match="noise_scope"):
-        UnlearnConfig(method="ieu", c=0.1, noise_scope="per_layer_fan_in")
-    UnlearnConfig(method="ieu", alpha=0.9, noise_scope="per_layer_fan_in")
 
 
 def test_ieu_run_rejects_other_methods():
@@ -154,6 +145,22 @@ def test_salun_full_mask_is_rl(blob_ckpt):
                                         eta=0.05, epochs=8, seed=5))
     b = unlearn(ckpt, ds, UnlearnConfig(method="rl", eta=0.05, epochs=8, seed=5))
     assert np.array_equal(a.theta, b.theta)
+
+
+def test_rl_descends_one_objective_over_retain_and_relabeled_forget_rows(blob_ckpt):
+    # the reference builds that objective each epoch; the loop's two points
+    # sum the same mean cross-entropy in another order
+    ckpt, ds = blob_ckpt
+    retain = split_objective(ds, ckpt.spec, "retain")
+    forget = split_objective(ds, ckpt.spec, "forget")
+    C, rng, theta = ckpt.spec.num_classes, derive_stream(5, 301), ckpt.theta
+    for _ in range(3):
+        fake = (forget.y + 1 + rng.integers(C - 1, size=len(forget.y))) % C
+        combined = Objective(spec=ckpt.spec, X=np.vstack([retain.X, forget.X]),
+                             y=np.concatenate([retain.y, fake]))
+        theta = theta - 0.05 * combined.gradient(theta)
+    run = unlearn(ckpt, ds, UnlearnConfig(method="rl", eta=0.05, epochs=3, seed=5))
+    assert np.max(np.abs(run.theta - theta)) <= 1e-12 * np.max(np.abs(theta))
 
 
 def test_salun_small_mask_freezes_coordinates(blob_ckpt):
@@ -202,28 +209,6 @@ def test_irp_run_shape_and_mixing():
     assert traj.shape == (201, 50)
     # the heavy initial offset washes out
     assert abs(traj[-1].mean()) < 1.0
-
-
-def test_per_layer_sampler_scales():
-    spec = mlp_spec([4, 8, 3])
-    sampler = per_layer_fan_in_sampler(spec)
-    draws = np.stack([sampler(derive_stream(s, 0)) for s in range(300)])
-    v = draws.var(axis=0)
-    # first-layer weights see fan-in 4, second-layer weights fan-in 8
-    assert v[: 4 * 8].mean() == pytest.approx(2.0 / 4, rel=0.2)
-    assert v[4 * 8 + 8 : 4 * 8 + 8 + 8 * 3].mean() == pytest.approx(2.0 / 8, rel=0.2)
-
-
-def test_per_layer_fan_in_refuses_a_quadratic():
-    # a quadratic has no layers: the scope would silently draw the global 2/d law
-    retain = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
-    forget = make_quadratic([4.0, 1.0], np.ones(2), 0.0)
-    with pytest.raises(ValueError, match="per_layer_fan_in"):
-        per_layer_fan_in_sampler(retain.spec)
-    cfg = UnlearnConfig(alpha=0.9, eta=0.25, epochs=3, noise_scope="per_layer_fan_in")
-    for run in (ieu_run, retain_bound_monitor):
-        with pytest.raises(ValueError, match="per_layer_fan_in"):
-            run(retain, forget, np.array([0.5, 0.5]), cfg)
 
 
 def test_retain_bound_monitor_quadratic():

@@ -72,6 +72,27 @@ def test_ieu_epoch(world, passes):
     assert _one_epoch(passes, run) == (2, 2)
 
 
+def _unlearn(world, method):
+    ds, ckpt = world
+    return lambda epochs: unlearn(ckpt, ds, UnlearnConfig(method=method, eta=0.05,
+                                                          epochs=epochs, seed=0))
+
+
+@pytest.mark.parametrize("method,epoch", [("rl", (2, 2)), ("salun", (2, 2)), ("scrub", (2, 1))],
+                         ids=["rl", "salun", "scrub"])
+def test_baseline_epoch(world, passes, method, epoch):
+    # rl and salun step on the loop's points with fake forget labels; scrub's
+    # epoch 3 is past its KL-ascent phase, a retain step on the loop's point
+    assert _one_epoch(passes, _unlearn(world, method)) == epoch
+
+
+@pytest.mark.parametrize("method,start", [("scrub", (2, 0)), ("salun", (2, 1))],
+                         ids=["scrub", "salun"])
+def test_baseline_start_reads_the_loops_first_points(world, passes, method, start):
+    # scrub's teacher and salun's saliency mask come from the points at theta0
+    assert passes(lambda: _unlearn(world, method)(0)) == start
+
+
 def test_loss_rcd_epoch(world, passes):
     ds, ckpt = world
     forget = split_objective(ds, ckpt.spec, "forget")
