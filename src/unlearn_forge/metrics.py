@@ -26,7 +26,7 @@ from .datasets import SplitDataset, split_objective
 from .models import Objective
 from .numcore import RngStream, jsonable, write_csv, write_json
 from .spectral import SpectralEstimate, estimate_spectrum, condition_number
-from .training import OptimizerConfig, _Stepper
+from .training import OptimizerConfig, _descend
 
 __all__ = [
     "RcdReport",
@@ -75,26 +75,26 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
         attach_bound: bool = True) -> RcdReport:
     """Relearn on the forgetting set for K epochs and sum the excess error.
 
-    ``relearn_cfg.kind`` selects the relearning schedule: ``gd_fixed`` /
-    ``sgd`` for a fixed step, ``gd_adaptive`` for the eta/lambda_max schedule,
-    ``adam`` for the Adam-labeled variant.
+    Each of the K epochs is one epoch of ``relearn_cfg``'s rule, the one
+    ``train`` runs: ``gd_fixed`` / ``sgd`` for a fixed step, ``gd_adaptive``
+    for the eta/lambda_max schedule, ``adam`` for the Adam-labeled variant.
+    K sets the epochs and relearning has no stop rule, so
+    ``relearn_cfg.max_epochs`` must be 1 and ``grad_norm_tol`` its default.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
+    if relearn_cfg.max_epochs != 1:
+        raise ValueError("K sets the relearning epochs; relearn_cfg.max_epochs must be 1")
+    if relearn_cfg.grad_norm_tol != OptimizerConfig.grad_norm_tol:
+        raise ValueError("relearning has no stop rule; "
+                         "relearn_cfg.grad_norm_tol must keep its default")
     phi = _phi(phi_kind)
     theta0 = np.array(theta0, dtype=np.float64)
-    point = forget_obj.evaluate(theta0)
-    stepper = _Stepper(forget_obj, relearn_cfg, rng)
     errors = np.empty(K + 1)
-    errors[0] = phi(point) - phi_ref
-    for t in range(1, K + 1):
-        point = forget_obj.evaluate(stepper.step_epoch(point))
-        e = phi(point) - phi_ref
+    for t, (point, _, _) in zip(range(K + 1), _descend(forget_obj, theta0, relearn_cfg, rng)):
+        errors[t] = e = phi(point) - phi_ref
         if not np.isfinite(e):
-            raise FloatingPointError(
-                f"non-finite relearning error at epoch {t}: phi={e + phi_ref}"
-            )
-        errors[t] = e
+            raise FloatingPointError(f"non-finite relearning error at epoch {t}: phi={phi(point)}")
     bound = diag = est = None
     if attach_bound and phi_kind == "loss":  # kappa at theta0 times the loss gap there
         est = estimate_spectrum(forget_obj, theta0, rng=rng)

@@ -3,10 +3,13 @@ reference models.
 
 Four update rules are provided: fixed-step gradient descent, gradient
 descent with the adaptive step eta/lambda_max re-estimated each epoch,
-minibatch SGD with a seeded epoch shuffle, and Adam. Convergence is
-declared when the full-batch gradient norm drops below ``grad_norm_tol``;
-the finite criterion is recorded in every checkpoint because downstream
-metrics treat these models as converged references.
+minibatch SGD with a seeded epoch shuffle, and Adam. One descent driver
+yields the objective evaluated at the start and after each epoch of the
+configured rule; ``train`` and the relearning of ``metrics.rcd`` both read
+their points from it, so they walk one trajectory. ``train`` declares
+convergence when the full-batch gradient norm drops below
+``grad_norm_tol``; the finite criterion is recorded in every checkpoint
+because downstream metrics treat these models as converged references.
 """
 
 from __future__ import annotations
@@ -90,91 +93,64 @@ class TrainTrace:
     stop_reason: str  # converged | max_epochs
 
 
-class _Stepper:
-    """Applies one epoch of the configured optimizer; owns any state."""
-
-    def __init__(self, obj: Objective, cfg: OptimizerConfig, rng: RngStream):
-        self.obj = obj
-        self.cfg = cfg
-        self.rng = rng
-        self.last_eta = None
-        self.last_lambda_max = None
-        self._adam_m = None
-        self._adam_v = None
-        self._adam_t = 0
-
-    def _batches(self):
-        n = self.obj.n_examples
-        bs = self.cfg.batch_size
-        if bs == "full" or bs >= n:  # so always for a quadratic, which has n = 0
-            yield self.obj  # the one batch; step_epoch takes its gradient from the point
-            return
-        order = self.rng.permutation(n)
-        for start in range(0, n, bs):
-            yield self.obj.subset(order[start : start + bs])
-
-    def step_epoch(self, point) -> np.ndarray:
-        """One epoch from ``point``, the objective at the current parameters."""
-        cfg, theta = self.cfg, point.theta
-        if cfg.kind == "gd_fixed":
-            self.last_eta = cfg.eta
-            return theta - cfg.eta * point.gradient()
+def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: RngStream):
+    """Yield ``(point, eta, lambda_max)`` without end: ``obj`` evaluated at
+    ``theta0`` (with ``eta`` and ``lambda_max`` None), then at the parameters
+    after each epoch of ``cfg``'s rule, with the step size and the
+    ``gd_adaptive`` curvature that epoch used. An epoch is taken only when
+    the next point is asked for, so a caller that stops draws no more."""
+    n, bs = obj.n_examples, cfg.batch_size
+    full_batch = bs == "full" or bs >= n  # so always for a quadratic, which has n = 0
+    point, eta, lam = obj.evaluate(np.array(theta0, dtype=np.float64)), None, None
+    m, v, t = 0.0, 0.0, 0  # Adam's moments and step count
+    while True:
+        yield point, eta, lam
+        theta, eta = point.theta, cfg.eta
         if cfg.kind == "gd_adaptive":
-            lam, _ = lambda_max(self.obj, theta, rng=self.rng)
+            lam, _ = lambda_max(obj, theta, rng=rng)
             if lam <= 0:
                 raise DivergenceError("adaptive step-size needs a positive lambda_max")
-            self.last_lambda_max = lam
-            self.last_eta = cfg.eta / lam
-            return theta - self.last_eta * point.gradient()
-        if cfg.kind == "sgd":
-            self.last_eta = cfg.eta
-            for batch in self._batches():
-                g = point.gradient() if batch is self.obj else batch.gradient(theta)
-                theta = theta - cfg.eta * g
-            return theta
-        # adam
-        if self._adam_m is None:
-            self._adam_m = np.zeros_like(theta)
-            self._adam_v = np.zeros_like(theta)
-        self.last_eta = cfg.eta
-        for batch in self._batches():
-            g = point.gradient() if batch is self.obj else batch.gradient(theta)
-            self._adam_t += 1
-            self._adam_m = ADAM_BETA1 * self._adam_m + (1 - ADAM_BETA1) * g
-            self._adam_v = ADAM_BETA2 * self._adam_v + (1 - ADAM_BETA2) * g * g
-            mhat = self._adam_m / (1 - ADAM_BETA1 ** self._adam_t)
-            vhat = self._adam_v / (1 - ADAM_BETA2 ** self._adam_t)
-            theta = theta - cfg.eta * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        return theta
+            eta = cfg.eta / lam
+        if full_batch:
+            batches = (None,)  # the one batch; its gradient comes from the point
+        else:
+            order = rng.permutation(n)
+            batches = (obj.subset(order[start : start + bs]) for start in range(0, n, bs))
+        for batch in batches:
+            g = point.gradient() if batch is None else batch.gradient(theta)
+            if cfg.kind != "adam":
+                theta = theta - eta * g
+            else:
+                t += 1
+                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+                mhat = m / (1 - ADAM_BETA1 ** t)
+                vhat = v / (1 - ADAM_BETA2 ** t)
+                theta = theta - eta * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        point = obj.evaluate(theta)
 
 
 def train(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: RngStream) -> TrainTrace:
     """Run the configured optimizer until the gradient norm drops below
     tolerance or the epoch budget runs out. Deterministic given
     ``(theta0, cfg, rng)``."""
-    theta = np.array(theta0, dtype=np.float64)
-    stepper = _Stepper(obj, cfg, rng)
     records = []
-    initial_loss = None
     stop_reason = "max_epochs"
-    for epoch in range(cfg.max_epochs + 1):
-        point = obj.evaluate(theta)
+    for epoch, (point, eta, lam) in zip(range(cfg.max_epochs + 1),
+                                        _descend(obj, theta0, cfg, rng)):
         loss = point.loss
-        if initial_loss is None:
+        if epoch == 0:
             initial_loss = loss
         if not np.isfinite(loss) or abs(loss) > DIVERGENCE_FACTOR * max(abs(initial_loss), 1e-300):
             raise DivergenceError(f"loss {loss} diverged at epoch {epoch}")
         gn = float(np.linalg.norm(point.gradient()))
         acc = point.accuracy if obj.spec.is_classifier else None
         records.append(EpochRecord(epoch=epoch, loss=loss, grad_norm=gn, accuracy=acc,
-                                   lambda_max=stepper.last_lambda_max, eta=stepper.last_eta))
+                                   lambda_max=lam, eta=eta))
         if gn <= cfg.grad_norm_tol:
             stop_reason = "converged"
             break
-        if epoch == cfg.max_epochs:
-            break
-        theta = stepper.step_epoch(point)
-    return TrainTrace(records=records, theta=theta, stop_reason=stop_reason)
+    return TrainTrace(records=records, theta=point.theta, stop_reason=stop_reason)
 
 
 def _train_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, seed: int,

@@ -104,7 +104,7 @@ class UnlearnConfig:
 @dataclass
 class EpochRow:
     epoch: int
-    retain_loss: float | None
+    retain_loss: float
     forget_loss: float
     retain_acc: float | None
     forget_acc: float | None
@@ -140,12 +140,7 @@ def _clip_forget_grad(grad_r, grad_f, ratio):
     return grad_f, False
 
 
-def _points(retain_obj: Objective | None, forget_obj: Objective, theta: np.ndarray):
-    """The retain (None without a retain set) and forget objectives at ``theta``."""
-    return None if retain_obj is None else retain_obj.evaluate(theta), forget_obj.evaluate(theta)
-
-
-def _run_loop(cfg: UnlearnConfig, theta0: np.ndarray, retain_obj: Objective | None,
+def _run_loop(cfg: UnlearnConfig, theta0: np.ndarray, retain_obj: Objective,
               forget_obj: Objective, make_step, record_thetas: bool = False) -> UnlearnRun:
     """The one epoch loop every method runs. ``make_step(retain, forget)``
     gets the two objectives evaluated at ``theta0`` and returns the method's
@@ -157,13 +152,13 @@ def _run_loop(cfg: UnlearnConfig, theta0: np.ndarray, retain_obj: Objective | No
     theta = np.array(theta0, dtype=np.float64)
     trace = []
     thetas = [theta.copy()] if record_thetas else None
-    points = _points(retain_obj, forget_obj, theta)
+    points = retain_obj.evaluate(theta), forget_obj.evaluate(theta)
     step = make_step(*points)
     for epoch in range(cfg.epochs):
         theta, fields = step(epoch, theta, *points)
         check_finite(theta, "unlearned parameters")
         del points  # frees the old activations before the next forward passes
-        points = _points(retain_obj, forget_obj, theta)
+        points = retain_obj.evaluate(theta), forget_obj.evaluate(theta)
         trace.append(_eval_row(epoch, *points, **fields))
         if record_thetas:
             thetas.append(theta.copy())
@@ -177,33 +172,31 @@ def _eval_row(epoch, retain, forget, clip_active=False, teacher_probs=None) -> E
     is_cls = forget.obj.spec.is_classifier
     return EpochRow(
         epoch=epoch,
-        retain_loss=None if retain is None else retain.loss,
+        retain_loss=retain.loss,
         forget_loss=forget.loss,
-        retain_acc=retain.accuracy if retain is not None and is_cls else None,
+        retain_acc=retain.accuracy if is_cls else None,
         forget_acc=forget.accuracy if is_cls else None,
         clip_active=clip_active,
         forget_kl=None if teacher_probs is None else _kl_divergence(teacher_probs, forget.probs),
     )
 
 
-def ieu_run(retain_obj: Objective | None, forget_obj: Objective, theta0: np.ndarray,
+def ieu_run(retain_obj: Objective, forget_obj: Objective, theta0: np.ndarray,
             cfg: UnlearnConfig, record_thetas: bool = False) -> UnlearnRun:
     """Run the influence-eliminating update (``ieu`` or its ``ft`` limit) on
     explicit objectives.
 
     The fresh init draws ``theta_init ~ N(0, 2/d)`` come from the stream of
-    ``cfg.seed``, the one ``unlearn`` draws from.
-    ``retain_obj`` may be None only for the retain-free scenario, where the
-    descent term drops out entirely. With ``record_thetas`` the full
-    parameter trajectory (including the start point) is kept on the run as
-    ``thetas``; the retain-loss bound monitor needs it.
+    ``cfg.seed``, the one ``unlearn`` draws from. With ``record_thetas``
+    the full parameter trajectory (including the start point) is kept on
+    the run as ``thetas``; the retain-loss bound monitor needs it.
     """
     if cfg.method not in ("ieu", "ft"):
         raise ValueError(f"ieu_run runs methods 'ieu' and 'ft', not {cfg.method!r}")
     rng = derive_stream(cfg.seed, _STREAM_UNLEARN)
 
     def step(epoch, theta, retain, forget):
-        grad_r = np.zeros_like(theta) if retain is None else retain.gradient()
+        grad_r = retain.gradient()
         grad_f = forget.gradient()
         clipped = False
         if cfg.c > 0:

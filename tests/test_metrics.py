@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from unlearn_forge.metrics import (
     mia_threshold_attack,
     eval_report,
 )
-from unlearn_forge.models import make_quadratic, logistic_spec
+from unlearn_forge.models import make_quadratic, logistic_spec, mlp_spec
 from unlearn_forge.numcore import derive_stream, kaiming_sample
 from unlearn_forge.training import OptimizerConfig, train, retrain_oracle
 
@@ -48,6 +49,20 @@ def test_rcd_negative_k_rejected():
     obj = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         rcd(np.zeros(2), obj, 0.0, -1, _adaptive_cfg(), "loss", derive_stream(3, 0))
+
+
+@pytest.mark.parametrize("spec", [logistic_spec(4, 3), mlp_spec([4, 6, 3])],
+                         ids=["logistic", "mlp"])
+@pytest.mark.parametrize("kind", ["gd_fixed", "gd_adaptive", "sgd", "adam"])
+def test_rcd_relearns_on_the_trajectory_train_walks(spec, kind):
+    obj = split_objective(gen_blobs(10, 3, 4, separation=3.0, noise_sd=1.0, seed=6), spec, "train")
+    theta0 = kaiming_sample(spec.param_count, derive_stream(6, 1))
+    cfg = OptimizerConfig(kind=kind, eta=0.05, max_epochs=1,
+                          batch_size=4 if kind in ("sgd", "adam") else "full")
+    K = 6
+    errors = rcd(theta0, obj, 0.0, K, cfg, "loss", derive_stream(0, 2)).errors
+    trace = train(obj, theta0, replace(cfg, max_epochs=K, grad_norm_tol=0.0), derive_stream(0, 2))
+    assert np.array_equal(errors, [r.loss for r in trace.records])
 
 
 def test_rcd_report_serialization(tmp_path):

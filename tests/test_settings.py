@@ -9,6 +9,7 @@ import pytest
 
 from unlearn_forge.checkpoints import Checkpoint
 from unlearn_forge.datasets import gen_blobs, split_random, split_objective
+from unlearn_forge.metrics import rcd
 from unlearn_forge.models import logistic_spec, make_quadratic, mlp_spec
 from unlearn_forge.numcore import derive_stream, kaiming_sample
 from unlearn_forge.training import OptimizerConfig, train
@@ -112,3 +113,13 @@ def test_eta_changes_every_optimizer(logistic, kind):
     # gd_adaptive steps by eta / lambda_max
     assert not np.array_equal(_train(logistic, kind=kind, eta=0.5, max_epochs=3),
                               _train(logistic, kind=kind, eta=1.0, max_epochs=3))
+
+
+@pytest.mark.parametrize("name", ["max_epochs", "grad_norm_tol"])
+def test_rcd_refuses_relearn_settings_it_does_not_read(logistic, name):
+    # K sets the relearning epochs, and relearning has no stop rule; theta0
+    # has the wrong shape, so the refusal comes before any evaluation
+    obj, theta0 = logistic
+    cfg = OptimizerConfig(**{"max_epochs": 1, name: OPTIMIZER_CASES[name][1]})
+    with pytest.raises(ValueError, match=name):
+        rcd(theta0[:1], obj, 0.0, 3, cfg, "loss", derive_stream(5, 2))

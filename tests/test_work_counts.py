@@ -1,6 +1,8 @@
 """MLP forward and backward passes per epoch of each loop: every quantity a
 loop reads at one parameter point comes from one evaluation there."""
 
+from dataclasses import replace
+
 import pytest
 
 from unlearn_forge import models
@@ -102,6 +104,40 @@ def test_loss_rcd_epoch(world, passes):
         rcd(ckpt.theta, forget, 0.0, K, cfg, "loss", derive_stream(0, 2), attach_bound=False)
 
     assert _one_epoch(passes, run) == (1, 1)
+
+
+def _rcd_run(world, cfg):
+    ds, ckpt = world
+    forget = split_objective(ds, ckpt.spec, "forget")
+    return lambda K: rcd(ckpt.theta, forget, 0.0, K, cfg, "loss", derive_stream(0, 2),
+                         attach_bound=False)
+
+
+def _train_run(world, cfg):
+    ds, ckpt = world
+    obj = split_objective(ds, ckpt.spec, "train")
+    return lambda epochs: train(obj, ckpt.theta,
+                                replace(cfg, max_epochs=epochs, grad_norm_tol=0.0),
+                                derive_stream(0, 1))
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+@pytest.mark.parametrize("loop,epoch", [(_rcd_run, (5, 4)), (_train_run, (13, 13))],
+                         ids=["rcd", "train"])
+def test_minibatch_epoch(world, passes, kind, loop, epoch):
+    # one forward and one backward pass per batch of 4 (14 forget rows, 48
+    # train rows), then the forward at the new point; only train takes the
+    # full-batch gradient there, for the gradient norm it records
+    cfg = OptimizerConfig(kind=kind, eta=0.05, batch_size=4, max_epochs=1)
+    assert _one_epoch(passes, loop(world, cfg)) == epoch
+
+
+@pytest.mark.parametrize("loop", [_rcd_run, _train_run], ids=["rcd", "train"])
+def test_adaptive_epoch(world, passes, loop):
+    # lambda_max evaluates the point again for its HVPs, then the step takes
+    # the point's gradient
+    cfg = OptimizerConfig(kind="gd_adaptive", eta=1.0, max_epochs=1)
+    assert _one_epoch(passes, loop(world, cfg)) == (2, 1)
 
 
 def test_spectrum_estimate_is_one_forward(world, passes):
