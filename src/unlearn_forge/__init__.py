@@ -42,8 +42,6 @@ from .checkpoints import Checkpoint, CheckpointError, save_checkpoint, load_chec
 from .unlearning import (
     UnlearnConfig,
     UnlearnRun,
-    ieu_step,
-    ieu_run,
     irp_run,
     unlearn,
 )

@@ -35,11 +35,11 @@ import numpy as np
 from .checkpoints import Checkpoint, CheckpointError, save_checkpoint, load_checkpoint
 from .datasets import gen_blobs, split_random, split_classwise, split_objective, save_uds, load_uds
 from .models import ModelSpec, logistic_spec, mlp_spec
-from .metrics import rcd, eval_report, EvalReport
+from .metrics import PHI_KINDS, rcd, eval_report, EvalReport
 from .numcore import derive_stream, kaiming_sample, write_csv, write_json
-from .training import (OptimizerConfig, DivergenceError, train, retrain_oracle, forget_oracle,
-                       trace_to_csv)
-from .unlearning import EpochRow, UnlearnConfig, unlearn
+from .training import (OPTIMIZER_KINDS, OptimizerConfig, DivergenceError, train, retrain_oracle,
+                       forget_oracle, trace_to_csv)
+from .unlearning import METHODS, EpochRow, UnlearnConfig, unlearn
 from . import verify as verify_mod
 
 __all__ = ["main", "cli"]
@@ -401,7 +401,7 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     p = add("train", _cmd_train, "--data")
     p.add_argument("--model", help="logistic:p,C or mlp:d0,d1,...,C")
-    p.add_argument("--optimizer", choices=["gd_fixed", "gd_adaptive", "sgd", "adam"],
+    p.add_argument("--optimizer", choices=list(OPTIMIZER_KINDS),
                    default="adam", help="update rule")
     p.add_argument("--eta", type=float, default=0.01,
                    help="step size; for gd_adaptive, the multiple of 1/lambda_max")
@@ -412,7 +412,7 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     p = add("unlearn", _cmd_unlearn, "--data", "--ckpt",
             description="a setting left at None takes UnlearnConfig's default for the method")
-    p.add_argument("--method", choices=["ft", "rl", "scrub", "salun", "ieu"], help="method")
+    p.add_argument("--method", choices=list(METHODS), help="method")
     p.add_argument("--alpha", type=float, help="noisy ratio; 1 draws no noise")
     p.add_argument("--c", type=float, help="forget-set ascent weight")
     p.add_argument("--eta", type=float, help="step size")
@@ -424,7 +424,7 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     p = add("rcd", _cmd_rcd, "--data", "--ckpt")
     p.add_argument("--k", type=int, default=100, help="relearning epochs K")
-    p.add_argument("--phi", choices=["loss", "one_minus_accuracy"], default="loss",
+    p.add_argument("--phi", choices=list(PHI_KINDS), default="loss",
                    help="error measured each epoch")
     p.add_argument("--step", default="fixed:0.0001", help="fixed:<eta> or adaptive")
     p.add_argument("--batch-size", dest="batch_size", type=int, help="None is the full batch")

@@ -48,9 +48,9 @@ class RcdReport:
     errors: np.ndarray  # e_t for t = 0..K
     rcd_value: float
     phi_ref: float
-    curvature_bound: float | None = None
-    bound_diagnostic: str | None = None
-    spectral: SpectralEstimate | None = None
+    curvature_bound: float | None
+    bound_diagnostic: str | None
+    spectral: SpectralEstimate | None
 
     def to_dict(self) -> dict:
         return jsonable(self)

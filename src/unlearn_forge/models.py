@@ -172,8 +172,6 @@ class Objective:
         return 0 if self.X is None else len(self.X)
 
     def subset(self, idx: np.ndarray) -> "Objective":
-        if self.spec.kind == "quadratic":
-            return self
         return replace(self, X=self.X[idx], y=self.y[idx])
 
     # -- evaluation ---------------------------------------------------------
@@ -233,8 +231,18 @@ class _ClassifierPoint(_Point):
         self.logits = self._forward()
 
     @cached_property
+    def _exp_rows(self):
+        """The logits' row max, exp(logits - max) and its row sums, for both
+        the log-sum-exp and the softmax."""
+        zmax = self.logits.max(axis=1, keepdims=True)
+        e = np.exp(self.logits - zmax)
+        return zmax, e, e.sum(axis=1, keepdims=True)
+
+    @cached_property
     def per_example_loss(self) -> np.ndarray:
-        return _ce_per_example(self.logits, self.obj.y)
+        zmax, _, sums = self._exp_rows
+        lse = np.log(sums[:, 0]) + zmax[:, 0]
+        return lse - self.logits[np.arange(len(lse)), self.obj.y]
 
     @property
     def loss(self) -> float:
@@ -247,15 +255,21 @@ class _ClassifierPoint(_Point):
 
     @cached_property
     def probs(self) -> np.ndarray:
-        return _softmax(self.logits)
+        _, e, sums = self._exp_rows
+        return e / sums
+
+    def dlogits(self, labels: np.ndarray, n: int) -> np.ndarray:
+        """d(sum of the cross-entropies with ``labels``)/d(logits), over n:
+        the softmax minus the one-hot labels."""
+        d = self.probs.copy()
+        d[np.arange(len(d)), labels] -= 1.0
+        d /= n
+        return d
 
     @cached_property
     def delta(self) -> np.ndarray:
-        """d(loss)/d(logits): the softmax minus the one-hot labels, over n."""
-        delta = self.probs.copy()
-        delta[np.arange(len(delta)), self.obj.y] -= 1.0
-        delta /= len(delta)
-        return delta
+        """d(loss)/d(logits)."""
+        return self.dlogits(self.obj.y, len(self.logits))
 
     @cached_property
     def _gradient(self):
@@ -324,18 +338,6 @@ _POINTS = {"quadratic": _QuadraticPoint, "logistic": _LogisticPoint, "mlp": _Mlp
 
 # ---------------------------------------------------------------------------
 # numerics helpers
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _ce_per_example(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + z.max(axis=1)
-    return lse - z[np.arange(len(z)), y]
 
 
 def _mlp_unpack(spec: ModelSpec, theta: np.ndarray):

@@ -35,6 +35,7 @@ __all__ = [
     "trace_to_csv",
 ]
 
+OPTIMIZER_KINDS = ("gd_fixed", "gd_adaptive", "sgd", "adam")
 DIVERGENCE_FACTOR = 1e6
 # Adam's moment decay rates and denominator guard (Kingma and Ba, 2015)
 ADAM_BETA1 = 0.9
@@ -52,14 +53,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "gd_fixed"  # gd_fixed | gd_adaptive | sgd | adam
+    kind: str = "gd_fixed"  # one of OPTIMIZER_KINDS
     eta: float = 0.1
     batch_size: int | str = "full"
     max_epochs: int = 100
     grad_norm_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("gd_fixed", "gd_adaptive", "sgd", "adam"):
+        if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
@@ -81,9 +82,9 @@ class EpochRecord:
     epoch: int
     loss: float
     grad_norm: float
-    accuracy: float | None = None
-    lambda_max: float | None = None
-    eta: float | None = None
+    accuracy: float | None
+    lambda_max: float | None
+    eta: float | None
 
 
 @dataclass

@@ -14,12 +14,14 @@ distillation-style scrub (maximize forget-set KL from the original model
 for the first few epochs, regularize toward it on the retain set
 throughout), and a saliency-masked variant of random labeling.
 
-Every method is ``unlearn(ckpt, data, UnlearnConfig(method=...))``. Each
-supplies only its update rule over the retain and forget points that one
-epoch loop has already evaluated: the loop owns the evaluations, the timer,
-the finiteness check, the trace rows and the optional trajectory. The
-baselines' start-up (scrub's teacher, salun's mask) reads the loop's points
-at the input checkpoint, so no method evaluates a point the loop has.
+Every method, ``ieu`` and ``ft`` included, is an update rule of one epoch
+loop, run as ``unlearn(ckpt, data, UnlearnConfig(method=...))``. A rule
+steps on the retain and forget points the loop has already evaluated; the
+loop owns the evaluations and the finiteness check, and ``unlearn`` (the
+timer and the trace rows) and ``retain_bound_monitor`` (the retain-loss
+audit) read its points. The baselines' start-up (scrub's teacher, salun's
+mask) reads the loop's points at the input checkpoint, so no method
+evaluates a point the loop has.
 
 Stabilization: the forget gradient is norm-clipped at ``CLIP_RATIO`` times
 the retain gradient before the ascent term is applied; activations of the
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -44,8 +45,6 @@ from .numcore import RngStream, derive_stream, kaiming_sample, check_finite, jso
 __all__ = [
     "UnlearnConfig",
     "UnlearnRun",
-    "ieu_step",
-    "ieu_run",
     "irp_run",
     "unlearn",
     "RetainBoundReport",
@@ -106,8 +105,8 @@ class EpochRow:
     epoch: int
     retain_loss: float
     forget_loss: float
-    retain_acc: float | None
-    forget_acc: float | None
+    retain_acc: float
+    forget_acc: float
     clip_active: bool
     forget_kl: float | None  # scrub only
 
@@ -119,92 +118,39 @@ class UnlearnRun:
     trace: list
     theta: np.ndarray
     wall_clock: float
-    thetas: np.ndarray | None  # full trajectory, only when requested
 
 
-def ieu_step(theta: np.ndarray, grad_r: np.ndarray, grad_f: np.ndarray, alpha: float,
-             c: float, eta: float, rng: RngStream) -> np.ndarray:
-    """One influence-eliminating update with a fresh init draw."""
-    if grad_r.shape != theta.shape or grad_f.shape != theta.shape:
-        raise ValueError("gradient dimension mismatch")
-    check_finite(grad_r, "retain gradient")
-    check_finite(grad_f, "forget gradient")
-    theta_init = kaiming_sample(theta.size, rng)
-    return alpha * theta + (1.0 - alpha) * theta_init - eta * grad_r + c * eta * grad_f
-
-
-def _clip_forget_grad(grad_r, grad_f, ratio):
-    gr, gf = np.linalg.norm(grad_r), np.linalg.norm(grad_f)
-    if gr > 0 and gf > ratio * gr:
-        return grad_f * (ratio * gr / gf), True
-    return grad_f, False
-
-
-def _run_loop(cfg: UnlearnConfig, theta0: np.ndarray, retain_obj: Objective,
-              forget_obj: Objective, make_step, record_thetas: bool = False) -> UnlearnRun:
-    """The one epoch loop every method runs. ``make_step(retain, forget)``
-    gets the two objectives evaluated at ``theta0`` and returns the method's
-    update rule ``step(epoch, theta, retain, forget)``, which is given the
-    two objectives evaluated at ``theta``, the points of the previous row:
-    it returns the new parameters and the extra ``EpochRow`` fields of that
-    epoch."""
-    start = time.perf_counter()
+def _unlearn_points(retain_obj: Objective, forget_obj: Objective, theta0: np.ndarray,
+                    cfg: UnlearnConfig):
+    """Yield ``(retain, forget, fields)``: the two objectives evaluated at
+    ``theta0`` (with ``fields`` empty), then after each of ``cfg.epochs``
+    epochs, with the extra ``EpochRow`` fields of that epoch. The method's
+    rule ``_RULES[cfg.method](cfg, rng, retain0, forget0)`` gets the points
+    at ``theta0`` and returns ``step(epoch, theta, retain, forget)``, which
+    steps on the points of the previous yield and returns the new parameters
+    and the fields. No step is taken after the last point."""
     theta = np.array(theta0, dtype=np.float64)
-    trace = []
-    thetas = [theta.copy()] if record_thetas else None
-    points = retain_obj.evaluate(theta), forget_obj.evaluate(theta)
-    step = make_step(*points)
+    retain, forget, extra = retain_obj.evaluate(theta), forget_obj.evaluate(theta), {}
+    step = _RULES[cfg.method](cfg, derive_stream(cfg.seed, _STREAM_UNLEARN), retain, forget)
     for epoch in range(cfg.epochs):
-        theta, fields = step(epoch, theta, *points)
+        yield retain, forget, extra
+        theta, extra = step(epoch, theta, retain, forget)
         check_finite(theta, "unlearned parameters")
-        del points  # frees the old activations before the next forward passes
-        points = retain_obj.evaluate(theta), forget_obj.evaluate(theta)
-        trace.append(_eval_row(epoch, *points, **fields))
-        if record_thetas:
-            thetas.append(theta.copy())
-    return UnlearnRun(method=cfg.method, config=cfg.to_dict(), trace=trace, theta=theta,
-                      wall_clock=time.perf_counter() - start,
-                      thetas=None if thetas is None else np.array(thetas))
+        retain, forget = retain_obj.evaluate(theta), forget_obj.evaluate(theta)
+    yield retain, forget, extra
 
 
 def _eval_row(epoch, retain, forget, clip_active=False, teacher_probs=None) -> EpochRow:
     """The row of the points an epoch ends at; scrub's carries the forget KL."""
-    is_cls = forget.obj.spec.is_classifier
     return EpochRow(
         epoch=epoch,
         retain_loss=retain.loss,
         forget_loss=forget.loss,
-        retain_acc=retain.accuracy if is_cls else None,
-        forget_acc=forget.accuracy if is_cls else None,
+        retain_acc=retain.accuracy,
+        forget_acc=forget.accuracy,
         clip_active=clip_active,
         forget_kl=None if teacher_probs is None else _kl_divergence(teacher_probs, forget.probs),
     )
-
-
-def ieu_run(retain_obj: Objective, forget_obj: Objective, theta0: np.ndarray,
-            cfg: UnlearnConfig, record_thetas: bool = False) -> UnlearnRun:
-    """Run the influence-eliminating update (``ieu`` or its ``ft`` limit) on
-    explicit objectives.
-
-    The fresh init draws ``theta_init ~ N(0, 2/d)`` come from the stream of
-    ``cfg.seed``, the one ``unlearn`` draws from. With ``record_thetas``
-    the full parameter trajectory (including the start point) is kept on
-    the run as ``thetas``; the retain-loss bound monitor needs it.
-    """
-    if cfg.method not in ("ieu", "ft"):
-        raise ValueError(f"ieu_run runs methods 'ieu' and 'ft', not {cfg.method!r}")
-    rng = derive_stream(cfg.seed, _STREAM_UNLEARN)
-
-    def step(epoch, theta, retain, forget):
-        grad_r = retain.gradient()
-        grad_f = forget.gradient()
-        clipped = False
-        if cfg.c > 0:
-            grad_f, clipped = _clip_forget_grad(grad_r, grad_f, CLIP_RATIO)
-        theta = ieu_step(theta, grad_r, grad_f, cfg.alpha, cfg.c, cfg.eta, rng)
-        return theta, {"clip_active": clipped}
-
-    return _run_loop(cfg, theta0, retain_obj, forget_obj, lambda *_: step, record_thetas)
 
 
 def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: RngStream) -> np.ndarray:
@@ -222,10 +168,33 @@ def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: RngStream) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# update rules of the baselines
+# update rules: rule(cfg, rng, retain0, forget0) -> step(epoch, theta, retain, forget)
 
 
-def _relabel_step(cfg: UnlearnConfig, rng: RngStream, retain0, forget0):
+def _ieu_rule(cfg: UnlearnConfig, rng: RngStream, retain0, forget0):
+    """The influence-eliminating update. It draws a fresh init every epoch,
+    at alpha = 1 too, so ``ft`` (alpha = 1, c = 0) walks ieu's trajectory,
+    and clips the forget gradient at ``CLIP_RATIO`` times the retain
+    gradient's norm before the ascent term."""
+    alpha, c, eta = cfg.alpha, cfg.c, cfg.eta
+
+    def step(epoch, theta, retain, forget):
+        grad_r, grad_f = retain.gradient(), forget.gradient()
+        check_finite(grad_r, "retain gradient")
+        check_finite(grad_f, "forget gradient")
+        clipped = False
+        if c > 0:
+            gr, gf = np.linalg.norm(grad_r), np.linalg.norm(grad_f)
+            if gr > 0 and gf > CLIP_RATIO * gr:
+                grad_f, clipped = grad_f * (CLIP_RATIO * gr / gf), True
+        theta_init = kaiming_sample(theta.size, rng)
+        theta = alpha * theta + (1.0 - alpha) * theta_init - eta * grad_r + c * eta * grad_f
+        return theta, {"clip_active": clipped}
+
+    return step
+
+
+def _relabel_rule(cfg: UnlearnConfig, rng: RngStream, retain0, forget0):
     """Random labeling: descend the retain set plus the forget set with its
     labels resampled uniformly over the other C-1 classes each epoch; salun
     restricts the update to the coordinates salient at the start."""
@@ -237,22 +206,14 @@ def _relabel_step(cfg: UnlearnConfig, rng: RngStream, retain0, forget0):
     def step(epoch, theta, retain, forget):
         fake = (y_f + 1 + rng.integers(C - 1, size=len(y_f))) % C
         # the mean cross-entropy over all n rows, split into its two sums
-        grad = (retain.backprop(_ce_dlogits(retain, retain.obj.y, n))
-                + forget.backprop(_ce_dlogits(forget, fake, n)))
+        grad = (retain.backprop(retain.dlogits(retain.obj.y, n))
+                + forget.backprop(forget.dlogits(fake, n)))
         update = cfg.eta * grad
         if mask is not None:
             update = update * mask
         return theta - update, {}
 
     return step
-
-
-def _ce_dlogits(point, labels: np.ndarray, n: int) -> np.ndarray:
-    """d(sum of the point's cross-entropies with ``labels``)/d(logits), over n."""
-    d = point.probs.copy()
-    d[np.arange(len(d)), labels] -= 1.0
-    d /= n
-    return d
 
 
 def _saliency_mask(forget, fraction: float) -> np.ndarray:
@@ -265,7 +226,7 @@ def _saliency_mask(forget, fraction: float) -> np.ndarray:
     return mask
 
 
-def _scrub_step(cfg: UnlearnConfig, retain0, forget0):
+def _scrub_rule(cfg: UnlearnConfig, rng: RngStream, retain0, forget0):
     """Distillation with the input checkpoint as teacher: ascend the forget
     KL for the first ``scrub_max_epochs`` epochs, descend cross-entropy
     plus the retain KL throughout."""
@@ -288,6 +249,10 @@ def _scrub_step(cfg: UnlearnConfig, retain0, forget0):
 def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     eps = 1e-12
     return float(np.mean(np.sum(p * (np.log(p + eps) - np.log(q + eps)), axis=1)))
+
+
+_RULES = {"ft": _ieu_rule, "rl": _relabel_rule, "scrub": _scrub_rule, "salun": _relabel_rule,
+          "ieu": _ieu_rule}
 
 
 @dataclass
@@ -318,15 +283,19 @@ class RetainBoundReport:
 
 def retain_bound_monitor(retain_obj: Objective, forget_obj: Objective,
                          theta0: np.ndarray, cfg: UnlearnConfig) -> RetainBoundReport:
-    """Run ``ieu_run`` on a quadratic retain objective and audit the
-    retain-loss gap against its decay bound at every step; ``mu`` and
-    ``beta`` are the extreme eigenvalues of its spectrum."""
+    """Run ``ieu`` or its ``ft`` limit on a quadratic retain objective and
+    audit the retain-loss gap against its decay bound at every retain point
+    the loop evaluated; ``mu`` and ``beta`` are the extreme eigenvalues of
+    its spectrum."""
+    if cfg.method not in ("ieu", "ft"):
+        raise ValueError(f"retain_bound_monitor audits methods 'ieu' and 'ft', "
+                         f"not {cfg.method!r}")
     spec = retain_obj.spec
     if spec.kind != "quadratic":
         raise ValueError("mu and beta are only derivable for quadratic objectives")
     mu, beta = float(min(spec.spectrum)), float(max(spec.spectrum))
-    thetas = ieu_run(retain_obj, forget_obj, theta0, cfg, record_thetas=True).thetas
-    points = [retain_obj.evaluate(th) for th in thetas]
+    points = [retain for retain, _, _ in _unlearn_points(retain_obj, forget_obj, theta0, cfg)]
+    thetas = np.array([p.theta for p in points])
     grad_norm_max = max(float(np.linalg.norm(p.gradient())) for p in points)
     sq_dists = np.zeros((len(thetas), len(thetas)))
     for col in thetas.T:  # summed coordinate by coordinate, as scipy's pdist sums
@@ -353,13 +322,15 @@ def retain_bound_monitor(retain_obj: Objective, forget_obj: Objective,
 
 
 def unlearn(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> UnlearnRun:
-    """Run ``cfg.method`` from ``ckpt`` on the shared epoch loop."""
-    retain = split_objective(data, ckpt.spec, "retain")
-    forget = split_objective(data, ckpt.spec, "forget")
-    if cfg.method in ("ieu", "ft"):
-        return ieu_run(retain, forget, ckpt.theta, cfg)
-    if cfg.method == "scrub":
-        make_step = partial(_scrub_step, cfg)
-    else:
-        make_step = partial(_relabel_step, cfg, derive_stream(cfg.seed, _STREAM_UNLEARN))
-    return _run_loop(cfg, ckpt.theta, retain, forget, make_step)
+    """Run ``cfg.method`` from ``ckpt``; the trace has one row per epoch,
+    read off the points the epoch ends at."""
+    retain_obj = split_objective(data, ckpt.spec, "retain")
+    forget_obj = split_objective(data, ckpt.spec, "forget")
+    start = time.perf_counter()
+    points = _unlearn_points(retain_obj, forget_obj, ckpt.theta, cfg)
+    retain, _, _ = next(points)
+    trace = []
+    for epoch, (retain, forget, extra) in enumerate(points):
+        trace.append(_eval_row(epoch, retain, forget, **extra))
+    return UnlearnRun(method=cfg.method, config=cfg.to_dict(), trace=trace, theta=retain.theta,
+                      wall_clock=time.perf_counter() - start)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -8,9 +9,10 @@ import pytest
 import unlearn_forge
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(unlearn_forge.__path__))
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 # defaulted public parameters and dataclass fields; lower it when a setting goes
-MAX_SETTABLE_VALUES = 46
+MAX_SETTABLE_VALUES = 39
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -18,6 +20,14 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"unlearn_forge.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"unlearn_forge.{name}.__all__ names missing objects: {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_imports(path):
+    # each demo runs its work under __main__, so importing it only resolves
+    # the library names it uses
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def _settable_values(tree: ast.Module):

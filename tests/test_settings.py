@@ -13,7 +13,7 @@ from unlearn_forge.metrics import rcd
 from unlearn_forge.models import logistic_spec, make_quadratic, mlp_spec
 from unlearn_forge.numcore import derive_stream, kaiming_sample
 from unlearn_forge.training import OptimizerConfig, train
-from unlearn_forge.unlearning import UnlearnConfig, ieu_run, retain_bound_monitor, unlearn
+from unlearn_forge.unlearning import UnlearnConfig, retain_bound_monitor, unlearn
 
 # field -> (the settings both runs share, the value away from the default)
 UNLEARN_CASES = {
@@ -57,26 +57,6 @@ def test_unlearn_setting_changes_the_run(world, name):
     default = unlearn(ckpt, ds, UnlearnConfig(**base))
     moved = unlearn(ckpt, ds, UnlearnConfig(**base, **{name: value}))
     assert not np.array_equal(default.theta, moved.theta)
-
-
-@pytest.mark.parametrize("name", ["alpha", "c", "eta", "epochs", "seed"])
-def test_ieu_run_setting_changes_the_run(world, name):
-    # ieu_run on explicit objectives reads every setting unlearn gives it
-    ckpt, ds = world
-    retain = split_objective(ds, ckpt.spec, "retain")
-    forget = split_objective(ds, ckpt.spec, "forget")
-    base, value = UNLEARN_CASES[name]
-    default = ieu_run(retain, forget, ckpt.theta, UnlearnConfig(**base))
-    moved = ieu_run(retain, forget, ckpt.theta, UnlearnConfig(**base, **{name: value}))
-    assert not np.array_equal(default.theta, moved.theta)
-
-
-def test_ieu_run_draws_what_unlearn_draws(world):
-    ckpt, ds = world
-    cfg = UnlearnConfig(alpha=0.9, c=0.1, seed=4)
-    run = ieu_run(split_objective(ds, ckpt.spec, "retain"),
-                  split_objective(ds, ckpt.spec, "forget"), ckpt.theta, cfg)
-    assert np.array_equal(run.theta, unlearn(ckpt, ds, cfg).theta)
 
 
 def test_retain_bound_monitor_draws_from_the_config_seed():

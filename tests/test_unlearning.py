@@ -8,8 +8,7 @@ from unlearn_forge.numcore import derive_stream, kaiming_sample
 from unlearn_forge.training import OptimizerConfig, train
 from unlearn_forge.unlearning import (
     UnlearnConfig,
-    ieu_step,
-    ieu_run,
+    _unlearn_points,
     irp_run,
     unlearn,
     retain_bound_monitor,
@@ -30,33 +29,26 @@ def blob_ckpt():
     return ckpt, ds
 
 
-def test_ieu_step_algebra():
+def test_ieu_epoch_algebra():
     # with alpha=1 the fresh draw is multiplied by zero: pure descent+ascent
+    retain = make_quadratic([2.0, 1.0], np.zeros(2), 0.0)
+    forget = make_quadratic([2.0, 1.0], np.array([0.5, -0.5]), 0.0)
     theta = np.array([1.0, 2.0])
-    gr, gf = np.array([0.5, -0.5]), np.array([1.0, 1.0])
-    out = ieu_step(theta, gr, gf, alpha=1.0, c=0.1, eta=0.2,
-                   rng=derive_stream(0, 0))
-    assert np.allclose(out, theta - 0.2 * gr + 0.1 * 0.2 * gf)
+    cfg = UnlearnConfig(method="ieu", alpha=1.0, c=0.1, eta=0.2, epochs=1, seed=0)
+    (r0, f0, start), (r1, _, epoch) = _unlearn_points(retain, forget, theta, cfg)
+    gr, gf = r0.gradient(), f0.gradient()
+    assert np.array_equal(r0.theta, theta) and start == {}
+    assert np.allclose(r1.theta, theta - 0.2 * gr + 0.1 * 0.2 * gf)
+    assert epoch == {"clip_active": False}
 
 
-def test_ieu_step_consumes_rng_even_at_alpha_one():
-    # rng advancement is part of the contract: ft and ieu(alpha=1) stay in
-    # lockstep only if both draw the fresh init every iteration
-    rng1, rng2 = derive_stream(1, 0), derive_stream(1, 0)
-    theta = np.zeros(4)
-    g = np.zeros(4)
-    ieu_step(theta, g, g, 1.0, 0.0, 0.1, rng1)
-    a = rng1.standard_normal(4)
-    rng2.normal(np.sqrt(2.0 / 4), 4)
-    b = rng2.standard_normal(4)
-    assert np.array_equal(a, b)
-
-
-def test_ieu_step_rejects_nonfinite():
-    theta = np.zeros(2)
-    with pytest.raises(FloatingPointError):
-        ieu_step(theta, np.array([np.nan, 0.0]), theta, 1.0, 0.0, 0.1,
-                 derive_stream(2, 0))
+def test_ieu_epoch_rejects_nonfinite_gradient():
+    # the retain optimum is NaN, so its gradient is too
+    retain = make_quadratic([1.0, 1.0], np.array([np.nan, 0.0]), 0.0)
+    forget = make_quadratic([1.0, 1.0], np.zeros(2), 0.0)
+    cfg = UnlearnConfig(method="ieu", alpha=1.0, c=0.0, eta=0.1, epochs=1, seed=2)
+    with pytest.raises(FloatingPointError, match="retain gradient"):
+        list(_unlearn_points(retain, forget, np.zeros(2), cfg))
 
 
 def test_config_validation():
@@ -105,10 +97,12 @@ def test_scrub_max_epochs_not_negative():
         UnlearnConfig(method="scrub", scrub_max_epochs=-5)
 
 
-def test_ieu_run_rejects_other_methods():
+@pytest.mark.parametrize("method", ["rl", "salun", "scrub"])
+def test_retain_bound_monitor_refuses_other_methods(method):
+    # the bound is that of the ieu update; the baselines need classifiers
     obj = make_quadratic([1.0], np.zeros(1), 0.0)
-    with pytest.raises(ValueError, match="scrub"):
-        ieu_run(obj, obj, np.ones(1), UnlearnConfig(method="scrub"))
+    with pytest.raises(ValueError, match=f"not '{method}'"):
+        retain_bound_monitor(obj, obj, np.ones(1), UnlearnConfig(method=method))
 
 
 @pytest.mark.parametrize("method", ["ft", "rl", "scrub", "salun", "ieu"])
@@ -199,8 +193,8 @@ def test_clip_recorded_in_trace():
     retain = make_quadratic([1.0], np.zeros(1), 0.0)
     forget = make_quadratic([1.0], np.full(1, 1e6), 0.0)
     cfg = UnlearnConfig(method="ieu", alpha=1.0, c=0.5, eta=0.1, epochs=1, seed=0)
-    run = ieu_run(retain, forget, np.array([1e-3]), cfg)
-    assert run.trace[0].clip_active
+    _, (_, _, fields) = _unlearn_points(retain, forget, np.array([1e-3]), cfg)
+    assert fields["clip_active"]
 
 
 def test_irp_run_shape_and_mixing():
@@ -234,7 +228,7 @@ def test_retain_bound_half_diameter_is_pdists(spectrum):
     forget = make_quadratic(spectrum, np.ones(d), 0.0)
     cfg = UnlearnConfig(alpha=0.99, c=0.05, eta=0.1, epochs=60, seed=2)
     theta0 = kaiming_sample(d, derive_stream(1, 2)) + 0.5
-    thetas = ieu_run(retain, forget, theta0, cfg, record_thetas=True).thetas
+    thetas = np.array([r.theta for r, _, _ in _unlearn_points(retain, forget, theta0, cfg)])
     rep = retain_bound_monitor(retain, forget, theta0, cfg)
     assert rep.half_diameter == pdist(thetas).max() / 2.0
 
