@@ -10,7 +10,7 @@ evaluation reports (:mod:`metrics`), and the analytic verification suite
 (:mod:`verify`) behind the ``unlearn-forge`` CLI (:mod:`cli`).
 """
 
-from .numcore import RngStream, derive_stream, kaiming_sample
+from .numcore import derive_stream, kaiming_sample
 from .models import (
     ModelSpec,
     Objective,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelSpec
+from .numcore import read_json
 
 __all__ = ["Checkpoint", "CheckpointError", "save_checkpoint", "load_checkpoint"]
 
@@ -88,7 +89,7 @@ def load_checkpoint(path) -> Checkpoint:
     (hlen,) = struct.unpack("<Q", body[8:16])
     payload = body[16 + hlen :]
     try:
-        header = json.loads(body[16 : 16 + hlen].decode("utf-8"))
+        header = read_json(body[16 : 16 + hlen].decode("utf-8"))
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")
         dim = header["dim"]

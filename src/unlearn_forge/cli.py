@@ -36,7 +36,7 @@ from .checkpoints import Checkpoint, CheckpointError, save_checkpoint, load_chec
 from .datasets import gen_blobs, split_random, split_classwise, split_objective, save_uds, load_uds
 from .models import ModelSpec, logistic_spec, mlp_spec
 from .metrics import PHI_KINDS, rcd, eval_report, EvalReport
-from .numcore import derive_stream, kaiming_sample, write_csv, write_json
+from .numcore import derive_stream, kaiming_sample, read_json, write_csv, write_json
 from .training import (OPTIMIZER_KINDS, OptimizerConfig, DivergenceError, train, retrain_oracle,
                        forget_oracle, trace_to_csv)
 from .unlearning import METHODS, EpochRow, UnlearnConfig, unlearn
@@ -71,8 +71,7 @@ def _settings(parser: argparse.ArgumentParser) -> dict:
 
 def _read_config(path, parser: argparse.ArgumentParser) -> dict:
     """The values of a ``--config`` file, each checked against its flag."""
-    with open(path) as fh:
-        from_file = json.load(fh)
+    from_file = read_json(Path(path).read_text())
     if not isinstance(from_file, dict):
         raise UsageError("--config must hold a JSON object")
     flags = _settings(parser)
@@ -325,7 +324,7 @@ def _cmd_eval(cfg: dict, seed) -> int:
     report = eval_report(ckpt, ds, reference)
     run_dir, exp_id = _new_run("eval", cfg, seed)
     out = run_dir / "reports" / "eval.json"
-    report.save(out)
+    write_json(out, report)
     _write_manifest(run_dir, "eval", exp_id, cfg, seed, {"report": str(out)})
     print(f"{exp_id}\t{out}")
     for k, v in sorted(report.metrics().items()):
@@ -338,9 +337,7 @@ def _cmd_eval(cfg: dict, seed) -> int:
 def _cmd_compare(cfg: dict, seed) -> int:
     rows = []
     for path in cfg["reports"]:
-        with open(path) as fh:
-            payload = json.load(fh)
-        report = EvalReport.from_dict(payload)
+        report = EvalReport.from_dict(read_json(Path(path).read_text()))
         row = {"report": str(path), **report.metrics()}
         if report.avg_gap is not None:
             row["avg_gap"] = report.avg_gap

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .models import Objective, ModelSpec, make_classifier
-from .numcore import derive_stream
+from .numcore import derive_stream, read_json
 
 __all__ = [
     "SplitDataset",
@@ -105,7 +105,7 @@ def gen_blobs(n_per_class: int, C: int, p: int, separation: float, noise_sd: flo
     center_rng = derive_stream(seed, _STREAM_CENTERS)
     centers = None
     for _ in range(200):
-        cand = center_rng.normal(separation, C * p).reshape(C, p)
+        cand = center_rng.normal(0.0, separation, C * p).reshape(C, p)
         dists = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=-1)
         np.fill_diagonal(dists, np.inf)
         if dists.min() >= separation:
@@ -117,9 +117,8 @@ def gen_blobs(n_per_class: int, C: int, p: int, separation: float, noise_sd: flo
         )
 
     point_rng = derive_stream(seed, _STREAM_POINTS)
-    X = np.repeat(centers, n_per_class, axis=0) + point_rng.normal(noise_sd, C * n_per_class * p).reshape(
-        C * n_per_class, p
-    )
+    noise = point_rng.normal(0.0, noise_sd, C * n_per_class * p).reshape(C * n_per_class, p)
+    X = np.repeat(centers, n_per_class, axis=0) + noise
     y = np.repeat(np.arange(C, dtype=np.int64), n_per_class)
 
     split_rng = derive_stream(seed, _STREAM_TESTSPLIT)
@@ -162,7 +161,7 @@ def split_random(ds: SplitDataset, fraction: float, seed: int) -> SplitDataset:
         raise ValueError(f"fraction {fraction} yields an empty retain or forget set")
     rng = derive_stream(seed, _STREAM_FORGET)
     forgotten = np.zeros(len(train), dtype=bool)
-    forgotten[rng.choice(len(train), k)] = True
+    forgotten[rng.choice(len(train), k, replace=False)] = True
     forget, retain = train[forgotten], train[~forgotten]  # train_idx is sorted
     prov = dict(ds.provenance, split="random", forget_fraction=fraction, split_seed=seed)
     return replace(ds, retain_idx=retain, forget_idx=forget, forgotten_classes=(),
@@ -180,7 +179,7 @@ def split_classwise(ds: SplitDataset, fraction: float, seed: int) -> SplitDatase
     if k == 0 or k == C:
         raise ValueError(f"fraction {fraction} selects {k} of {C} classes")
     rng = derive_stream(seed, _STREAM_FORGET)
-    classes = tuple(sorted(int(c) for c in rng.choice(C, k)))
+    classes = tuple(sorted(int(c) for c in rng.choice(C, k, replace=False)))
     train = ds.train_idx
     mask = np.isin(ds.labels[train], classes)
     prov = dict(ds.provenance, split="classwise", forget_fraction=fraction, split_seed=seed,
@@ -241,7 +240,7 @@ def _check_uds_header(header) -> None:
 def load_uds(path) -> SplitDataset:
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
+        header = read_json(header_line.decode("utf-8"))
         _check_uds_header(header)
         n, p = header["n"], header["p"]
         payload = fh.read()

@@ -24,7 +24,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
-from .numcore import RngStream, jsonable, write_csv, write_json
+from .numcore import jsonable, write_csv
 from .spectral import SpectralEstimate, estimate_spectrum, condition_number
 from .training import OptimizerConfig, _descend
 
@@ -71,7 +71,7 @@ def _phi(phi_kind: str):
 
 
 def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
-        relearn_cfg: OptimizerConfig, phi_kind: str, rng: RngStream,
+        relearn_cfg: OptimizerConfig, phi_kind: str, rng: np.random.Generator,
         attach_bound: bool = True) -> RcdReport:
     """Relearn on the forgetting set for K epochs and sum the excess error.
 
@@ -181,9 +181,6 @@ class EvalReport:
             raise ValueError("eval report 'accuracies' must be a JSON object")
         return EvalReport(accuracies=d["accuracies"], mia_rate=d["mia_rate"],
                           gaps=d.get("gaps", {}), avg_gap=d.get("avg_gap"))
-
-    def save(self, path) -> None:
-        write_json(path, self)
 
 
 def eval_report(ckpt: Checkpoint, data: SplitDataset,

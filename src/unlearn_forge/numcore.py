@@ -1,18 +1,21 @@
 """Deterministic numeric foundation: flat float64 parameter vectors and
 splittable counter-based random streams.
 
-All randomness in the library flows through :class:`RngStream`, which wraps
-numpy's Philox 4x64 counter-based generator keyed by ``(root_seed,
-stream_id)``. The same key reproduces the same draw sequence bit-for-bit on
-any platform; distinct stream ids give statistically independent streams and
-can be used concurrently without coordination.
+All randomness in the library flows through :func:`derive_stream`, which
+returns a numpy ``Generator`` over the Philox 4x64 counter-based bit
+generator keyed by ``(root_seed, stream_id)``; callers use numpy's own
+method signatures (``normal(loc, scale, size)``, ``choice(n, k,
+replace=False)``, ...). The same key reproduces the same draw sequence
+bit-for-bit on any platform; distinct stream ids give statistically
+independent streams and can be used concurrently without coordination.
 
 Parameter vectors are plain 1-D ``float64`` numpy arrays;
 :func:`check_finite` guards them at the boundaries.
 
 Every report, trace and manifest the library writes becomes bytes here:
 :func:`jsonable` turns results into plain JSON values, :func:`write_json`
-and :func:`write_csv` write the one JSON and the one CSV layout.
+and :func:`write_csv` write the one JSON and the one CSV layout, and
+:func:`read_json` reads back every JSON input the library takes.
 """
 
 from __future__ import annotations
@@ -24,64 +27,32 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 __all__ = [
-    "RngStream",
     "derive_stream",
     "kaiming_sample",
     "check_finite",
     "jsonable",
+    "read_json",
     "write_json",
     "write_csv",
 ]
 
 
-class RngStream:
-    """A seeded, splittable random stream (Philox 4x64).
-
-    Owned by exactly one logical task; derive separate streams for
-    concurrent work instead of sharing one.
-    """
-
-    def __init__(self, root_seed: int, stream_id: int):
-        if root_seed < 0 or stream_id < 0:
-            raise ValueError("root_seed and stream_id must be non-negative")
-        self.root_seed = int(root_seed)
-        self.stream_id = int(stream_id)
-        key = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
-        self.gen = np.random.Generator(np.random.Philox(key=key))
-
-    def normal(self, scale: float, size: int) -> np.ndarray:
-        return self.gen.normal(0.0, scale, size=size)
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        return self.gen.standard_normal(size)
-
-    def uniform(self, low: float, high: float, size=None):
-        return self.gen.uniform(low, high, size=size)
-
-    def integers(self, high: int, size=None) -> np.ndarray:
-        return self.gen.integers(0, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.gen.permutation(n)
-
-    def choice(self, n: int, size: int) -> np.ndarray:
-        return self.gen.choice(n, size=size, replace=False)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(root_seed={self.root_seed}, stream_id={self.stream_id})"
+def derive_stream(root_seed: int, stream_id: int) -> np.random.Generator:
+    """The Philox 4x64 generator keyed by ``(root_seed, stream_id)``, each
+    in [0, 2**64). Owned by exactly one logical task; derive separate
+    streams for concurrent work instead of sharing one."""
+    for name, value in (("root_seed", root_seed), ("stream_id", stream_id)):
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2**64), not {value}")
+    key = np.array([root_seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def derive_stream(root_seed: int, stream_id: int) -> RngStream:
-    """Create a deterministic stream for ``(root_seed, stream_id)``."""
-    return RngStream(root_seed, stream_id)
-
-
-def kaiming_sample(d: int, rng: RngStream) -> np.ndarray:
+def kaiming_sample(d: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a fresh parameter vector with i.i.d. Normal(0, 2/d) entries."""
     if d < 1:
         raise ValueError(f"invalid dimension d={d}; need d >= 1")
-    theta = rng.normal(np.sqrt(2.0 / d), d)
-    return theta
+    return rng.normal(0.0, np.sqrt(2.0 / d), d)
 
 
 def check_finite(arr: np.ndarray, what: str) -> None:
@@ -105,6 +76,15 @@ def jsonable(value):
     if isinstance(value, np.floating):
         return float(value)
     return value
+
+
+def read_json(text):
+    """The value of JSON ``text``; a ``ValueError`` if it is no JSON or
+    nests too deeply to parse."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nests too deeply to parse") from exc
 
 
 def write_json(path, value) -> None:

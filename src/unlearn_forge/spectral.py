@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import RngStream, check_finite, jsonable
+from .numcore import check_finite, jsonable
 
 __all__ = [
     "SpectralEstimate",
@@ -46,7 +46,7 @@ class SpectralEstimate:
         return jsonable(self)
 
 
-def _lanczos(obj, theta: np.ndarray, rng: RngStream):
+def _lanczos(obj, theta: np.ndarray, rng: np.random.Generator):
     """Extreme Ritz values of the Hessian of ``obj`` at ``theta``.
 
     Stops when both extreme Ritz residuals ``beta_k * |s_k|`` are at most
@@ -84,7 +84,7 @@ def _lanczos(obj, theta: np.ndarray, rng: RngStream):
     return ends[0][0], ends[1][0], k + 1, float(residual)
 
 
-def lambda_max(obj, theta: np.ndarray, rng: RngStream):
+def lambda_max(obj, theta: np.ndarray, rng: np.random.Generator):
     """Largest-magnitude Hessian eigenvalue of ``obj`` at ``theta``: the
     extreme Ritz value of one Lanczos run with the larger absolute value,
     so it is negative when the most negative eigenvalue dominates.
@@ -108,7 +108,7 @@ def condition_number(est: SpectralEstimate):
     return est.lambda_max / est.lambda_min
 
 
-def estimate_spectrum(obj, theta: np.ndarray, rng: RngStream) -> SpectralEstimate:
+def estimate_spectrum(obj, theta: np.ndarray, rng: np.random.Generator) -> SpectralEstimate:
     """Estimate both algebraic extreme eigenvalues and the condition number."""
     low, high, steps, residual = _lanczos(obj, theta, rng)
     est = SpectralEstimate(lambda_max=high, lambda_min=low, kappa=None, iterations_used=steps,

@@ -21,7 +21,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import ModelSpec, Objective
-from .numcore import RngStream, derive_stream, jsonable, kaiming_sample, write_csv
+from .numcore import derive_stream, jsonable, kaiming_sample, write_csv
 from .spectral import lambda_max
 
 __all__ = [
@@ -94,7 +94,7 @@ class TrainTrace:
     stop_reason: str  # converged | max_epochs
 
 
-def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: RngStream):
+def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: np.random.Generator):
     """Yield ``(point, eta, lambda_max)`` without end: ``obj`` evaluated at
     ``theta0`` (with ``eta`` and ``lambda_max`` None), then at the parameters
     after each epoch of ``cfg``'s rule, with the step size and the
@@ -131,7 +131,8 @@ def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: RngS
         point = obj.evaluate(theta)
 
 
-def train(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: RngStream) -> TrainTrace:
+def train(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig,
+          rng: np.random.Generator) -> TrainTrace:
     """Run the configured optimizer until the gradient norm drops below
     tolerance or the epoch budget runs out. Deterministic given
     ``(theta0, cfg, rng)``."""

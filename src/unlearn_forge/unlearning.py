@@ -40,7 +40,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
-from .numcore import RngStream, derive_stream, kaiming_sample, check_finite, jsonable
+from .numcore import derive_stream, kaiming_sample, check_finite, jsonable
 
 __all__ = [
     "UnlearnConfig",
@@ -153,7 +153,7 @@ def _eval_row(epoch, retain, forget, clip_active=False, teacher_probs=None) -> E
     )
 
 
-def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: RngStream) -> np.ndarray:
+def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: np.random.Generator) -> np.ndarray:
     """Iterative re-initialization trajectory, shape (steps + 1, d)."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -171,7 +171,7 @@ def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: RngStream) -> np.n
 # update rules: rule(cfg, rng, retain0, forget0) -> step(epoch, theta, retain, forget)
 
 
-def _ieu_rule(cfg: UnlearnConfig, rng: RngStream, retain0, forget0):
+def _ieu_rule(cfg: UnlearnConfig, rng: np.random.Generator, retain0, forget0):
     """The influence-eliminating update. It draws a fresh init every epoch,
     at alpha = 1 too, so ``ft`` (alpha = 1, c = 0) walks ieu's trajectory,
     and clips the forget gradient at ``CLIP_RATIO`` times the retain
@@ -194,7 +194,7 @@ def _ieu_rule(cfg: UnlearnConfig, rng: RngStream, retain0, forget0):
     return step
 
 
-def _relabel_rule(cfg: UnlearnConfig, rng: RngStream, retain0, forget0):
+def _relabel_rule(cfg: UnlearnConfig, rng: np.random.Generator, retain0, forget0):
     """Random labeling: descend the retain set plus the forget set with its
     labels resampled uniformly over the other C-1 classes each epoch; salun
     restricts the update to the coordinates salient at the start."""
@@ -226,7 +226,7 @@ def _saliency_mask(forget, fraction: float) -> np.ndarray:
     return mask
 
 
-def _scrub_rule(cfg: UnlearnConfig, rng: RngStream, retain0, forget0):
+def _scrub_rule(cfg: UnlearnConfig, rng: np.random.Generator, retain0, forget0):
     """Distillation with the input checkpoint as teacher: ascend the forget
     KL for the first ``scrub_max_epochs`` epochs, descend cross-entropy
     plus the retain KL throughout."""

@@ -26,7 +26,7 @@ from .checkpoints import Checkpoint
 from .datasets import SplitDataset, gen_blobs, split_random, split_objective
 from .models import Objective, make_quadratic, logistic_spec, mlp_spec
 from .metrics import rcd, mia_threshold_attack, eval_report, MiaResult
-from .numcore import RngStream, derive_stream, jsonable, kaiming_sample
+from .numcore import derive_stream, jsonable, kaiming_sample
 from .spectral import estimate_spectrum
 from .training import OptimizerConfig, train, retrain_oracle, forget_oracle
 from .unlearning import UnlearnConfig, unlearn, irp_run, retain_bound_monitor
@@ -91,8 +91,8 @@ def _random_quadratics(count: int = 50):
         lam_min = beta / kappa
         interior = np.sort(rng.uniform(lam_min, beta, size=max(d - 2, 0)))[::-1]
         spectrum = np.concatenate([[beta], interior, [lam_min]])
-        theta_star = rng.normal(1.0, d)
-        theta0 = theta_star + rng.normal(1.0, d)
+        theta_star = rng.normal(0.0, 1.0, d)
+        theta0 = theta_star + rng.normal(0.0, 1.0, d)
         tasks.append({
             "spectrum": spectrum,
             "theta_star": theta_star,
@@ -227,7 +227,7 @@ def check_spectral_accuracy() -> CheckResult:
         a = float(rng.uniform(0.5, 50.0))
         spectrum = a * (1.0 / ratio) ** np.arange(d)
         obj = make_quadratic(spectrum, np.zeros(d), 0.0)
-        est = estimate_spectrum(obj, rng.normal(1.0, d), rng=rng)
+        est = estimate_spectrum(obj, rng.normal(0.0, 1.0, d), rng=rng)
         rel_max = abs(est.lambda_max - spectrum[0]) / spectrum[0]
         rel_min = abs(est.lambda_min - spectrum[-1]) / spectrum[-1]
         worst_rel = max(worst_rel, rel_max, rel_min)
@@ -434,7 +434,7 @@ def check_mia_brute_force_equivalence() -> CheckResult:
     for trial in range(25):
         sizes = [int(rng.integers(199)) + 1 for _ in range(3)]
         if trial % 2 == 0:
-            views = [np.abs(rng.normal(1.0, s)) for s in sizes]
+            views = [np.abs(rng.normal(0.0, 1.0, s)) for s in sizes]
         else:  # quantized losses force heavy ties
             views = [rng.integers(5, size=s).astype(float) / 2.0 for s in sizes]
         fast = mia_threshold_attack(*views)

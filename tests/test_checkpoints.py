@@ -175,6 +175,7 @@ _MALFORMED = {
     "number-header": (b"3", _PAYLOAD),
     "not-utf8": (b"\xff\xfe{}", _PAYLOAD),
     "not-json": (b'{"role": ', _PAYLOAD),
+    "deep-header": (b"[" * 200_000 + b"]" * 200_000, _PAYLOAD),
     "ragged-payload": (json.dumps(_toy_header(_THETA)).encode(), _PAYLOAD[:-3]),
     "float-dim": (json.dumps(_toy_header(_THETA, dim=float(_THETA.size))).encode(), _PAYLOAD),
     "list-extra": (json.dumps(_toy_header(_THETA, extra=[])).encode(), _PAYLOAD),

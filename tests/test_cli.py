@@ -1,13 +1,15 @@
 import csv
+import hashlib
 import io
 import json
+import struct
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unlearn_forge.checkpoints import load_checkpoint, save_checkpoint
+from unlearn_forge.checkpoints import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from unlearn_forge.cli import cli
 
 
@@ -365,6 +367,35 @@ def test_bad_dataset_header_exits_one(runs_dir, tmp_path, capsys, header, named)
     assert cli(["eval", "--data", str(bad), "--ckpt", ckpt]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 1)])
+def test_seed_must_fit_the_stream_key(runs_dir, capsys, seed, code):
+    assert cli(["gen-data", "--seed", str(seed), "--n-per-class", "10"]) == code
+    assert ("error: root_seed must lie in [0, 2**64)" in capsys.readouterr().err) == (code == 1)
+
+
+_DEEP = b"[" * 200_000 + b"]" * 200_000
+
+
+@pytest.mark.parametrize("boundary", ["config", "uds-header", "ieuc-header", "compare-report"])
+def test_deeply_nested_json_exits_one(runs_dir, tmp_path, capsys, boundary):
+    """JSON nested past what the parser can recurse into is refused at each
+    input boundary that reads JSON."""
+    data, ckpt = _trained(tmp_path, capsys)
+    deep = tmp_path / "deep"
+    if boundary == "ieuc-header":  # with a valid hash, so the header gets parsed
+        body = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(_DEEP)) + _DEEP
+        deep.write_bytes(body + hashlib.sha256(body).digest())
+    else:
+        deep.write_bytes(_DEEP + b"\n")
+    argv = {"config": ["gen-data", "--seed", "1", "--config", str(deep)],
+            "uds-header": ["eval", "--data", str(deep), "--ckpt", ckpt],
+            "ieuc-header": ["eval", "--data", str(data), "--ckpt", str(deep)],
+            "compare-report": ["compare", str(deep)]}[boundary]
+    assert cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nests too deeply" in err
 
 
 def test_checkpoint_of_no_classifier_exits_one(runs_dir, tmp_path, capsys):

@@ -12,7 +12,7 @@ from unlearn_forge.metrics import (
     eval_report,
 )
 from unlearn_forge.models import make_quadratic, logistic_spec, mlp_spec
-from unlearn_forge.numcore import derive_stream, kaiming_sample
+from unlearn_forge.numcore import derive_stream, kaiming_sample, read_json, write_json
 from unlearn_forge.training import OptimizerConfig, train, retrain_oracle
 
 
@@ -154,9 +154,9 @@ def test_eval_report_roundtrip(tmp_path, trained_world):
     ckpt, ds, _ = trained_world
     rep = eval_report(ckpt, ds)
     path = tmp_path / "eval.json"
-    rep.save(path)
+    write_json(path, rep)
     from unlearn_forge.metrics import EvalReport
 
-    back = EvalReport.from_dict(json.loads(path.read_text()))
+    back = EvalReport.from_dict(read_json(path.read_text()))
     assert back.accuracies == rep.accuracies
     assert back.mia_rate == rep.mia_rate

@@ -26,7 +26,7 @@ def _fd_hvp(obj, theta, v, h=1e-6):
 
 def _random_task(spec, n, seed):
     rng = derive_stream(seed, 0)
-    X = rng.normal(1.0, n * spec.n_features).reshape(n, spec.n_features)
+    X = rng.normal(0.0, 1.0, n * spec.n_features).reshape(n, spec.n_features)
     y = rng.integers(spec.num_classes, size=n)
     return make_classifier(spec, X, y)
 
@@ -62,7 +62,7 @@ def test_quadratic_spectrum_validation():
 def test_logistic_gradient_matches_finite_differences():
     spec = logistic_spec(4, 3)
     obj = _random_task(spec, 40, 1)
-    theta = derive_stream(2, 0).normal(0.5, spec.param_count)
+    theta = derive_stream(2, 0).normal(0.0, 0.5, spec.param_count)
     g = obj.gradient(theta)
     assert np.allclose(g, _fd_gradient(obj, theta), rtol=1e-5, atol=1e-8)
 
@@ -70,8 +70,8 @@ def test_logistic_gradient_matches_finite_differences():
 def test_logistic_hvp_matches_finite_differences():
     spec = logistic_spec(3, 4)
     obj = _random_task(spec, 30, 3)
-    theta = derive_stream(4, 0).normal(0.5, spec.param_count)
-    v = derive_stream(5, 0).normal(1.0, spec.param_count)
+    theta = derive_stream(4, 0).normal(0.0, 0.5, spec.param_count)
+    v = derive_stream(5, 0).normal(0.0, 1.0, spec.param_count)
     assert np.allclose(obj.hvp(theta, v), _fd_hvp(obj, theta, v), rtol=1e-4, atol=1e-7)
 
 
@@ -91,9 +91,9 @@ def _task_of_kind(kind):
 def test_hvp_linearity_and_symmetry(kind):
     obj = _task_of_kind(kind)
     d = obj.spec.param_count
-    theta = derive_stream(7, 0).normal(0.5, d)
-    u = derive_stream(8, 0).normal(1.0, d)
-    v = derive_stream(9, 0).normal(1.0, d)
+    theta = derive_stream(7, 0).normal(0.0, 0.5, d)
+    u = derive_stream(8, 0).normal(0.0, 1.0, d)
+    v = derive_stream(9, 0).normal(0.0, 1.0, d)
     assert np.allclose(obj.hvp(theta, 2 * u + v),
                        2 * obj.hvp(theta, u) + obj.hvp(theta, v))
     assert np.dot(u, obj.hvp(theta, v)) == pytest.approx(np.dot(v, obj.hvp(theta, u)))
@@ -114,7 +114,7 @@ def test_hvp_linearity_and_symmetry(kind):
 def test_mlp_gradient_matches_finite_differences():
     spec = mlp_spec([4, 6, 3])
     obj = _random_task(spec, 30, 11)
-    theta = derive_stream(12, 0).normal(0.5, spec.param_count)
+    theta = derive_stream(12, 0).normal(0.0, 0.5, spec.param_count)
     assert np.allclose(obj.gradient(theta), _fd_gradient(obj, theta),
                        rtol=1e-5, atol=1e-7)
 
@@ -122,8 +122,8 @@ def test_mlp_gradient_matches_finite_differences():
 def test_mlp_hvp_matches_finite_differences():
     spec = mlp_spec([3, 5, 5, 3])
     obj = _random_task(spec, 20, 13)
-    theta = derive_stream(14, 0).normal(0.5, spec.param_count)
-    v = derive_stream(15, 0).normal(1.0, spec.param_count)
+    theta = derive_stream(14, 0).normal(0.0, 0.5, spec.param_count)
+    v = derive_stream(15, 0).normal(0.0, 1.0, spec.param_count)
     assert np.allclose(obj.hvp(theta, v), _fd_hvp(obj, theta, v), rtol=1e-4, atol=1e-6)
 
 
@@ -139,7 +139,7 @@ def test_mlp_param_count():
 def test_per_example_loss_mean_equals_value():
     spec = logistic_spec(4, 3)
     obj = _random_task(spec, 37, 16)
-    theta = derive_stream(17, 0).normal(0.5, spec.param_count)
+    theta = derive_stream(17, 0).normal(0.0, 0.5, spec.param_count)
     assert obj.per_example_loss(theta).mean() == pytest.approx(obj.value(theta))
 
 
@@ -154,7 +154,7 @@ def test_subset_view():
 def test_accuracy_bounds():
     spec = mlp_spec([4, 6, 3])
     obj = _random_task(spec, 30, 19)
-    theta = derive_stream(20, 0).normal(0.5, spec.param_count)
+    theta = derive_stream(20, 0).normal(0.0, 0.5, spec.param_count)
     assert 0.0 <= obj.accuracy(theta) <= 1.0
 
 

@@ -42,17 +42,17 @@ class _NegativeDominant:
 
 def _negative_dominant():
     obj = _NegativeDominant()
-    return obj, derive_stream(3, 2).normal(1.0, obj.EIGS.size)
+    return obj, derive_stream(3, 2).normal(0.0, 1.0, obj.EIGS.size)
 
 
 def _relu_mlp(seed=1):
     """A small ReLU MLP objective at a random point."""
     spec = mlp_spec([2, 4, 2])
     rng = derive_stream(3, seed)
-    X = rng.normal(1.0, 40).reshape(20, 2)
+    X = rng.normal(0.0, 1.0, 40).reshape(20, 2)
     y = rng.integers(2, size=20)
     obj = make_classifier(spec, X, y)
-    return obj, rng.normal(2.0, spec.param_count)
+    return obj, rng.normal(0.0, 2.0, spec.param_count)
 
 
 def test_known_spectrum_extremes():

@@ -55,7 +55,7 @@ def test_sgd_shuffle_is_seeded():
 
     obj = split_objective(ds, logistic_spec(4, 3), "train")
     cfg = OptimizerConfig(kind="sgd", eta=0.1, batch_size=16, max_epochs=5)
-    theta0 = derive_stream(5, 0).normal(0.1, obj.spec.param_count)
+    theta0 = derive_stream(5, 0).normal(0.0, 0.1, obj.spec.param_count)
     a = train(obj, theta0, cfg, derive_stream(6, 0)).theta
     b = train(obj, theta0, cfg, derive_stream(6, 0)).theta
     c = train(obj, theta0, cfg, derive_stream(7, 0)).theta
@@ -69,7 +69,7 @@ def test_adam_reduces_loss():
 
     obj = split_objective(ds, logistic_spec(4, 3), "train")
     cfg = OptimizerConfig(kind="adam", eta=0.05, max_epochs=50)
-    theta0 = derive_stream(9, 0).normal(0.1, obj.spec.param_count)
+    theta0 = derive_stream(9, 0).normal(0.0, 0.1, obj.spec.param_count)
     trace = train(obj, theta0, cfg, derive_stream(10, 0))
     assert trace.records[-1].loss < 0.5 * trace.records[0].loss
 
