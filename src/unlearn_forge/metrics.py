@@ -25,7 +25,7 @@ from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
 from .numcore import jsonable, write_csv
-from .spectral import SpectralEstimate, estimate_spectrum, condition_number
+from .spectral import SpectralEstimate, _spectrum_at, condition_number
 from .training import OptimizerConfig, _descend
 
 __all__ = [
@@ -92,12 +92,14 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
     theta0 = np.array(theta0, dtype=np.float64)
     errors = np.empty(K + 1)
     for t, (point, _, _) in zip(range(K + 1), _descend(forget_obj, theta0, relearn_cfg, rng)):
+        if t == 0:
+            point0 = point
         errors[t] = e = phi(point) - phi_ref
         if not np.isfinite(e):
             raise FloatingPointError(f"non-finite relearning error at epoch {t}: phi={phi(point)}")
     bound = diag = est = None
     if attach_bound and phi_kind == "loss":  # kappa at theta0 times the loss gap there
-        est = estimate_spectrum(forget_obj, theta0, rng=rng)
+        est = _spectrum_at(point0, rng)
         kappa = condition_number(est)
         if isinstance(kappa, str):
             diag = kappa
@@ -128,24 +130,24 @@ def mia_threshold_attack(member_losses: np.ndarray, nonmember_losses: np.ndarray
 
     Candidate thresholds are the midpoints of the sorted pooled losses plus
     both extremes; ties in balanced accuracy resolve to the smallest
-    threshold.
+    threshold. Each candidate's member and non-member counts come from a
+    binary search in the sorted losses, so the sweep is O(n log n).
     """
     if len(member_losses) == 0 or len(nonmember_losses) == 0 or len(audit_losses) == 0:
         raise ValueError("all three loss views must be non-empty")
-    pooled = np.sort(np.concatenate([member_losses, nonmember_losses]))
+    members, nonmembers = np.sort(member_losses), np.sort(nonmember_losses)
+    pooled = np.sort(np.concatenate([members, nonmembers]))
     mids = (pooled[:-1] + pooled[1:]) / 2.0
     candidates = np.concatenate([[pooled[0] - 1.0], mids, [pooled[-1] + 1.0]])
-    best_tau, best_acc = candidates[0], -1.0
-    for tau in candidates:
-        tpr = np.mean(member_losses <= tau)
-        tnr = np.mean(nonmember_losses > tau)
-        acc = 0.5 * (tpr + tnr)
-        if acc > best_acc:
-            best_acc, best_tau = acc, tau
+    m, nm = len(members), len(nonmembers)
+    tpr = np.searchsorted(members, candidates, side="right") / m  # share with loss <= tau
+    tnr = (nm - np.searchsorted(nonmembers, candidates, side="right")) / nm
+    acc = 0.5 * (tpr + tnr)
+    best = np.argmax(acc)  # the first maximum: the smallest threshold among ties
     return MiaResult(
-        threshold=float(best_tau),
-        balanced_accuracy=float(best_acc),
-        forget_member_rate=float(np.mean(audit_losses <= best_tau)),
+        threshold=float(candidates[best]),
+        balanced_accuracy=float(acc[best]),
+        forget_member_rate=float(np.mean(audit_losses <= candidates[best])),
     )
 
 

@@ -76,6 +76,21 @@ class ModelSpec:
     def is_classifier(self) -> bool:
         return self.kind in ("logistic", "mlp") and self.num_classes >= 2
 
+    @property
+    def constant_hessian(self) -> bool:
+        """Whether the loss Hessian is the same at every theta: the
+        quadratic oracle's is diag(spectrum)."""
+        return self.kind == "quadratic"
+
+    @cached_property
+    def _quadratic_arrays(self):
+        """``spectrum`` and ``theta_star`` as read-only float64 arrays,
+        built once per spec for the quadratic points."""
+        arrays = np.array(self.spectrum), np.array(self.theta_star)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
     def to_dict(self) -> dict:
         return jsonable(self)
 
@@ -214,8 +229,8 @@ class _Point:
 class _QuadraticPoint(_Point):
     def __init__(self, obj, theta):
         super().__init__(obj, theta)
-        self.spectrum = np.asarray(obj.spec.spectrum)
-        r = theta - np.asarray(obj.spec.theta_star)
+        self.spectrum, theta_star = obj.spec._quadratic_arrays
+        r = theta - theta_star
         self.loss = float(0.5 * np.dot(self.spectrum * r, r) + obj.spec.l_star)
         self._gradient = self.spectrum * r
 

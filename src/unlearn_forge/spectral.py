@@ -46,8 +46,9 @@ class SpectralEstimate:
         return jsonable(self)
 
 
-def _lanczos(obj, theta: np.ndarray, rng: np.random.Generator):
-    """Extreme Ritz values of the Hessian of ``obj`` at ``theta``.
+def _lanczos(point, rng: np.random.Generator):
+    """Extreme Ritz values of the Hessian at an evaluated ``point``, whose
+    HVPs reuse its forward pass.
 
     Stops when both extreme Ritz residuals ``beta_k * |s_k|`` are at most
     ``LANCZOS_TOL``, on breakdown, or after ``min(d, LANCZOS_MAX_ITER)``
@@ -55,11 +56,11 @@ def _lanczos(obj, theta: np.ndarray, rng: np.random.Generator):
     """
     from scipy.linalg.lapack import dstebz, dstein  # deferred: scipy.linalg is slow to import
 
-    steps = min(theta.size, LANCZOS_MAX_ITER)
-    q = rng.standard_normal(theta.size)
+    d = point.theta.size
+    steps = min(d, LANCZOS_MAX_ITER)
+    q = rng.standard_normal(d)
     Q = (q / np.linalg.norm(q))[None]  # the Lanczos basis, one row per step, grown by doubling
     alphas, betas = [], []
-    point = obj.evaluate(theta)
     for k in range(steps):
         w = point.hvp(Q[k])
         check_finite(w, "Hessian-vector product in Lanczos")
@@ -93,7 +94,12 @@ def lambda_max(obj, theta: np.ndarray, rng: np.random.Generator):
     the final residual, the number of Lanczos steps and whether it met
     ``LANCZOS_TOL``.
     """
-    low, high, steps, residual = _lanczos(obj, theta, rng)
+    return _lambda_max_at(obj.evaluate(theta), rng)
+
+
+def _lambda_max_at(point, rng: np.random.Generator):
+    """``lambda_max`` at a point the caller has already evaluated."""
+    low, high, steps, residual = _lanczos(point, rng)
     lam = high if abs(high) >= abs(low) else low
     return lam, {"residual": residual, "iterations": steps, "converged": residual <= LANCZOS_TOL}
 
@@ -110,7 +116,12 @@ def condition_number(est: SpectralEstimate):
 
 def estimate_spectrum(obj, theta: np.ndarray, rng: np.random.Generator) -> SpectralEstimate:
     """Estimate both algebraic extreme eigenvalues and the condition number."""
-    low, high, steps, residual = _lanczos(obj, theta, rng)
+    return _spectrum_at(obj.evaluate(theta), rng)
+
+
+def _spectrum_at(point, rng: np.random.Generator) -> SpectralEstimate:
+    """``estimate_spectrum`` at a point the caller has already evaluated."""
+    low, high, steps, residual = _lanczos(point, rng)
     est = SpectralEstimate(lambda_max=high, lambda_min=low, kappa=None, iterations_used=steps,
                            residual=residual, psd_flag=low > -LANCZOS_TOL)
     kappa = condition_number(est)

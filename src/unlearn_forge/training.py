@@ -2,14 +2,16 @@
 reference models.
 
 Four update rules are provided: fixed-step gradient descent, gradient
-descent with the adaptive step eta/lambda_max re-estimated each epoch,
-minibatch SGD with a seeded epoch shuffle, and Adam. One descent driver
-yields the objective evaluated at the start and after each epoch of the
-configured rule; ``train`` and the relearning of ``metrics.rcd`` both read
-their points from it, so they walk one trajectory. ``train`` declares
-convergence when the full-batch gradient norm drops below
-``grad_norm_tol``; the finite criterion is recorded in every checkpoint
-because downstream metrics treat these models as converged references.
+descent with the adaptive step eta/lambda_max (re-estimated each epoch, or
+estimated once per run when the Hessian does not depend on the
+parameters), minibatch SGD with a seeded epoch shuffle, and Adam. One
+descent driver yields the objective evaluated at the start and after each
+epoch of the configured rule; ``train`` and the relearning of
+``metrics.rcd`` both read their points from it, so they walk one
+trajectory. ``train`` declares convergence when the full-batch gradient
+norm drops below ``grad_norm_tol``; the finite criterion is recorded in
+every checkpoint because downstream metrics treat these models as
+converged references.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import ModelSpec, Objective
 from .numcore import derive_stream, jsonable, kaiming_sample, write_csv
-from .spectral import lambda_max
+from .spectral import _lambda_max_at
 
 __all__ = [
     "OptimizerConfig",
@@ -99,7 +101,13 @@ def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: np.r
     ``theta0`` (with ``eta`` and ``lambda_max`` None), then at the parameters
     after each epoch of ``cfg``'s rule, with the step size and the
     ``gd_adaptive`` curvature that epoch used. An epoch is taken only when
-    the next point is asked for, so a caller that stops draws no more."""
+    the next point is asked for, so a caller that stops draws no more.
+
+    ``gd_adaptive`` runs Lanczos at the point each epoch starts from, or
+    only at the first when ``obj.spec.constant_hessian``: a quadratic's
+    lambda_max is the same at every theta. So on a quadratic ``rng`` gives
+    one Lanczos start vector per run, not one per epoch, and a later draw
+    from it (``rcd``'s bound) sees the stream in that state."""
     n, bs = obj.n_examples, cfg.batch_size
     full_batch = bs == "full" or bs >= n  # so always for a quadratic, which has n = 0
     point, eta, lam = obj.evaluate(np.array(theta0, dtype=np.float64)), None, None
@@ -108,9 +116,10 @@ def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: np.r
         yield point, eta, lam
         theta, eta = point.theta, cfg.eta
         if cfg.kind == "gd_adaptive":
-            lam, _ = lambda_max(obj, theta, rng=rng)
-            if lam <= 0:
-                raise DivergenceError("adaptive step-size needs a positive lambda_max")
+            if lam is None or not obj.spec.constant_hessian:
+                lam, _ = _lambda_max_at(point, rng)
+                if lam <= 0:
+                    raise DivergenceError("adaptive step-size needs a positive lambda_max")
             eta = cfg.eta / lam
         if full_batch:
             batches = (None,)  # the one batch; its gradient comes from the point

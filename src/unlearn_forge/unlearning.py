@@ -175,20 +175,23 @@ def _ieu_rule(cfg: UnlearnConfig, rng: np.random.Generator, retain0, forget0):
     """The influence-eliminating update. It draws a fresh init every epoch,
     at alpha = 1 too, so ``ft`` (alpha = 1, c = 0) walks ieu's trajectory,
     and clips the forget gradient at ``CLIP_RATIO`` times the retain
-    gradient's norm before the ascent term."""
+    gradient's norm before the ascent term. At c = 0 there is no ascent
+    term, so the forget gradient is never taken."""
     alpha, c, eta = cfg.alpha, cfg.c, cfg.eta
 
     def step(epoch, theta, retain, forget):
-        grad_r, grad_f = retain.gradient(), forget.gradient()
+        grad_r = retain.gradient()
         check_finite(grad_r, "retain gradient")
-        check_finite(grad_f, "forget gradient")
         clipped = False
+        theta_init = kaiming_sample(theta.size, rng)
+        theta = alpha * theta + (1.0 - alpha) * theta_init - eta * grad_r
         if c > 0:
+            grad_f = forget.gradient()
+            check_finite(grad_f, "forget gradient")
             gr, gf = np.linalg.norm(grad_r), np.linalg.norm(grad_f)
             if gr > 0 and gf > CLIP_RATIO * gr:
                 grad_f, clipped = grad_f * (CLIP_RATIO * gr / gf), True
-        theta_init = kaiming_sample(theta.size, rng)
-        theta = alpha * theta + (1.0 - alpha) * theta_init - eta * grad_r + c * eta * grad_f
+            theta = theta + c * eta * grad_f
         return theta, {"clip_active": clipped}
 
     return step

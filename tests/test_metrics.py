@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unlearn_forge.checkpoints import Checkpoint
 from unlearn_forge.datasets import gen_blobs, split_random, split_objective
@@ -14,6 +15,7 @@ from unlearn_forge.metrics import (
 from unlearn_forge.models import make_quadratic, logistic_spec, mlp_spec
 from unlearn_forge.numcore import derive_stream, kaiming_sample, read_json, write_json
 from unlearn_forge.training import OptimizerConfig, train, retrain_oracle
+from unlearn_forge.verify import _mia_brute_force
 
 
 def _adaptive_cfg():
@@ -43,6 +45,20 @@ def test_rcd_finite_tail_formula():
               derive_stream(2, 0))
     tail = 22.0 / 7.0 - rep.rcd_value
     assert tail == pytest.approx(0.5 * 0.5625 ** 11 / 0.4375, rel=1e-9)
+
+
+def test_adaptive_rcd_on_a_d12_quadratic_is_the_finite_geometric_sum():
+    # eta = 1/lambda_max scales coordinate i by rho_i = 1 - s_i/s_max each
+    # epoch, so e_t = 0.5 sum_i s_i rho_i^(2t) r_i^2 and the K + 1 terms sum
+    # in closed form
+    spectrum = np.linspace(10.0, 0.5, 12)
+    r0 = np.linspace(-1.0, 2.0, 12)
+    K = 40
+    rep = rcd(r0, make_quadratic(spectrum, np.zeros(12), 0.0), 0.0, K, _adaptive_cfg(), "loss",
+              derive_stream(4, 0), attach_bound=False)
+    ratio = (1.0 - spectrum / spectrum[0]) ** 2
+    closed = 0.5 * np.sum(spectrum * r0 ** 2 * (1.0 - ratio ** (K + 1)) / (1.0 - ratio))
+    assert rep.rcd_value == pytest.approx(closed, rel=1e-9, abs=0.0)
 
 
 def test_rcd_negative_k_rejected():
@@ -106,6 +122,20 @@ def test_mia_tie_breaks_to_smallest_threshold():
     # indistinguishable: accuracy 0.5 everywhere, smallest candidate wins
     assert res.balanced_accuracy == 0.5
     assert res.threshold == 0.0
+
+
+# quarter-step losses from a few values force ties within and across the views
+_LOSS_VIEW = st.lists(st.integers(0, 6).map(lambda k: k / 4.0)
+                      | st.floats(0.0, 5.0, allow_nan=False), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LOSS_VIEW, _LOSS_VIEW, _LOSS_VIEW)
+def test_mia_matches_the_brute_force_sweep(member, nonmember, audit):
+    fast = mia_threshold_attack(np.array(member), np.array(nonmember), np.array(audit))
+    slow = _mia_brute_force(member, nonmember, audit)
+    assert (fast.threshold, fast.balanced_accuracy, fast.forget_member_rate) == (
+        slow.threshold, slow.balanced_accuracy, slow.forget_member_rate)
 
 
 def test_mia_empty_view_rejected():

@@ -3,9 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from unlearn_forge.datasets import gen_blobs, split_random
+from unlearn_forge import spectral
+from unlearn_forge.datasets import gen_blobs, split_objective, split_random
+from unlearn_forge.metrics import rcd
 from unlearn_forge.models import make_quadratic, logistic_spec
-from unlearn_forge.numcore import derive_stream
+from unlearn_forge.numcore import derive_stream, kaiming_sample
 from unlearn_forge.training import (
     OptimizerConfig,
     DivergenceError,
@@ -31,6 +33,47 @@ def test_adaptive_step_one_shot_on_isotropic():
     trace = train(obj, np.array([1.0, -2.0]), cfg, derive_stream(1, 0))
     assert trace.stop_reason == "converged"
     assert trace.records[-1].epoch <= 1
+
+
+def _adaptive_quadratic():
+    return make_quadratic(np.linspace(8.0, 1.0, 6), np.ones(6), 0.0), np.zeros(6)
+
+
+def _adaptive_logistic():
+    spec = logistic_spec(4, 3)
+    obj = split_objective(gen_blobs(10, 3, 4, separation=0.5, noise_sd=1.0, seed=3), spec, "train")
+    return obj, kaiming_sample(spec.param_count, derive_stream(3, 1))
+
+
+def _adaptive_train(obj, theta0, epochs):
+    cfg = OptimizerConfig(kind="gd_adaptive", eta=1.0, max_epochs=epochs, grad_norm_tol=0.0)
+    return train(obj, theta0, cfg, derive_stream(3, 2)).records
+
+
+def _adaptive_rcd(obj, theta0, epochs):
+    cfg = OptimizerConfig(kind="gd_adaptive", eta=1.0, max_epochs=1)
+    rcd(theta0, obj, 0.0, epochs, cfg, "loss", derive_stream(3, 2), attach_bound=False)
+
+
+@pytest.mark.parametrize("loop", [_adaptive_train, _adaptive_rcd], ids=["train", "rcd"])
+@pytest.mark.parametrize("make,runs", [(_adaptive_quadratic, 1), (_adaptive_logistic, 7)],
+                         ids=["quadratic", "logistic"])
+def test_adaptive_lanczos_runs_per_epoch_unless_the_hessian_is_constant(monkeypatch, loop,
+                                                                       make, runs):
+    calls = []
+    lanczos = spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos", lambda *a: calls.append(1) or lanczos(*a))
+    loop(*make(), 7)
+    assert len(calls) == runs
+
+
+def test_adaptive_records_on_a_quadratic_share_one_lambda_max():
+    records = _adaptive_train(*_adaptive_quadratic(), 7)
+    assert records[0].lambda_max is None and records[0].eta is None
+    lams = {r.lambda_max for r in records[1:]}
+    assert len(records) == 8 and len(lams) == 1
+    assert lams.pop() == pytest.approx(8.0, rel=1e-9)
+    assert {r.eta for r in records[1:]} == {1.0 / records[1].lambda_max}
 
 
 def test_convergence_stop_reason():

@@ -74,6 +74,18 @@ def test_ieu_epoch(world, passes):
     assert _one_epoch(passes, run) == (2, 2)
 
 
+@pytest.mark.parametrize("method,alpha", [("ft", 1.0), ("ieu", 0.99)], ids=["ft", "ieu"])
+def test_epoch_without_ascent_takes_no_forget_backward(world, passes, method, alpha):
+    # at c = 0 the forget point serves only the trace row's loss and accuracy
+    ds, ckpt = world
+
+    def run(epochs):
+        unlearn(ckpt, ds, UnlearnConfig(method=method, alpha=alpha, c=0.0, eta=0.05,
+                                        epochs=epochs, seed=0))
+
+    assert _one_epoch(passes, run) == (2, 1)
+
+
 def _unlearn(world, method):
     ds, ckpt = world
     return lambda epochs: unlearn(ckpt, ds, UnlearnConfig(method=method, eta=0.05,
@@ -106,6 +118,16 @@ def test_loss_rcd_epoch(world, passes):
     assert _one_epoch(passes, run) == (1, 1)
 
 
+def test_loss_rcd_bound_runs_on_the_first_point(world, passes):
+    # K = 2 walks three points and takes two steps; Lanczos for the bound
+    # runs its HVPs on the point at theta0, so it adds no pass
+    ds, ckpt = world
+    forget = split_objective(ds, ckpt.spec, "forget")
+    cfg = OptimizerConfig(kind="gd_fixed", eta=0.05, max_epochs=1)
+    assert passes(lambda: rcd(ckpt.theta, forget, 0.0, 2, cfg, "loss", derive_stream(0, 2),
+                              attach_bound=True)) == (3, 2)
+
+
 def _rcd_run(world, cfg):
     ds, ckpt = world
     forget = split_objective(ds, ckpt.spec, "forget")
@@ -134,10 +156,10 @@ def test_minibatch_epoch(world, passes, kind, loop, epoch):
 
 @pytest.mark.parametrize("loop", [_rcd_run, _train_run], ids=["rcd", "train"])
 def test_adaptive_epoch(world, passes, loop):
-    # lambda_max evaluates the point again for its HVPs, then the step takes
-    # the point's gradient
+    # Lanczos runs its HVPs on the point the epoch starts from, then the step
+    # takes that point's gradient
     cfg = OptimizerConfig(kind="gd_adaptive", eta=1.0, max_epochs=1)
-    assert _one_epoch(passes, loop(world, cfg)) == (2, 1)
+    assert _one_epoch(passes, loop(world, cfg)) == (1, 1)
 
 
 def test_spectrum_estimate_is_one_forward(world, passes):
