@@ -181,8 +181,6 @@ def _cmd_gen_data(cfg: dict, seed) -> int:
 
 
 def _cmd_train(cfg: dict, seed) -> int:
-    if not cfg["data"] or not cfg["model"]:
-        raise UsageError("train requires --data and --model")
     ds = load_uds(cfg["data"])
     spec = _parse_model(cfg["model"])
     ocfg = _opt_config(cfg)
@@ -204,8 +202,6 @@ def _cmd_train(cfg: dict, seed) -> int:
 
 
 def _cmd_retrain(cfg: dict, seed) -> int:
-    if not cfg["data"] or not cfg["ckpt"]:
-        raise UsageError("retrain requires --data and --ckpt")
     ds = load_uds(cfg["data"])
     original = load_checkpoint(cfg["ckpt"])
     ck = retrain_oracle(ds, original.spec, _oracle_config(original, cfg["ckpt"]), seed)
@@ -218,8 +214,6 @@ def _cmd_retrain(cfg: dict, seed) -> int:
 
 
 def _cmd_unlearn(cfg: dict, seed) -> int:
-    if not cfg["data"] or not cfg["ckpt"] or not cfg["method"]:
-        raise UsageError("unlearn requires --data, --ckpt and --method")
     ukw = {k: v for k, v in cfg.items()
            if k not in ("data", "ckpt") and v is not None}
     ucfg = UnlearnConfig(seed=seed, **ukw)
@@ -241,8 +235,6 @@ def _cmd_unlearn(cfg: dict, seed) -> int:
 
 
 def _cmd_rcd(cfg: dict, seed) -> int:
-    if not cfg["data"] or not cfg["ckpt"]:
-        raise UsageError("rcd requires --data and --ckpt")
     ds = load_uds(cfg["data"])
     ckpt = load_checkpoint(cfg["ckpt"])
     step = _parse_step(cfg["step"])
@@ -314,8 +306,6 @@ def _oracle_config(ckpt: Checkpoint, path) -> OptimizerConfig:
 
 
 def _cmd_eval(cfg: dict, seed) -> int:
-    if not cfg["data"] or not cfg["ckpt"]:
-        raise UsageError("eval requires --data and --ckpt")
     ds = load_uds(cfg["data"])
     ckpt = load_checkpoint(cfg["ckpt"])
     reference = None
@@ -372,15 +362,18 @@ def _build_parser() -> tuple[_Parser, dict]:
                      description="desk-scale machine unlearning laboratory")
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, fn, *paths, seed_required=True, **kwargs):
+    def add(name, fn, *required, seed_required=True, **kwargs):
+        # cli() refuses a required flag left unset or empty once --config is
+        # resolved; --data and --ckpt are added here, other flags by the caller
         p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
                            **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, required=required)
         p.add_argument("--seed", type=int, required=seed_required, default=0, help="root seed")
         p.add_argument("--config", help="JSON file whose values replace this command's "
                        "defaults; flags given on the command line still win")
-        for flag in paths:
-            p.add_argument(flag, help={"--data": ".uds dataset", "--ckpt": "checkpoint"}[flag])
+        for flag, text in (("--data", ".uds dataset"), ("--ckpt", "checkpoint")):
+            if flag in required:
+                p.add_argument(flag, help=text)
         return p
 
     p = add("gen-data", _cmd_gen_data)
@@ -396,7 +389,7 @@ def _build_parser() -> tuple[_Parser, dict]:
                    help="share of train points, or of classes, to forget")
     p.add_argument("--out", help="dataset path; None writes it into the run directory")
 
-    p = add("train", _cmd_train, "--data")
+    p = add("train", _cmd_train, "--data", "--model")
     p.add_argument("--model", help="logistic:p,C or mlp:d0,d1,...,C")
     p.add_argument("--optimizer", choices=list(OPTIMIZER_KINDS),
                    default="adam", help="update rule")
@@ -407,7 +400,7 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     add("retrain", _cmd_retrain, "--data", "--ckpt")
 
-    p = add("unlearn", _cmd_unlearn, "--data", "--ckpt",
+    p = add("unlearn", _cmd_unlearn, "--data", "--ckpt", "--method",
             description="a setting left at None takes UnlearnConfig's default for the method")
     p.add_argument("--method", choices=list(METHODS), help="method")
     p.add_argument("--alpha", type=float, help="noisy ratio; 1 draws no noise")
@@ -456,6 +449,9 @@ def cli(argv=None) -> int:
             command.set_defaults(**_read_config(args.config, command))
             args = parser.parse_args(argv)
         cfg = {dest: getattr(args, dest) for dest in _settings(command)}
+        missing = [flag for flag in getattr(args, "required", ()) if not cfg[flag[2:]]]
+        if missing:
+            raise UsageError(f"{args.command} requires {', '.join(missing)}")
         return args.fn(cfg, getattr(args, "seed", None))
     except (UsageError, OSError, ValueError, CheckpointError, DivergenceError,
             FloatingPointError) as exc:

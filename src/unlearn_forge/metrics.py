@@ -24,7 +24,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
-from .numcore import jsonable, write_csv
+from .numcore import write_csv
 from .spectral import SpectralEstimate, _spectrum_at, condition_number
 from .training import OptimizerConfig, _descend
 
@@ -51,9 +51,6 @@ class RcdReport:
     curvature_bound: float | None
     bound_diagnostic: str | None
     spectral: SpectralEstimate | None
-
-    def to_dict(self) -> dict:
-        return jsonable(self)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["t", "phi", "e_t", "cumulative"],
@@ -166,9 +163,6 @@ class EvalReport:
         out = dict(self.accuracies)
         out["mia"] = self.mia_rate
         return out
-
-    def to_dict(self) -> dict:
-        return jsonable(self)
 
     @staticmethod
     def from_dict(d) -> "EvalReport":

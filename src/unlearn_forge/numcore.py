@@ -10,7 +10,8 @@ bit-for-bit on any platform; distinct stream ids give statistically
 independent streams and can be used concurrently without coordination.
 
 Parameter vectors are plain 1-D ``float64`` numpy arrays;
-:func:`check_finite` guards them at the boundaries.
+:func:`check_finite` guards them at the boundaries, and
+:func:`check_field_types` the types of the config dataclasses' fields.
 
 Every report, trace and manifest the library writes becomes bytes here:
 :func:`jsonable` turns results into plain JSON values, :func:`write_json`
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "derive_stream",
     "kaiming_sample",
     "check_finite",
+    "check_field_types",
     "jsonable",
     "read_json",
     "write_json",
@@ -39,11 +42,12 @@ __all__ = [
 
 def derive_stream(root_seed: int, stream_id: int) -> np.random.Generator:
     """The Philox 4x64 generator keyed by ``(root_seed, stream_id)``, each
-    in [0, 2**64). Owned by exactly one logical task; derive separate
+    an integer in [0, 2**64). Owned by exactly one logical task; derive separate
     streams for concurrent work instead of sharing one."""
     for name, value in (("root_seed", root_seed), ("stream_id", stream_id)):
-        if not 0 <= value < 2**64:
-            raise ValueError(f"{name} must lie in [0, 2**64), not {value}")
+        integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integral and 0 <= value < 2**64):
+            raise ValueError(f"{name} must lie in [0, 2**64) and be an integer, not {value!r}")
     key = np.array([root_seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -58,6 +62,24 @@ def kaiming_sample(d: int, rng: np.random.Generator) -> np.ndarray:
 def check_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite values in {what}")
+
+
+def check_field_types(config) -> None:
+    """A ``ValueError`` naming the first field of dataclass ``config``
+    annotated ``int`` that holds no Python or numpy integer, or ``float``
+    that holds no finite Python or numpy real; a bool is neither."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int":
+            ok, want = isinstance(value, (int, np.integer)), "an integer"
+        elif f.type == "float":  # an int must also fit a float
+            ok = (isinstance(value, (int, np.integer)) and abs(value) <= sys.float_info.max
+                  or isinstance(value, (float, np.floating)) and np.isfinite(value))
+            want = "a finite number"
+        else:
+            continue
+        if not ok or isinstance(value, bool):
+            raise ValueError(f"{f.name} must be {want}, not {value!r}")
 
 
 def jsonable(value):

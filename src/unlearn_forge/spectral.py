@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import check_finite, jsonable
+from .numcore import check_finite
 
 __all__ = [
     "SpectralEstimate",
@@ -41,9 +41,6 @@ class SpectralEstimate:
     iterations_used: int  # Lanczos steps, one Hessian-vector product each
     residual: float  # the larger of the two extreme Ritz residuals
     psd_flag: bool
-
-    def to_dict(self) -> dict:
-        return jsonable(self)
 
 
 def _lanczos(point, rng: np.random.Generator):

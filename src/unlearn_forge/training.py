@@ -23,7 +23,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import ModelSpec, Objective
-from .numcore import derive_stream, jsonable, kaiming_sample, write_csv
+from .numcore import check_field_types, derive_stream, jsonable, kaiming_sample, write_csv
 from .spectral import _lambda_max_at
 
 __all__ = [
@@ -62,12 +62,15 @@ class OptimizerConfig:
     grad_norm_tol: float = 1e-8
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+        if self.grad_norm_tol < 0:
+            raise ValueError("grad_norm_tol must be >= 0")
         bs = self.batch_size
-        if bs != "full" and not (isinstance(bs, (int, np.integer)) and bs >= 1):
+        if bs is True or (bs != "full" and not (isinstance(bs, (int, np.integer)) and bs >= 1)):
             raise ValueError(f"batch_size must be 'full' or an int >= 1, not {bs!r}")
         if bs != "full" and self.kind in ("gd_fixed", "gd_adaptive"):
             raise ValueError(f"batch_size={bs!r} does nothing for kind={self.kind!r}, "

@@ -40,7 +40,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
-from .numcore import derive_stream, kaiming_sample, check_finite, jsonable
+from .numcore import derive_stream, kaiming_sample, check_finite, check_field_types, jsonable
 
 __all__ = [
     "UnlearnConfig",
@@ -76,6 +76,7 @@ class UnlearnConfig:
     salun_fraction: float = 0.5  # top fraction of coordinates by |grad_f|
 
     def __post_init__(self):
+        check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown unlearning method {self.method!r}")
         if not 0.0 <= self.alpha <= 1.0:

@@ -44,35 +44,21 @@ class CheckResult:
     details: dict = field(default_factory=dict)
     runtime: float = 0.0  # excluded from the canonical payload
 
-    def to_dict(self, canonical: bool = False) -> dict:
-        out = jsonable(self)
-        if canonical:
-            del out["runtime"]
-        return out
-
 
 @dataclass
 class SuiteReport:
-    results: list
-    byte_identical: bool | None = None
+    results: list  # with the reproducibility entry, when the pass was rerun
 
     @property
     def all_passed(self) -> bool:
-        ok = all(r.passed for r in self.results)
-        if self.byte_identical is not None:
-            ok = ok and self.byte_identical
-        return ok
+        return all(r.passed for r in self.results)
 
     def canonical_bytes(self) -> bytes:
-        payload = [r.to_dict(canonical=True) for r in self.results]
+        payload = [{k: v for k, v in jsonable(r).items() if k != "runtime"} for r in self.results]
         return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
     def to_dict(self) -> dict:
-        return {
-            "checks": [r.to_dict() for r in self.results],
-            "byte_identical": self.byte_identical,
-            "all_passed": self.all_passed,
-        }
+        return {"checks": jsonable(self.results), "all_passed": self.all_passed}
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +495,6 @@ def run_suite(full: bool = True, reproducibility: bool = True) -> SuiteReport:
     if reproducibility:
         rerun = SuiteReport(results=_run_once(full))
         identical = report.canonical_bytes() == rerun.canonical_bytes()
-        report.byte_identical = identical
         report.results.append(CheckResult(
             name="reproducibility",
             passed=identical,

@@ -1,12 +1,19 @@
 """Acceptance gate: runs the full analytic verification suite once and
 asserts every check individually, so a failure names the exact guarantee
 that broke. The suite itself reruns every check with identical seeds to
-confirm the serialized report is byte-identical (the final test).
+confirm the serialized report is byte-identical (test 12), and the first
+pass's canonical bytes are pinned by their sha256 (test 13).
 """
+
+import hashlib
 
 import pytest
 
-from unlearn_forge.verify import run_suite
+from unlearn_forge.verify import SuiteReport, run_suite
+
+# sha256 of the canonical bytes of one pass without the rerun; a change that
+# moves them updates this pin and names the moved values in CHANGES.md
+CANONICAL_SHA256 = "bf916821e915b8c6c20d90bbc6a2b44e67c22ca778cec529b4b2cfed1f6f373b"
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +106,13 @@ def test_11_retain_loss_bound_monitor(suite):
 
 
 def test_12_byte_identical_reruns(suite):
-    report, by_name = suite
-    assert report.byte_identical is True
+    _, by_name = suite
+    assert by_name["reproducibility"].details["byte_identical"] is True
     _assert_check(by_name, "reproducibility")
+
+
+def test_13_canonical_bytes_are_pinned(suite):
+    report, _ = suite
+    first_pass = [r for r in report.results if r.name != "reproducibility"]
+    canonical = SuiteReport(results=first_pass).canonical_bytes()
+    assert hashlib.sha256(canonical).hexdigest() == CANONICAL_SHA256

@@ -199,6 +199,26 @@ def test_diverged_training_exits_one(runs_dir, tmp_path, capsys):
     assert err.startswith("error: ") and "diverged" in err
 
 
+_REQUIRED = {"train": ["--data", "--model"], "retrain": ["--data", "--ckpt"],
+             "unlearn": ["--data", "--ckpt", "--method"], "rcd": ["--data", "--ckpt"],
+             "eval": ["--data", "--ckpt"]}
+_SET = {"--data": "d.uds", "--model": "logistic:5,3", "--ckpt": "c.ieuc", "--method": "ft"}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+def test_missing_required_flags_are_named(runs_dir, tmp_path, capsys, command):
+    required = _REQUIRED[command]
+    assert cli([command, "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {command} requires {', '.join(required)}\n"
+    for flag in required:
+        others = {f[2:]: _SET[f] for f in required if f != flag}
+        # an empty value is unset too; --method's choices refuse "" before this check
+        for config in [others] + ([{**others, flag[2:]: ""}] if flag != "--method" else []):
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            assert cli([command, "--seed", "1", "--config", "cfg.json"]) == 1
+            assert capsys.readouterr().err == f"error: {command} requires {flag}\n"
+
+
 def test_missing_seed_is_usage_error(runs_dir, capsys):
     assert cli(["gen-data", "--classes", "3"]) == 1
     capsys.readouterr()
@@ -245,6 +265,7 @@ def test_verify_writes_report(runs_dir, tmp_path, monkeypatch):
     assert cli(["verify", "--fast", "--no-repro", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["all_passed"] is True
+    assert set(payload) == {"checks", "all_passed"}  # byte identity is the reproducibility entry
 
 
 @pytest.mark.parametrize("argv, config, exp_id", [
@@ -325,6 +346,26 @@ def test_checkpoint_without_optimizer_config_exits_one(runs_dir, tmp_path, capsy
         assert cli(argv + ["--data", str(data), "--ckpt", str(old)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must hold an optimizer config" in err
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("max_epochs", 1.5, "max_epochs must be an integer"),
+    ("grad_norm_tol", "x", "grad_norm_tol must be a finite number"),
+    ("grad_norm_tol", float("nan"), "grad_norm_tol must be a finite number"),
+    ("eta", True, "eta must be a finite number"),
+    ("batch_size", True, "batch_size must be 'full' or an int >= 1"),
+], ids=["epochs-float", "tol-str", "tol-nan", "eta-bool", "batch-bool"])
+def test_checkpoint_config_of_a_wrong_type_exits_one(runs_dir, tmp_path, capsys, key, value,
+                                                     named):
+    data, ckpt = _trained(tmp_path, capsys)
+    original = load_checkpoint(ckpt)
+    original.config.update({key: value, "kind": "sgd"} if key == "batch_size" else {key: value})
+    bad = tmp_path / "bad.ieuc"
+    save_checkpoint(original, bad)
+    for argv in (["retrain", "--seed", "1"], ["rcd", "--seed", "1", "--k", "1"]):
+        assert cli(argv + ["--data", str(data), "--ckpt", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
 
 @pytest.mark.parametrize("payload, named", [({"K": 1}, "'accuracies'"),

@@ -1,6 +1,7 @@
-"""Property tests for three input boundaries of the CLI: ``--config`` JSON
-files, ``.uds`` headers and IEUC checkpoints. Whatever a file holds, a
-command exits 0 or 1 and never raises.
+"""Property tests for four input boundaries of the CLI: ``--config`` JSON
+files, ``.uds`` headers, IEUC checkpoints and the optimizer config a
+checkpoint holds. Whatever a file holds, a command exits 0 or 1 and never
+raises.
 
 Integers drawn for settings stay small, so a draw that happens to be a
 valid configuration runs in milliseconds; paths and model specs are fixed
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from unlearn_forge.checkpoints import Checkpoint, CheckpointError, load_checkpoint
+from unlearn_forge.checkpoints import (Checkpoint, CheckpointError, load_checkpoint,
+                                       save_checkpoint)
 from unlearn_forge.cli import cli
 from unlearn_forge.models import logistic_spec
 from test_checkpoints import write_raw
@@ -173,4 +175,29 @@ def test_any_checkpoint_loads_or_is_refused(workdir, capsys, drawn):
         refused = True
     code = cli(["eval", "--data", "d.uds", "--ckpt", str(path)])
     assert code == 1 if refused else code in (0, 1)
+    capsys.readouterr()
+
+
+@st.composite
+def _optimizer_config_values(draw):
+    """A key of a trained checkpoint's optimizer config and a JSON scalar
+    to put there; ints beyond float range for the real keys only, since a
+    valid max_epochs that large would run without end."""
+    key = draw(st.sampled_from(["kind", "eta", "batch_size", "max_epochs", "grad_norm_tol"]))
+    huge = st.integers(2**1023, 2**1100) if key in ("eta", "grad_norm_tol") else st.nothing()
+    return key, draw(_SCALARS | st.sampled_from([float("nan"), float("inf"), -float("inf")])
+                     | st.sampled_from(["full", 0.0, 1e-3]) | huge)
+
+
+@_FUZZ
+@given(drawn=_optimizer_config_values())
+def test_any_optimizer_config_value_exits_zero_or_one(workdir, capsys, drawn):
+    tmp_path, ckpt = workdir
+    key, value = drawn
+    original = load_checkpoint(ckpt)
+    original.config[key] = value
+    path = tmp_path / "fuzz.ieuc"
+    save_checkpoint(original, path)  # with a valid content hash: the config is the input
+    for argv in (["retrain"], ["rcd", "--k", "2"]):
+        assert cli([*argv, "--seed", "3", "--data", "d.uds", "--ckpt", str(path)]) in (0, 1)
     capsys.readouterr()

@@ -13,7 +13,7 @@ from unlearn_forge.metrics import (
     eval_report,
 )
 from unlearn_forge.models import make_quadratic, logistic_spec, mlp_spec
-from unlearn_forge.numcore import derive_stream, kaiming_sample, read_json, write_json
+from unlearn_forge.numcore import derive_stream, jsonable, kaiming_sample, read_json, write_json
 from unlearn_forge.training import OptimizerConfig, train, retrain_oracle
 from unlearn_forge.verify import _mia_brute_force
 
@@ -85,7 +85,7 @@ def test_rcd_report_serialization(tmp_path):
     obj = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
     rep = rcd(np.array([1.0, 1.0]), obj, 0.0, 5, _adaptive_cfg(), "loss",
               derive_stream(4, 0))
-    payload = rep.to_dict()
+    payload = jsonable(rep)
     assert json.dumps(payload, sort_keys=True)  # JSON-safe
     assert payload["rcd_value"] == pytest.approx(sum(payload["errors"]))
     path = tmp_path / "rcd.csv"

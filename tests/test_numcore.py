@@ -39,6 +39,19 @@ def test_key_of_2_to_the_64_rejected(key):
         derive_stream(*key)
 
 
+@pytest.mark.parametrize("key", [(1.5, 3), (0, 2.0), (True, 3), (1, np.float64(3.0)), ("1", 3)],
+                         ids=["float-seed", "float-id", "bool", "numpy-float", "str"])
+def test_non_integer_key_rejected(key):
+    # numpy would truncate 1.5 to 1 and run another seed's stream
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\) and be an integer"):
+        derive_stream(*key)
+
+
+def test_numpy_integer_key_is_the_int_key():
+    a = derive_stream(np.uint64(1), np.int64(3)).standard_normal(4)
+    assert np.array_equal(a, derive_stream(1, 3).standard_normal(4))
+
+
 def test_kaiming_variance():
     d = 400
     draws = np.stack([kaiming_sample(d, derive_stream(s, 0)) for s in range(200)])

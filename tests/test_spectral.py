@@ -6,7 +6,7 @@ import pytest
 
 from unlearn_forge.metrics import rcd
 from unlearn_forge.models import make_quadratic, make_classifier, mlp_spec
-from unlearn_forge.numcore import derive_stream
+from unlearn_forge.numcore import derive_stream, jsonable
 from unlearn_forge.spectral import (
     lambda_max,
     condition_number,
@@ -132,7 +132,7 @@ def test_estimate_full_report():
     assert est.psd_flag
     assert est.kappa == est.lambda_max / est.lambda_min
     assert est.residual < 1e-8
-    d = est.to_dict()
+    d = jsonable(est)
     assert set(d) >= {"lambda_max", "lambda_min", "kappa", "psd_flag"}
 
 

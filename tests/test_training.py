@@ -150,7 +150,36 @@ def test_config_validation():
         OptimizerConfig(max_epochs=0)
 
 
-@pytest.mark.parametrize("batch_size", [-4, 0, 2.5, "half"])
+def test_grad_norm_tol_not_negative():
+    # a negative tolerance could never be met, so the stop rule would never fire
+    with pytest.raises(ValueError, match="grad_norm_tol must be >= 0"):
+        OptimizerConfig(grad_norm_tol=-1e-8)
+    assert OptimizerConfig(grad_norm_tol=0).grad_norm_tol == 0
+
+
+@pytest.mark.parametrize("value", [1.5, np.float64(3.0), True, "3", None],
+                         ids=["float", "numpy-float", "bool", "str", "none"])
+def test_int_fields_take_integers_only(value):
+    # a checkpoint's JSON config can hold any of these for max_epochs
+    with pytest.raises(ValueError, match="max_epochs must be an integer"):
+        OptimizerConfig(max_epochs=value)
+    assert OptimizerConfig(max_epochs=np.int64(3)).max_epochs == 3
+
+
+@pytest.mark.parametrize("field", ["eta", "grad_norm_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float32("inf"),
+                                   10**400, True, "x", None],
+                         ids=["nan", "inf", "-inf", "numpy-inf", "int-beyond-float", "bool",
+                              "str", "none"])
+def test_real_fields_take_finite_numbers_only(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        OptimizerConfig(**{field: value})
+    for number in (1, np.int64(1), np.float32(0.5), 0.5):
+        assert getattr(OptimizerConfig(**{field: number}), field) == number
+
+
+@pytest.mark.parametrize("batch_size", [-4, 0, 2.5, "half", True],
+                         ids=["-4", "0", "2.5", "half", "bool"])
 def test_batch_size_must_be_full_or_positive_int(batch_size):
     # with -4, range(0, n, -4) is empty and an epoch would make no update
     with pytest.raises(ValueError, match="batch_size"):

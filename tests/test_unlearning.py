@@ -60,6 +60,22 @@ def test_config_validation():
         UnlearnConfig(salun_fraction=0.0)
 
 
+@pytest.mark.parametrize("kw, named", [
+    ({"epochs": 2.5}, "epochs must be an integer"), ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"method": "scrub", "scrub_max_epochs": True}, "scrub_max_epochs must be an integer"),
+    ({"alpha": "x"}, "alpha must be a finite number"), ({"c": None}, "c must be a finite number"),
+    ({"eta": float("nan")}, "eta must be a finite number"),
+    ({"method": "salun", "salun_fraction": True}, "salun_fraction must be a finite number"),
+], ids=["epochs-float", "seed-float", "seed-bool", "scrub-bool", "alpha-str", "c-none",
+        "eta-nan", "salun-bool"])
+def test_config_fields_take_their_types_only(kw, named):
+    # epochs=2.5 would fail only later in range(); seed=1.5 would run seed 1
+    with pytest.raises(ValueError, match=named):
+        UnlearnConfig(**kw)
+    assert UnlearnConfig(epochs=np.int64(2), seed=np.uint64(1), eta=np.float32(0.5)).epochs == 2
+
+
 @pytest.mark.parametrize("kw", [{"alpha": 0.5}, {"c": 0.1}])
 def test_ft_rejects_alpha_and_c(kw):
     # ft is the alpha=1, c=0 limit; it would ignore other values

@@ -51,7 +51,8 @@ def test_canonical_bytes_exclude_runtime():
 
 
 def test_all_passed_accounts_for_byte_identity():
-    rep = SuiteReport(results=[CheckResult(name="x", passed=True, margin=1.0)])
-    assert rep.all_passed
-    rep.byte_identical = False
-    assert not rep.all_passed
+    check = CheckResult(name="x", passed=True, margin=1.0)
+    assert SuiteReport(results=[check]).all_passed
+    rerun = CheckResult(name="reproducibility", passed=False, margin=-1.0,
+                        details={"reruns": 1, "byte_identical": False, "checks_compared": 1})
+    assert not SuiteReport(results=[check, rerun]).all_passed
