@@ -21,13 +21,16 @@ Conventions
   keeps the Hessian positive definite on generic data.
 * An MLP is a ReLU network, with the subgradient convention derivative 0
   at exactly 0, so Hessian-vector products near kinks are deterministic.
+  Its ReLU masks are boolean (True where a unit's output is positive) and
+  are built from the stored activations when a gradient, backprop or HVP
+  first needs them.
 * Cross-entropy goes through log-sum-exp with max subtraction.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -90,6 +93,17 @@ class ModelSpec:
         for a in arrays:
             a.flags.writeable = False
         return arrays
+
+    @cached_property
+    def _mlp_layout(self):
+        """Per layer, the weight's slice of theta, its shape and the bias's
+        slice, built once per spec for ``_mlp_unpack``."""
+        layout, off = [], 0
+        for din, dout in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            end = off + din * dout
+            layout.append((slice(off, end), (din, dout), slice(end, end + dout)))
+            off = end + dout
+        return tuple(layout)
 
     def to_dict(self) -> dict:
         return jsonable(self)
@@ -186,9 +200,6 @@ class Objective:
     def n_examples(self) -> int:
         return 0 if self.X is None else len(self.X)
 
-    def subset(self, idx: np.ndarray) -> "Objective":
-        return replace(self, X=self.X[idx], y=self.y[idx])
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, theta: np.ndarray) -> "_Point":
@@ -250,7 +261,8 @@ class _ClassifierPoint(_Point):
         """The logits' row max, exp(logits - max) and its row sums, for both
         the log-sum-exp and the softmax."""
         zmax = self.logits.max(axis=1, keepdims=True)
-        e = np.exp(self.logits - zmax)
+        e = self.logits - zmax
+        np.exp(e, out=e)
         return zmax, e, e.sum(axis=1, keepdims=True)
 
     @cached_property
@@ -276,7 +288,8 @@ class _ClassifierPoint(_Point):
     def dlogits(self, labels: np.ndarray, n: int) -> np.ndarray:
         """d(sum of the cross-entropies with ``labels``)/d(logits), over n:
         the softmax minus the one-hot labels."""
-        d = self.probs.copy()
+        _, e, sums = self._exp_rows
+        d = e / sums
         d[np.arange(len(d)), labels] -= 1.0
         d /= n
         return d
@@ -311,8 +324,14 @@ class _LogisticPoint(_ClassifierPoint):
 
 class _MlpPoint(_ClassifierPoint):
     def _forward(self):
-        z, self.acts, self.masks = _mlp_forward(self.obj.spec, self.theta, self.obj.X)
+        z, self.acts = _mlp_forward(self.obj.spec, self.theta, self.obj.X)
         return z
+
+    @cached_property
+    def masks(self):
+        """Each hidden layer's boolean ReLU mask, True where its output is
+        positive: exactly where the pre-activation is, as ReLU keeps NaN."""
+        return [a > 0 for a in self.acts[1:]]
 
     def backprop(self, dlogits):
         return _mlp_backward(self.obj.spec, self.theta, self.acts, self.masks, dlogits)
@@ -356,33 +375,24 @@ _POINTS = {"quadratic": _QuadraticPoint, "logistic": _LogisticPoint, "mlp": _Mlp
 
 
 def _mlp_unpack(spec: ModelSpec, theta: np.ndarray):
-    out, off = [], 0
-    dims = spec.layer_dims
-    for i in range(len(dims) - 1):
-        din, dout = dims[i], dims[i + 1]
-        W = theta[off : off + din * dout].reshape(din, dout)
-        off += din * dout
-        b = theta[off : off + dout]
-        off += dout
-        out.append((W, b))
-    return out
+    """Each layer's ``(W, b)`` as views into ``theta``."""
+    return [(theta[w].reshape(shape), theta[b]) for w, shape, b in spec._mlp_layout]
 
 
 def _mlp_forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
-    """The logits, the input of each layer, and each hidden layer's ReLU
-    mask (1 where the pre-activation is positive, 0 at and below the kink)."""
+    """The logits and the input of each layer. No ReLU mask is built here:
+    a hidden layer's boolean mask is ``acts[layer + 1] > 0``, True where the
+    pre-activation is positive and False at and below the kink."""
     wb = _mlp_unpack(spec, theta)
     acts = [X]
-    masks = []
     a = X
     for layer, (W, b) in enumerate(wb):
         z = a @ W
         z += b
         if layer < len(wb) - 1:
-            masks.append((z > 0).astype(np.float64))
             a = np.maximum(z, 0.0, out=z)
             acts.append(a)
-    return z, acts, masks
+    return z, acts
 
 
 def _mlp_backward(spec: ModelSpec, theta: np.ndarray, acts, masks,

@@ -128,7 +128,9 @@ def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: np.r
             batches = (None,)  # the one batch; its gradient comes from the point
         else:
             order = rng.permutation(n)
-            batches = (obj.subset(order[start : start + bs]) for start in range(0, n, bs))
+            X, y = obj.X[order], obj.y[order]  # one shuffled copy; batches are row slices of it
+            batches = (Objective(obj.spec, X[start : start + bs], y[start : start + bs])
+                       for start in range(0, n, bs))
         for batch in batches:
             g = point.gradient() if batch is None else batch.gradient(theta)
             if cfg.kind != "adam":

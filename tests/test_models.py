@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unlearn_forge.models import (
+    _mlp_unpack,
     make_quadratic,
     make_classifier,
     quadratic_spec,
@@ -9,6 +11,7 @@ from unlearn_forge.models import (
     mlp_spec,
 )
 from unlearn_forge.numcore import derive_stream
+from unlearn_forge.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, OptimizerConfig, train
 
 
 def _fd_gradient(obj, theta, h=1e-6):
@@ -132,6 +135,115 @@ def test_mlp_param_count():
     assert spec.param_count == 4 * 8 + 8 + 8 * 3 + 3
 
 
+def _ref_unpack(dims, theta):
+    """``(W, b)`` views into theta, by a running offset."""
+    out, off = [], 0
+    for din, dout in zip(dims[:-1], dims[1:]):
+        W = theta[off : off + din * dout].reshape(din, dout)
+        off += din * dout
+        out.append((W, theta[off : off + dout]))
+        off += dout
+    return out
+
+
+def _ref_forward(wb, X):
+    """Logits, layer inputs and float64 ReLU masks (1.0 where z > 0)."""
+    acts, masks, a = [X], [], X
+    for layer, (W, b) in enumerate(wb):
+        z = a @ W
+        z += b
+        if layer < len(wb) - 1:
+            masks.append((z > 0).astype(np.float64))
+            a = np.maximum(z, 0.0, out=z)
+            acts.append(a)
+    return z, acts, masks
+
+
+def _ref_backward(dims, wb, acts, masks, dlogits):
+    out = np.zeros(sum(W.size + b.size for W, b in wb))
+    grads, delta = _ref_unpack(dims, out), dlogits
+    for layer in reversed(range(len(wb))):
+        gw, gb = grads[layer]
+        gw += acts[layer].T @ delta
+        gb += delta.sum(axis=0)
+        if layer > 0:
+            delta = delta @ wb[layer][0].T
+            delta *= masks[layer - 1]
+    return out
+
+
+def _ref_hvp(dims, wb, X, acts, masks, probs, delta, v):
+    vb, n = _ref_unpack(dims, v), len(X)
+    ras = [np.zeros_like(X)]
+    for layer, ((W, b), (Vw, Vb)) in enumerate(zip(wb, vb)):
+        rz = ras[-1] @ W + acts[layer] @ Vw + Vb
+        if layer < len(masks):
+            ras.append(rz * masks[layer])
+    rdelta = probs * (rz - np.sum(probs * rz, axis=1, keepdims=True)) / n
+    out = np.zeros_like(v)
+    grads = _ref_unpack(dims, out)
+    for layer in reversed(range(len(wb))):
+        (W, _), (Vw, _), (gw, gb) = wb[layer], vb[layer], grads[layer]
+        gw += ras[layer].T @ delta + acts[layer].T @ rdelta
+        gb += rdelta.sum(axis=0)
+        if layer > 0:
+            rdelta = (rdelta @ W.T + delta @ Vw.T) * masks[layer - 1]
+            delta = (delta @ W.T) * masks[layer - 1]
+    return out
+
+
+@pytest.mark.parametrize("dims", [(4, 6, 3), (3, 5, 4, 6, 3)], ids=["1-hidden", "3-hidden"])
+def test_mlp_point_is_bitwise_the_float_mask_reference(dims):
+    spec = mlp_spec(dims)
+    obj = _random_task(spec, 24, 21)
+    obj.X[0] = 0.0  # a zero row: with the zero biases below, pre-activations exactly at the kink
+    theta = derive_stream(22, 0).normal(0.0, 0.7, spec.param_count)
+    wb = _ref_unpack(dims, theta)
+    for layer, (_, b) in enumerate(wb[:-1]):
+        b[layer % 2 :: 2] = 0.0
+    point = obj.evaluate(theta)
+    rng = derive_stream(23, 0)
+    d = rng.normal(0.0, 1.0, point.logits.shape)
+    v = rng.normal(0.0, 1.0, spec.param_count)
+
+    z, acts, masks = _ref_forward(wb, obj.X)
+    assert np.any(obj.X[0] @ wb[0][0] + wb[0][1] == 0.0)  # a pre-activation exactly at 0
+    # negative deltas reach masked units of the last hidden layer, where the mask makes -0.0
+    assert np.any((d @ wb[-1][0].T)[masks[-1] == 0] < 0)
+    zmax = z.max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    probs = e / e.sum(axis=1, keepdims=True)
+    delta = probs.copy()
+    delta[np.arange(len(delta)), obj.y] -= 1.0
+    delta /= len(delta)
+
+    assert point.logits.tobytes() == z.tobytes()
+    assert point.gradient().tobytes() == _ref_backward(dims, wb, acts, masks, delta).tobytes()
+    assert point.backprop(d).tobytes() == _ref_backward(dims, wb, acts, masks, d).tobytes()
+    assert point.hvp(v).tobytes() == _ref_hvp(dims, wb, obj.X, acts, masks, probs, delta,
+                                              v).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 7), min_size=2, max_size=6))
+def test_mlp_layout_tiles_theta_and_unpacks_to_views(dims):
+    spec = mlp_spec(dims)
+    end = 0
+    for (w, shape, b), din, dout in zip(spec._mlp_layout, dims[:-1], dims[1:]):
+        assert (w.start, w.stop, shape) == (end, end + din * dout, (din, dout))
+        assert (b.start, b.stop) == (w.stop, w.stop + dout)
+        end = b.stop
+    assert end == spec.param_count and len(spec._mlp_layout) == len(dims) - 1
+
+    out = np.zeros(spec.param_count)
+    expect = []
+    for layer, (gw, gb) in enumerate(_mlp_unpack(spec, out)):
+        gw += 2 * layer + 1
+        gb += 2 * layer + 2
+        expect += [2 * layer + 1] * gw.size + [2 * layer + 2] * gb.size
+    assert np.array_equal(out, expect)
+
+
 # ---------------------------------------------------------------------------
 # shared objective surface
 
@@ -143,12 +255,28 @@ def test_per_example_loss_mean_equals_value():
     assert obj.per_example_loss(theta).mean() == pytest.approx(obj.value(theta))
 
 
-def test_subset_view():
-    spec = logistic_spec(4, 3)
-    obj = _random_task(spec, 30, 18)
-    sub = obj.subset(np.arange(10))
-    assert sub.n_examples == 10
-    assert np.array_equal(sub.X, obj.X[:10])
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_minibatch_epoch_is_the_written_out_loop(kind):
+    # batches of 4 over 18 rows, the last one short, in the epoch's permutation order
+    spec = mlp_spec([4, 6, 3])
+    obj = _random_task(spec, 18, 18)
+    theta0 = derive_stream(19, 0).normal(0.0, 0.5, spec.param_count)
+    cfg = OptimizerConfig(kind=kind, eta=0.05, batch_size=4, max_epochs=1, grad_norm_tol=0.0)
+    got = train(obj, theta0, cfg, derive_stream(19, 1)).theta
+
+    order = derive_stream(19, 1).permutation(18)
+    theta, m, v = theta0.copy(), 0.0, 0.0
+    for t, start in enumerate(range(0, 18, 4), start=1):
+        idx = order[start : start + 4]
+        g = make_classifier(spec, obj.X[idx], obj.y[idx]).gradient(theta)
+        if kind == "sgd":
+            theta = theta - cfg.eta * g
+        else:
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+            mhat, vhat = m / (1 - ADAM_BETA1 ** t), v / (1 - ADAM_BETA2 ** t)
+            theta = theta - cfg.eta * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    assert got.tobytes() == theta.tobytes()
 
 
 def test_accuracy_bounds():
