@@ -327,7 +327,10 @@ def _cmd_eval(cfg: dict, seed) -> int:
 def _cmd_compare(cfg: dict, seed) -> int:
     rows = []
     for path in cfg["reports"]:
-        report = EvalReport.from_dict(read_json(Path(path).read_text()))
+        try:
+            report = EvalReport.from_dict(read_json(Path(path).read_text()))
+        except ValueError as exc:  # not UTF-8, not JSON or not an eval report
+            raise ValueError(f"{path}: {exc}") from exc
         row = {"report": str(path), **report.metrics()}
         if report.avg_gap is not None:
             row["avg_gap"] = report.avg_gap

@@ -14,6 +14,7 @@ feature bytes and int64 label bytes, which makes round-trips bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,6 +103,9 @@ def gen_blobs(n_per_class: int, C: int, p: int, separation: float, noise_sd: flo
         raise ValueError("need at least 2 classes")
     if p < 2:
         raise ValueError("need at least 2 features")
+    for name, value in (("separation", separation), ("noise_sd", noise_sd)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, not {value!r}")
     center_rng = derive_stream(seed, _STREAM_CENTERS)
     centers = None
     for _ in range(200):

@@ -17,6 +17,7 @@ indefinite Hessians the report carries a diagnostic instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,7 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
         if t == 0:
             point0 = point
         errors[t] = e = phi(point) - phi_ref
-        if not np.isfinite(e):
+        if not math.isfinite(e):
             raise FloatingPointError(f"non-finite relearning error at epoch {t}: phi={phi(point)}")
     bound = diag = est = None
     if attach_bound and phi_kind == "loss":  # kappa at theta0 times the loss gap there
@@ -152,6 +153,11 @@ def mia_threshold_attack(member_losses: np.ndarray, nonmember_losses: np.ndarray
 # evaluation reports
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number; a bool is none."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class EvalReport:
     accuracies: dict  # split name -> accuracy
@@ -167,7 +173,8 @@ class EvalReport:
     @staticmethod
     def from_dict(d) -> "EvalReport":
         """The report in ``d``; a ``ValueError`` names what an eval report
-        needs and ``d`` lacks."""
+        needs and ``d`` lacks, or the key whose value is no number: each
+        accuracy and ``avg_gap`` is a number or null, ``mia_rate`` a number."""
         if not isinstance(d, dict):
             raise ValueError(f"an eval report is a JSON object, not {type(d).__name__}")
         for key in ("accuracies", "mia_rate"):
@@ -175,6 +182,12 @@ class EvalReport:
                 raise ValueError(f"not an eval report: no key {key!r}")
         if not isinstance(d["accuracies"], dict):
             raise ValueError("eval report 'accuracies' must be a JSON object")
+        for key, value in [*((f"accuracies[{k!r}]", v) for k, v in d["accuracies"].items()),
+                           ("avg_gap", d.get("avg_gap"))]:
+            if value is not None and not _is_number(value):
+                raise ValueError(f"eval report {key} must be a number or null, not {value!r}")
+        if not _is_number(d["mia_rate"]):
+            raise ValueError(f"eval report mia_rate must be a number, not {d['mia_rate']!r}")
         return EvalReport(accuracies=d["accuracies"], mia_rate=d["mia_rate"],
                           gaps=d.get("gaps", {}), avg_gap=d.get("avg_gap"))
 

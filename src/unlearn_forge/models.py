@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +45,26 @@ __all__ = [
     "make_quadratic",
     "make_classifier",
 ]
+
+
+class _once:
+    """A lazily computed attribute: the first read stores the value in the
+    instance's ``__dict__``, which later reads find before this descriptor.
+    This is ``functools.cached_property`` without the lock Python 3.10 and
+    3.11 take on each first read; two threads that race compute the same
+    value twice."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.fn(obj)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +83,7 @@ class ModelSpec:
     theta_star: tuple = ()  # quadratic only
     l_star: float = 0.0  # quadratic only
 
-    @property
+    @_once
     def param_count(self) -> int:
         if self.kind == "quadratic":
             return len(self.spectrum)
@@ -85,7 +104,7 @@ class ModelSpec:
         quadratic oracle's is diag(spectrum)."""
         return self.kind == "quadratic"
 
-    @cached_property
+    @_once
     def _quadratic_arrays(self):
         """``spectrum`` and ``theta_star`` as read-only float64 arrays,
         built once per spec for the quadratic points."""
@@ -94,7 +113,7 @@ class ModelSpec:
             a.flags.writeable = False
         return arrays
 
-    @cached_property
+    @_once
     def _mlp_layout(self):
         """Per layer, the weight's slice of theta, its shape and the bias's
         slice, built once per spec for ``_mlp_unpack``."""
@@ -242,8 +261,8 @@ class _QuadraticPoint(_Point):
         super().__init__(obj, theta)
         self.spectrum, theta_star = obj.spec._quadratic_arrays
         r = theta - theta_star
-        self.loss = float(0.5 * np.dot(self.spectrum * r, r) + obj.spec.l_star)
-        self._gradient = self.spectrum * r
+        self._gradient = g = self.spectrum * r
+        self.loss = 0.5 * float(g.dot(r)) + obj.spec.l_star
 
     def _hvp(self, v):
         return self.spectrum * v
@@ -256,7 +275,7 @@ class _ClassifierPoint(_Point):
         super().__init__(obj, theta)
         self.logits = self._forward()
 
-    @cached_property
+    @_once
     def _exp_rows(self):
         """The logits' row max, exp(logits - max) and its row sums, for both
         the log-sum-exp and the softmax."""
@@ -265,7 +284,7 @@ class _ClassifierPoint(_Point):
         np.exp(e, out=e)
         return zmax, e, e.sum(axis=1, keepdims=True)
 
-    @cached_property
+    @_once
     def per_example_loss(self) -> np.ndarray:
         zmax, _, sums = self._exp_rows
         lse = np.log(sums[:, 0]) + zmax[:, 0]
@@ -273,14 +292,15 @@ class _ClassifierPoint(_Point):
 
     @property
     def loss(self) -> float:
-        return float(np.mean(self.per_example_loss))
+        losses = self.per_example_loss  # the mean, as np.mean takes it: a sum over a count
+        return float(losses.sum()) / len(losses)
 
     @property
     def accuracy(self) -> float:
-        pred = np.argmax(self.logits, axis=1)  # argmax ties break toward lowest index
-        return float(np.mean(pred == self.obj.y))
+        pred = self.logits.argmax(axis=1)  # argmax ties break toward lowest index
+        return np.count_nonzero(pred == self.obj.y) / len(pred)
 
-    @cached_property
+    @_once
     def probs(self) -> np.ndarray:
         _, e, sums = self._exp_rows
         return e / sums
@@ -294,12 +314,12 @@ class _ClassifierPoint(_Point):
         d /= n
         return d
 
-    @cached_property
+    @_once
     def delta(self) -> np.ndarray:
         """d(loss)/d(logits)."""
         return self.dlogits(self.obj.y, len(self.logits))
 
-    @cached_property
+    @_once
     def _gradient(self):
         return self.backprop(self.delta)
 
@@ -307,18 +327,18 @@ class _ClassifierPoint(_Point):
 class _LogisticPoint(_ClassifierPoint):
     def _forward(self):
         X, spec = self.obj.X, self.obj.spec
-        self.xt = np.hstack([X, np.ones((len(X), 1))])  # bias-augmented design matrix
+        self.xt = np.concatenate([X, np.ones((len(X), 1))], axis=1)  # bias-augmented design
         part = self.xt @ self.theta.reshape(spec.n_features + 1, spec.num_classes - 1)
-        return np.hstack([part, np.zeros((len(part), 1))])
+        return np.concatenate([part, np.zeros((len(part), 1))], axis=1)
 
     def backprop(self, dlogits):
         return (self.xt.T @ dlogits[:, : self.obj.spec.num_classes - 1]).ravel()
 
     def _hvp(self, v):
         n, cm1 = len(self.xt), self.obj.spec.num_classes - 1
-        rz = np.hstack([self.xt @ v.reshape(-1, cm1), np.zeros((n, 1))])
+        rz = np.concatenate([self.xt @ v.reshape(-1, cm1), np.zeros((n, 1))], axis=1)
         p = self.probs
-        rp = p * (rz - np.sum(p * rz, axis=1, keepdims=True))
+        rp = p * (rz - (p * rz).sum(axis=1, keepdims=True))
         return (self.xt.T @ (rp[:, :cm1] / n)).ravel()
 
 
@@ -327,7 +347,7 @@ class _MlpPoint(_ClassifierPoint):
         z, self.acts = _mlp_forward(self.obj.spec, self.theta, self.obj.X)
         return z
 
-    @cached_property
+    @_once
     def masks(self):
         """Each hidden layer's boolean ReLU mask, True where its output is
         positive: exactly where the pre-activation is, as ReLU keeps NaN."""
@@ -352,7 +372,7 @@ class _MlpPoint(_ClassifierPoint):
                 ras.append(rz * masks[layer])
 
         p, delta = self.probs, self.delta
-        rdelta = p * (rz - np.sum(p * rz, axis=1, keepdims=True)) / n
+        rdelta = p * (rz - (p * rz).sum(axis=1, keepdims=True)) / n
 
         # reverse pass carrying both the gradient and its tangent
         out = np.zeros_like(self.theta)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import fields, is_dataclass
 
@@ -30,8 +31,10 @@ import numpy as np
 
 __all__ = [
     "derive_stream",
+    "kaiming_scale",
     "kaiming_sample",
     "check_finite",
+    "norm",
     "check_field_types",
     "jsonable",
     "read_json",
@@ -52,16 +55,28 @@ def derive_stream(root_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def kaiming_sample(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a fresh parameter vector with i.i.d. Normal(0, 2/d) entries."""
+def kaiming_scale(d: int) -> float:
+    """The standard deviation sqrt(2/d) of the Kaiming law Normal(0, 2/d)
+    for a parameter vector of size ``d``; a ``ValueError`` unless d >= 1."""
     if d < 1:
         raise ValueError(f"invalid dimension d={d}; need d >= 1")
-    return rng.normal(0.0, np.sqrt(2.0 / d), d)
+    return math.sqrt(2.0 / d)
+
+
+def kaiming_sample(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a fresh parameter vector with i.i.d. Normal(0, 2/d) entries."""
+    return rng.normal(0.0, kaiming_scale(d), d)
 
 
 def check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values in {what}")
+
+
+def norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a contiguous 1-D float64 array, bit
+    for bit: that is ``sqrt(v.dot(v))``, here without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def check_field_types(config) -> None:

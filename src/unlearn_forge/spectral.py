@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import check_finite
+from .numcore import check_finite, norm
 
 __all__ = [
     "SpectralEstimate",
@@ -56,30 +56,31 @@ def _lanczos(point, rng: np.random.Generator):
     d = point.theta.size
     steps = min(d, LANCZOS_MAX_ITER)
     q = rng.standard_normal(d)
-    Q = (q / np.linalg.norm(q))[None]  # the Lanczos basis, one row per step, grown by doubling
-    alphas, betas = [], []
+    Q = (q / norm(q))[None]  # the Lanczos basis, one row per step, grown by doubling
+    alpha, beta = np.empty(steps), np.empty(steps)  # T's diagonal and off-diagonal
     for k in range(steps):
         w = point.hvp(Q[k])
         check_finite(w, "Hessian-vector product in Lanczos")
-        alphas.append(Q[k] @ w)
+        alpha[k] = Q[k] @ w
         for _ in range(2):  # full reorthogonalization; twice is enough
             w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
-        betas.append(np.linalg.norm(w))
-        T = np.array(alphas), np.array(betas[: max(k, 1)])  # LAPACK reads k off-diagonals
-        ends = []  # (value, last eigenvector component) of the two extreme Ritz pairs only
+        beta[k] = b = norm(w)
+        T = alpha[: k + 1], beta[: max(k, 1)]  # LAPACK reads k off-diagonals
+        ends, last = [], []  # the two extreme Ritz values and their eigenvectors' last entries
         for i in (1, k + 1):
             _, ritz, block, split, info = dstebz(*T, 2, 0.0, 0.0, i, i, 0.0, "E")
             s, info_s = dstein(*T, ritz[:1], block, split)
             if info or info_s:
                 raise np.linalg.LinAlgError("tridiagonal eigensolver failed in Lanczos")
-            ends.append((float(ritz[0]), float(s[-1, 0])))
-        residual = betas[k] * max(abs(s) for _, s in ends)
-        if residual <= LANCZOS_TOL or betas[k] == 0.0 or k + 1 == steps:
+            ends.append(float(ritz[0]))
+            last.append(abs(float(s[-1, 0])))
+        residual = b * max(last)
+        if residual <= LANCZOS_TOL or b == 0.0 or k + 1 == steps:
             break
         if k + 1 == len(Q):
             Q = np.concatenate([Q, np.empty_like(Q)])
-        Q[k + 1] = w / betas[k]
-    return ends[0][0], ends[1][0], k + 1, float(residual)
+        Q[k + 1] = w / b
+    return ends[0], ends[1], k + 1, residual
 
 
 def lambda_max(obj, theta: np.ndarray, rng: np.random.Generator):

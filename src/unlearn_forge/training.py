@@ -16,6 +16,7 @@ converged references.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import ModelSpec, Objective
-from .numcore import check_field_types, derive_stream, jsonable, kaiming_sample, write_csv
+from .numcore import check_field_types, derive_stream, jsonable, kaiming_sample, norm, write_csv
 from .spectral import _lambda_max_at
 
 __all__ = [
@@ -152,15 +153,16 @@ def train(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig,
     ``(theta0, cfg, rng)``."""
     records = []
     stop_reason = "max_epochs"
+    classifier = obj.spec.is_classifier
     for epoch, (point, eta, lam) in zip(range(cfg.max_epochs + 1),
                                         _descend(obj, theta0, cfg, rng)):
         loss = point.loss
         if epoch == 0:
-            initial_loss = loss
-        if not np.isfinite(loss) or abs(loss) > DIVERGENCE_FACTOR * max(abs(initial_loss), 1e-300):
+            limit = DIVERGENCE_FACTOR * max(abs(loss), 1e-300)
+        if not math.isfinite(loss) or abs(loss) > limit:
             raise DivergenceError(f"loss {loss} diverged at epoch {epoch}")
-        gn = float(np.linalg.norm(point.gradient()))
-        acc = point.accuracy if obj.spec.is_classifier else None
+        gn = norm(point.gradient())
+        acc = point.accuracy if classifier else None
         records.append(EpochRecord(epoch=epoch, loss=loss, grad_norm=gn, accuracy=acc,
                                    lambda_max=lam, eta=eta))
         if gn <= cfg.grad_norm_tol:

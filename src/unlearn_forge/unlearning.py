@@ -40,7 +40,8 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
-from .numcore import derive_stream, kaiming_sample, check_finite, check_field_types, jsonable
+from .numcore import (derive_stream, kaiming_sample, kaiming_scale, check_finite,
+                      check_field_types, jsonable)
 
 __all__ = [
     "UnlearnConfig",
@@ -56,6 +57,7 @@ METHODS = ("ft", "rl", "scrub", "salun", "ieu")
 _STREAM_UNLEARN = 301
 
 CLIP_RATIO = 10.0  # the forget gradient's norm is clipped at this multiple of the retain one
+_IRP_DRAW_VALUES = 1 << 16  # irp_run's noise draws, in values per normal() call
 
 # the methods that read each setting beyond eta, epochs and seed; for any
 # other method a value away from the default would silently do nothing (ft
@@ -155,16 +157,27 @@ def _eval_row(epoch, retain, forget, clip_active=False, teacher_probs=None) -> E
 
 
 def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Iterative re-initialization trajectory, shape (steps + 1, d)."""
+    """Iterative re-initialization trajectory, shape (steps + 1, d): row t + 1
+    is ``alpha * row_t + (1 - alpha) * xi`` with xi a fresh Normal(0, 2/d)
+    draw. One ``normal`` call draws the xi of many rows, the numbers and end
+    state of one ``kaiming_sample`` per row; ``alpha * row_t`` is added in
+    place to ``(1 - alpha) * xi``, the same sum, as addition commutes."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     d = theta.size
+    scale = kaiming_scale(d)
     traj = np.empty((steps + 1, d))
     traj[0] = theta
-    for t in range(steps):
-        traj[t + 1] = alpha * traj[t] + (1.0 - alpha) * kaiming_sample(d, rng)
+    prev = traj[0]
+    rows = max(1, _IRP_DRAW_VALUES // d)
+    for start in range(1, steps + 1, rows):
+        block = traj[start : start + rows]
+        np.multiply(1.0 - alpha, rng.normal(0.0, scale, block.shape), out=block)
+        for row in block:
+            row += alpha * prev
+            prev = row
     return traj
 
 

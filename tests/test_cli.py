@@ -104,13 +104,23 @@ def test_usage_errors_exit_one(runs_dir, capsys):
     assert cli(["unlearn", "--seed", "0", "--data", "x.uds", "--ckpt", "y",
                 "--method", "warp"]) == 1
     assert cli([]) == 1
-    assert cli(["gen-data", "--seed", "0", "--separation", "nan"]) == 1  # no centers fit
+    assert cli(["gen-data", "--seed", "0", "--separation", "nan"]) == 1  # no finite separation
     capsys.readouterr()
     # each error names the setting, not the numpy call it would break
     assert cli(["gen-data", "--seed", "0", "--split", "classwise", "--forget-fraction", "2"]) == 1
     assert "fraction must be in (0, 1)" in capsys.readouterr().err
     assert cli(["gen-data", "--seed", "0", "--n-per-class", "0"]) == 1
     assert "n_per_class must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--noise-sd", "nan"), ("--noise-sd", "inf"),
+                                         ("--noise-sd", "-1"), ("--separation", "-2")])
+def test_gen_data_refuses_a_bad_scale(runs_dir, tmp_path, capsys, flag, value):
+    out = tmp_path / "d.uds"
+    assert cli(["gen-data", "--seed", "0", flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be a finite number >= 0")
+    assert not out.exists()
 
 
 def test_silent_no_op_settings_exit_one(runs_dir, tmp_path, capsys):
@@ -378,6 +388,25 @@ def test_compare_rejects_what_is_not_an_eval_report(runs_dir, tmp_path, capsys, 
     assert cli(["compare", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("content, named", [
+    (b"", "Expecting value"),
+    (b"{not json", "Expecting property name"),
+    (b"\x9c\xff\x00binary", "codec can't decode"),
+    (json.dumps({"accuracies": {"retain": "x"}, "mia_rate": "high", "avg_gap": [1]}).encode(),
+     "accuracies['retain'] must be a number or null, not 'x'"),
+    (json.dumps({"accuracies": {"retain": 0.5}, "mia_rate": "high"}).encode(),
+     "mia_rate must be a number, not 'high'"),
+], ids=["empty", "not-json", "binary", "string-accuracy", "string-mia"])
+def test_compare_names_the_report_it_refuses(runs_dir, tmp_path, capsys, content, named):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"accuracies": {"retain": 0.5}, "mia_rate": 0.25}))
+    bad.write_bytes(content)
+    assert cli(["compare", str(good), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: ") and named in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("name", ["r.json", "a,b.json", 'say "a".json'])

@@ -21,6 +21,14 @@ def test_blobs_shapes_and_determinism():
     assert set(np.unique(a.labels)) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("name", ["separation", "noise_sd"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_blobs_refuse_a_scale_that_is_not_finite_and_non_negative(name, value):
+    kwargs = {"separation": 2.0, "noise_sd": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0"):
+        gen_blobs(10, 3, 4, seed=0, **kwargs)
+
+
 def test_blobs_test_split_is_stratified():
     ds = gen_blobs(50, 4, 3, separation=2.0, noise_sd=1.0, seed=1)
     test_labels = ds.labels[ds.test_idx]

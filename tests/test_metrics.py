@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from unlearn_forge.checkpoints import Checkpoint
 from unlearn_forge.datasets import gen_blobs, split_random, split_objective
 from unlearn_forge.metrics import (
+    EvalReport,
     rcd,
     mia_threshold_attack,
     eval_report,
@@ -185,8 +186,28 @@ def test_eval_report_roundtrip(tmp_path, trained_world):
     rep = eval_report(ckpt, ds)
     path = tmp_path / "eval.json"
     write_json(path, rep)
-    from unlearn_forge.metrics import EvalReport
-
     back = EvalReport.from_dict(read_json(path.read_text()))
     assert back.accuracies == rep.accuracies
     assert back.mia_rate == rep.mia_rate
+
+
+_GOOD_REPORT = {"accuracies": {"retain": 0.5, "test_forget": None, "forget": 1}, "mia_rate": 0,
+                "avg_gap": None}
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"accuracies": {"retain": "x"}}, "accuracies['retain'] must be a number or null"),
+    ({"accuracies": {"retain": True}}, "accuracies['retain']"),
+    ({"accuracies": {"retain": [0.5]}}, "accuracies['retain']"),
+    ({"mia_rate": "high"}, "mia_rate must be a number, not 'high'"),
+    ({"mia_rate": None}, "mia_rate must be a number"),
+    ({"mia_rate": False}, "mia_rate"),
+    ({"avg_gap": [1]}, "avg_gap must be a number or null, not [1]"),
+    ({"avg_gap": True}, "avg_gap"),
+], ids=["acc-str", "acc-bool", "acc-list", "mia-str", "mia-null", "mia-bool", "gap-list",
+        "gap-bool"])
+def test_eval_report_values_must_be_numbers(change, named):
+    assert EvalReport.from_dict(_GOOD_REPORT).accuracies == _GOOD_REPORT["accuracies"]
+    with pytest.raises(ValueError) as info:
+        EvalReport.from_dict({**_GOOD_REPORT, **change})
+    assert named in str(info.value)

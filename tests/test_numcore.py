@@ -5,6 +5,7 @@ from unlearn_forge.numcore import (
     derive_stream,
     kaiming_sample,
     check_finite,
+    norm,
 )
 
 
@@ -67,3 +68,12 @@ def test_kaiming_bad_dim():
 def test_check_finite_message():
     with pytest.raises(FloatingPointError, match="gradient"):
         check_finite(np.array([np.inf]), "gradient")
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e200], ids=["tiny", "unit", "overflowing"])
+def test_norm_is_bitwise_linalg_norm(scale):
+    rng = derive_stream(5, 5)
+    for d in (1, 2, 7, 64, 1000):
+        v = rng.normal(0.0, scale, d)
+        with np.errstate(over="ignore"):  # both square-sums overflow to inf at 1e200
+            assert repr(norm(v)) == repr(float(np.linalg.norm(v)))

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from unlearn_forge.metrics import rcd
-from unlearn_forge.models import make_quadratic, make_classifier, mlp_spec
+from unlearn_forge.models import logistic_spec, make_quadratic, make_classifier, mlp_spec
 from unlearn_forge.numcore import derive_stream, jsonable
 from unlearn_forge.spectral import (
+    _lanczos,
     lambda_max,
     condition_number,
     estimate_spectrum,
@@ -99,6 +100,57 @@ def test_lanczos_steps_at_most_d(spectrum):
         theta = np.ones(len(spectrum))
     est = estimate_spectrum(obj, theta, rng=derive_stream(6, 0))
     assert 1 <= est.iterations_used <= theta.size
+
+
+def _list_lanczos(point, rng):
+    """The Lanczos loop with its tridiagonal matrix kept in Python lists and
+    rebuilt every step, and the norms from ``np.linalg.norm``."""
+    from scipy.linalg.lapack import dstebz, dstein
+
+    d = point.theta.size
+    q = rng.standard_normal(d)
+    Q = [q / np.linalg.norm(q)]
+    alphas, betas = [], []
+    for k in range(d):
+        w = point.hvp(Q[k])
+        alphas.append(Q[k] @ w)
+        for _ in range(2):
+            B = np.array(Q)
+            w -= B.T @ (B @ w)
+        betas.append(np.linalg.norm(w))
+        T = np.array(alphas), np.array(betas[: max(k, 1)])
+        ends = []
+        for i in (1, k + 1):
+            _, ritz, block, split, _ = dstebz(*T, 2, 0.0, 0.0, i, i, 0.0, "E")
+            s, _ = dstein(*T, ritz[:1], block, split)
+            ends.append((float(ritz[0]), float(s[-1, 0])))
+        residual = betas[k] * max(abs(s) for _, s in ends)
+        if residual <= 1e-10 or betas[k] == 0.0 or k + 1 == d:
+            return ends[0][0], ends[1][0], k + 1, float(residual)
+        Q.append(w / betas[k])
+
+
+def _binary_logistic():
+    rng = derive_stream(9, 1)
+    obj = make_classifier(logistic_spec(5, 2), rng.normal(0.0, 1.0, (40, 5)),
+                          rng.integers(2, size=40))
+    return obj, rng.normal(0.0, 1.0, 6)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (make_quadratic(np.linspace(9.0, 0.5, 24), np.ones(24), 0.0), np.zeros(24)),
+    _binary_logistic,
+    lambda: _relu_mlp(seed=0),
+], ids=["quadratic", "binary-logistic", "relu-mlp"])
+def test_lanczos_is_bitwise_the_list_loop(make):
+    obj, theta = make()
+    point = obj.evaluate(theta)
+    got = _lanczos(point, derive_stream(9, 2))
+    assert got == _list_lanczos(point, derive_stream(9, 2))
+    assert [type(x) for x in got] == [float, float, int, float]
+    assert got[2] > 3  # more steps than the start-up ones
+    if obj.spec.kind == "mlp":
+        assert got[0] < 0.0 < got[1]  # an indefinite Hessian
 
 
 def test_lanczos_memory_follows_steps_taken():

@@ -6,7 +6,7 @@ import pytest
 from unlearn_forge import spectral
 from unlearn_forge.datasets import gen_blobs, split_objective, split_random
 from unlearn_forge.metrics import rcd
-from unlearn_forge.models import make_quadratic, logistic_spec
+from unlearn_forge.models import make_quadratic, logistic_spec, mlp_spec
 from unlearn_forge.numcore import derive_stream, kaiming_sample
 from unlearn_forge.training import (
     OptimizerConfig,
@@ -15,6 +15,7 @@ from unlearn_forge.training import (
     retrain_oracle,
     forget_oracle,
     trace_to_csv,
+    _descend,
 )
 
 
@@ -39,10 +40,13 @@ def _adaptive_quadratic():
     return make_quadratic(np.linspace(8.0, 1.0, 6), np.ones(6), 0.0), np.zeros(6)
 
 
-def _adaptive_logistic():
-    spec = logistic_spec(4, 3)
+def _blob_objective(spec):
     obj = split_objective(gen_blobs(10, 3, 4, separation=0.5, noise_sd=1.0, seed=3), spec, "train")
     return obj, kaiming_sample(spec.param_count, derive_stream(3, 1))
+
+
+def _adaptive_logistic():
+    return _blob_objective(logistic_spec(4, 3))
 
 
 def _adaptive_train(obj, theta0, epochs):
@@ -74,6 +78,24 @@ def test_adaptive_records_on_a_quadratic_share_one_lambda_max():
     assert len(records) == 8 and len(lams) == 1
     assert lams.pop() == pytest.approx(8.0, rel=1e-9)
     assert {r.eta for r in records[1:]} == {1.0 / records[1].lambda_max}
+
+
+@pytest.mark.parametrize("make", [_adaptive_quadratic, _adaptive_logistic,
+                                  lambda: _blob_objective(mlp_spec([4, 6, 3]))],
+                         ids=["quadratic", "logistic", "mlp"])
+def test_records_are_bitwise_the_numpy_reductions(make):
+    """Each record's loss, accuracy and gradient norm are those of the
+    epoch's point as ``np.mean``, ``np.argmax`` and ``np.linalg.norm`` take
+    them."""
+    obj, theta0 = make()
+    cfg = OptimizerConfig(kind="adam", eta=0.05, batch_size=7, max_epochs=6, grad_norm_tol=0.0)
+    records = train(obj, theta0, cfg, derive_stream(3, 2)).records
+    for rec, (point, _, _) in zip(records, _descend(obj, theta0, cfg, derive_stream(3, 2))):
+        assert rec.grad_norm == float(np.linalg.norm(point.gradient()))
+        if obj.spec.is_classifier:
+            assert rec.loss == float(np.mean(point.per_example_loss))
+            assert rec.accuracy == float(np.mean(np.argmax(point.logits, axis=1) == obj.y))
+    assert len(records) == cfg.max_epochs + 1
 
 
 def test_convergence_stop_reason():

@@ -221,6 +221,25 @@ def test_irp_run_shape_and_mixing():
     assert abs(traj[-1].mean()) < 1.0
 
 
+@pytest.mark.parametrize("steps", [0, 1, 257])
+@pytest.mark.parametrize("d", [1, 3, 100, 700])  # at d = 700 the draws span three blocks
+def test_irp_run_is_bitwise_the_per_step_loop(d, steps):
+    theta = derive_stream(8, d).normal(0.0, 1.0, d)
+    rng, ref_rng = derive_stream(8, 0), derive_stream(8, 0)
+    traj = irp_run(theta, 0.9, steps, rng)
+    ref = [theta]
+    for _ in range(steps):
+        ref.append(0.9 * ref[-1] + (1 - 0.9) * kaiming_sample(d, ref_rng))
+    assert traj.tobytes() == np.array(ref).tobytes()
+    assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_irp_run_refuses_an_empty_theta(steps):
+    with pytest.raises(ValueError, match="d >= 1"):
+        irp_run(np.empty(0), 0.5, steps, derive_stream(0, 0))
+
+
 def test_retain_bound_monitor_quadratic():
     retain = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
     forget = make_quadratic([4.0, 1.0], np.ones(2), 0.0)
