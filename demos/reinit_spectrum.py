@@ -44,15 +44,16 @@ def kappa_trends(n_seeds=20):
         obj = split_objective(ds, spec, "train")
         theta = kaiming_sample(spec.param_count, derive_stream(seed, 2))
         for t in range(epochs + 1):
-            train_k[t] += _explicit_kappa(obj, theta) / n_seeds
-            theta = theta - obj.gradient(theta)
+            point = obj.evaluate(theta)
+            train_k[t] += _explicit_kappa(point) / n_seeds
+            theta = theta - point.gradient()
         opt = train(obj, theta,
                     OptimizerConfig(kind="gd_fixed", eta=1.0, max_epochs=800,
                                     grad_norm_tol=1e-7),
                     derive_stream(seed, 3)).theta
         traj = irp_run(opt, 0.9, irp_steps, derive_stream(seed, 4))
         for t in range(irp_steps + 1):
-            irp_k[t] += _explicit_kappa(obj, traj[t]) / n_seeds
+            irp_k[t] += _explicit_kappa(obj.evaluate(traj[t])) / n_seeds
     print(f"training:        kappa {train_k[0]:.1f} -> {train_k[-1]:.1f} (falls)")
     print(f"re-init process: kappa {irp_k[0]:.1f} -> {irp_k[-1]:.1f} (climbs)")
 

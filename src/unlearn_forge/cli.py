@@ -7,11 +7,13 @@ Every artifact-producing command hashes its resolved settings plus seed
 into an experiment id, and writes
 
     <runs-root>/<experiment-id>/
-        manifest.json
+        manifest.json  config, seed and the path of every file the run wrote
         checkpoints/   binary model checkpoints
-        reports/       JSON metric reports
+        reports/       JSON and CSV metric reports
         traces/        per-epoch CSV traces
     <runs-root>/oracles/<key>.ieuc   forget oracles cached by ``rcd``
+
+with only those subdirectories that the command's files go in.
 
 The runs root defaults to ``./runs`` and can be overridden with the
 ``UNLEARN_FORGE_RUNS_DIR`` environment variable. Exit codes: 0 on
@@ -35,10 +37,10 @@ import numpy as np
 from .checkpoints import Checkpoint, CheckpointError, save_checkpoint, load_checkpoint
 from .datasets import gen_blobs, split_random, split_classwise, split_objective, save_uds, load_uds
 from .models import ModelSpec, logistic_spec, mlp_spec
-from .metrics import PHI_KINDS, rcd, eval_report, EvalReport
+from .metrics import rcd, eval_report, EvalReport
 from .numcore import derive_stream, kaiming_sample, read_json, write_csv, write_json
-from .training import (OPTIMIZER_KINDS, OptimizerConfig, DivergenceError, train, retrain_oracle,
-                       forget_oracle, trace_to_csv)
+from .training import (OPTIMIZER_KINDS, PHI_KINDS, OptimizerConfig, DivergenceError, train,
+                       retrain_oracle, forget_oracle, trace_to_csv)
 from .unlearning import METHODS, EpochRow, UnlearnConfig, unlearn
 from . import verify as verify_mod
 
@@ -101,26 +103,35 @@ def _config_value(flag: argparse.Action, key: str, value):
         raise UsageError(f"config key {key!r} is too large for a float: {value!r}") from exc
 
 
-def _new_run(command: str, config: dict, seed) -> tuple[Path, str]:
-    blob = json.dumps({"command": command, "config": config, "seed": seed},
+def _write_run(command: str, cfg: dict, seed, files: dict, **facts):
+    """Write one run: each of ``files``, ``{artifact: (path, write)}`` with
+    ``path`` relative to the run directory and ``write(path)`` writing it,
+    then ``manifest.json``, whose ``artifacts`` are the paths written plus
+    ``facts``. The runs root is made first, then only the directories of
+    the run that those files go in; a file bound outside the run whose
+    directory is missing fails with nothing written under the runs root.
+    Returns the experiment id and the paths written, by artifact."""
+    blob = json.dumps({"command": command, "config": cfg, "seed": seed},
                       sort_keys=True).encode()
     exp_id = hashlib.sha256(blob).hexdigest()[:12]
     run_dir = _runs_root() / exp_id
-    for sub in ("checkpoints", "reports", "traces"):
-        (run_dir / sub).mkdir(parents=True, exist_ok=True)
-    return run_dir, exp_id
-
-
-def _write_manifest(run_dir: Path, command: str, exp_id: str, config: dict,
-                    seed, artifacts: dict) -> None:
+    run_dir.parent.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for artifact, (path, write) in files.items():
+        paths[artifact] = path = run_dir / path
+        if run_dir in path.parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    run_dir.mkdir(exist_ok=True)
     write_json(run_dir / "manifest.json", {
         "command": command,
         "experiment_id": exp_id,
-        "config": config,
+        "config": cfg,
         "seed": seed,
-        "artifacts": artifacts,
+        "artifacts": {**{k: str(path) for k, path in paths.items()}, **facts},
         "created": datetime.now(timezone.utc).isoformat(),
     })
+    return exp_id, paths
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +183,10 @@ def _cmd_gen_data(cfg: dict, seed) -> int:
                    cfg["separation"], cfg["noise_sd"], seed)
     split = split_random if cfg["split"] == "random" else split_classwise
     ds = split(ds, cfg["forget_fraction"], seed)
-    run_dir, exp_id = _new_run("gen-data", cfg, seed)
-    out = Path(cfg["out"]) if cfg["out"] else run_dir / "dataset.uds"
-    save_uds(ds, out)
-    _write_manifest(run_dir, "gen-data", exp_id, cfg, seed, {"dataset": str(out)})
-    print(f"{exp_id}\t{out}")
+    out = Path(cfg["out"]) if cfg["out"] else None  # recorded absolute, printed as given
+    exp_id, paths = _write_run("gen-data", cfg, seed, {
+        "dataset": (out.absolute() if out else "dataset.uds", lambda path: save_uds(ds, path))})
+    print(f"{exp_id}\t{out or paths['dataset']}")
     return 0
 
 
@@ -187,17 +197,14 @@ def _cmd_train(cfg: dict, seed) -> int:
     obj = split_objective(ds, spec, "train")
     theta0 = kaiming_sample(spec.param_count, derive_stream(seed, 11))
     trace = train(obj, theta0, ocfg, derive_stream(seed, 12))
-    run_dir, exp_id = _new_run("train", cfg, seed)
     ckpt = Checkpoint(role="original", spec=spec, config=ocfg.to_dict(),
                       root_seed=seed, theta=trace.theta,
                       extra={"stop_reason": trace.stop_reason})
-    ckpt_path = run_dir / "checkpoints" / "original.ieuc"
-    save_checkpoint(ckpt, ckpt_path)
-    trace_to_csv(trace, run_dir / "traces" / "train.csv")
-    _write_manifest(run_dir, "train", exp_id, cfg, seed,
-                    {"checkpoint": str(ckpt_path)})
+    exp_id, paths = _write_run("train", cfg, seed, {
+        "checkpoint": ("checkpoints/original.ieuc", lambda path: save_checkpoint(ckpt, path)),
+        "trace": ("traces/train.csv", lambda path: trace_to_csv(trace, path))})
     final = trace.records[-1]
-    print(f"{exp_id}\t{ckpt_path}\tloss={final.loss:.6g}\tacc={final.accuracy}")
+    print(f"{exp_id}\t{paths['checkpoint']}\tloss={final.loss:.6g}\tacc={final.accuracy}")
     return 0
 
 
@@ -205,11 +212,9 @@ def _cmd_retrain(cfg: dict, seed) -> int:
     ds = load_uds(cfg["data"])
     original = load_checkpoint(cfg["ckpt"])
     ck = retrain_oracle(ds, original.spec, _oracle_config(original, cfg["ckpt"]), seed)
-    run_dir, exp_id = _new_run("retrain", cfg, seed)
-    out = run_dir / "checkpoints" / "retrain.ieuc"
-    save_checkpoint(ck, out)
-    _write_manifest(run_dir, "retrain", exp_id, cfg, seed, {"checkpoint": str(out)})
-    print(f"{exp_id}\t{out}")
+    exp_id, paths = _write_run("retrain", cfg, seed, {
+        "checkpoint": ("checkpoints/retrain.ieuc", lambda path: save_checkpoint(ck, path))})
+    print(f"{exp_id}\t{paths['checkpoint']}")
     return 0
 
 
@@ -220,17 +225,15 @@ def _cmd_unlearn(cfg: dict, seed) -> int:
     ds = load_uds(cfg["data"])
     original = load_checkpoint(cfg["ckpt"])
     run = unlearn(original, ds, ucfg)
-    run_dir, exp_id = _new_run("unlearn", cfg, seed)
     ck = Checkpoint(role="unlearned", spec=original.spec, config=ucfg.to_dict(),
                     root_seed=seed, theta=run.theta,
                     extra={"method": run.method})
-    out = run_dir / "checkpoints" / f"{run.method}.ieuc"
-    save_checkpoint(ck, out)
-    write_csv(run_dir / "traces" / f"{run.method}.csv", [f.name for f in fields(EpochRow)],
-              (astuple(row) for row in run.trace))
-    _write_manifest(run_dir, "unlearn", exp_id, cfg, seed,
-                    {"checkpoint": str(out), "wall_clock": run.wall_clock})
-    print(f"{exp_id}\t{out}")
+    exp_id, paths = _write_run("unlearn", cfg, seed, {
+        "checkpoint": (f"checkpoints/{run.method}.ieuc", lambda path: save_checkpoint(ck, path)),
+        "trace": (f"traces/{run.method}.csv", lambda path: write_csv(
+            path, [f.name for f in fields(EpochRow)], (astuple(row) for row in run.trace)))},
+        wall_clock=run.wall_clock)
+    print(f"{exp_id}\t{paths['checkpoint']}")
     return 0
 
 
@@ -247,13 +250,11 @@ def _cmd_rcd(cfg: dict, seed) -> int:
     forget_obj = split_objective(ds, ckpt.spec, "forget")
     report = rcd(ckpt.theta, forget_obj, phi_ref[cfg["phi"]], cfg["k"], relearn,
                  cfg["phi"], derive_stream(seed, 13))
-    run_dir, exp_id = _new_run("rcd", cfg, seed)
-    out = run_dir / "reports" / "rcd.json"
-    write_json(out, report)
-    report.to_csv(run_dir / "reports" / "rcd.csv")
-    _write_manifest(run_dir, "rcd", exp_id, cfg, seed,
-                    {"report": str(out), "oracle": str(oracle_path), "oracle_cache": oracle_cache})
-    print(f"{exp_id}\trcd={report.rcd_value:.6g}\t{out}")
+    exp_id, paths = _write_run("rcd", cfg, seed, {
+        "report": ("reports/rcd.json", lambda path: write_json(path, report)),
+        "report_csv": ("reports/rcd.csv", report.to_csv)},
+        oracle=str(oracle_path), oracle_cache=oracle_cache)
+    print(f"{exp_id}\trcd={report.rcd_value:.6g}\t{paths['report']}")
     return 0
 
 
@@ -312,11 +313,9 @@ def _cmd_eval(cfg: dict, seed) -> int:
     if cfg["against"]:
         reference = eval_report(load_checkpoint(cfg["against"]), ds)
     report = eval_report(ckpt, ds, reference)
-    run_dir, exp_id = _new_run("eval", cfg, seed)
-    out = run_dir / "reports" / "eval.json"
-    write_json(out, report)
-    _write_manifest(run_dir, "eval", exp_id, cfg, seed, {"report": str(out)})
-    print(f"{exp_id}\t{out}")
+    exp_id, paths = _write_run("eval", cfg, seed, {
+        "report": ("reports/eval.json", lambda path: write_json(path, report))})
+    print(f"{exp_id}\t{paths['report']}")
     for k, v in sorted(report.metrics().items()):
         print(f"  {k}: {v}")
     if report.avg_gap is not None:

@@ -26,8 +26,8 @@ from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
 from .numcore import write_csv
-from .spectral import SpectralEstimate, _spectrum_at, condition_number
-from .training import OptimizerConfig, _descend
+from .spectral import SpectralEstimate, _lanczos, condition_number
+from .training import OptimizerConfig, _descend, _phi
 
 __all__ = [
     "RcdReport",
@@ -37,9 +37,6 @@ __all__ = [
     "mia_threshold_attack",
     "eval_report",
 ]
-
-PHI_KINDS = ("loss", "one_minus_accuracy")
-
 
 @dataclass
 class RcdReport:
@@ -57,15 +54,6 @@ class RcdReport:
         write_csv(path, ["t", "phi", "e_t", "cumulative"],
                   zip(range(self.K + 1), self.errors + self.phi_ref, self.errors,
                       np.cumsum(self.errors)))
-
-
-def _phi(phi_kind: str):
-    """The error of an evaluated point for ``phi_kind``."""
-    if phi_kind == "loss":
-        return lambda point: point.loss
-    if phi_kind == "one_minus_accuracy":
-        return lambda point: 1.0 - point.accuracy
-    raise ValueError(f"unknown phi kind {phi_kind!r}; use one of {PHI_KINDS}")
 
 
 def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
@@ -87,6 +75,9 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
         raise ValueError("relearning has no stop rule; "
                          "relearn_cfg.grad_norm_tol must keep its default")
     phi = _phi(phi_kind)
+    if phi_kind == "one_minus_accuracy" and not forget_obj.spec.is_classifier:
+        raise ValueError(f"phi kind {phi_kind!r} needs an accuracy, which a "
+                         f"{forget_obj.spec.kind!r} model does not have")
     theta0 = np.array(theta0, dtype=np.float64)
     errors = np.empty(K + 1)
     for t, (point, _, _) in zip(range(K + 1), _descend(forget_obj, theta0, relearn_cfg, rng)):
@@ -97,12 +88,11 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
             raise FloatingPointError(f"non-finite relearning error at epoch {t}: phi={phi(point)}")
     bound = diag = est = None
     if attach_bound and phi_kind == "loss":  # kappa at theta0 times the loss gap there
-        est = _spectrum_at(point0, rng)
-        kappa = condition_number(est)
-        if isinstance(kappa, str):
-            diag = kappa
+        est = _lanczos(point0, rng)
+        if est.kappa is None:
+            diag = condition_number(est)
         else:
-            bound = float(kappa * errors[0])
+            bound = float(est.kappa * errors[0])
     step_mode = relearn_cfg.kind if relearn_cfg.kind != "gd_adaptive" else "adaptive_inv_lambda_max"
     return RcdReport(K=K, phi_kind=phi_kind, step_mode=step_mode, errors=errors,
                      rcd_value=float(errors.sum()), phi_ref=phi_ref, curvature_bound=bound,

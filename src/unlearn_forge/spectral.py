@@ -49,7 +49,9 @@ def _lanczos(point, rng: np.random.Generator):
 
     Stops when both extreme Ritz residuals ``beta_k * |s_k|`` are at most
     ``LANCZOS_TOL``, on breakdown, or after ``min(d, LANCZOS_MAX_ITER)``
-    steps. Returns ``(lambda_min, lambda_max, steps, residual)``.
+    steps. Returns the run's ``SpectralEstimate``; its ``kappa`` is
+    ``lambda_max / lambda_min`` when the estimate is PSD and ``lambda_min``
+    exceeds ``KAPPA_FLOOR``, else None.
     """
     from scipy.linalg.lapack import dstebz, dstein  # deferred: scipy.linalg is slow to import
 
@@ -80,7 +82,11 @@ def _lanczos(point, rng: np.random.Generator):
         if k + 1 == len(Q):
             Q = np.concatenate([Q, np.empty_like(Q)])
         Q[k + 1] = w / b
-    return ends[0], ends[1], k + 1, residual
+    low, high = ends
+    psd = low > -LANCZOS_TOL
+    return SpectralEstimate(lambda_max=high, lambda_min=low,
+                            kappa=high / low if psd and low > KAPPA_FLOOR else None,
+                            iterations_used=k + 1, residual=residual, psd_flag=psd)
 
 
 def lambda_max(obj, theta: np.ndarray, rng: np.random.Generator):
@@ -97,9 +103,11 @@ def lambda_max(obj, theta: np.ndarray, rng: np.random.Generator):
 
 def _lambda_max_at(point, rng: np.random.Generator):
     """``lambda_max`` at a point the caller has already evaluated."""
-    low, high, steps, residual = _lanczos(point, rng)
+    est = _lanczos(point, rng)
+    low, high = est.lambda_min, est.lambda_max
     lam = high if abs(high) >= abs(low) else low
-    return lam, {"residual": residual, "iterations": steps, "converged": residual <= LANCZOS_TOL}
+    return lam, {"residual": est.residual, "iterations": est.iterations_used,
+                 "converged": est.residual <= LANCZOS_TOL}
 
 
 def condition_number(est: SpectralEstimate):
@@ -114,14 +122,4 @@ def condition_number(est: SpectralEstimate):
 
 def estimate_spectrum(obj, theta: np.ndarray, rng: np.random.Generator) -> SpectralEstimate:
     """Estimate both algebraic extreme eigenvalues and the condition number."""
-    return _spectrum_at(obj.evaluate(theta), rng)
-
-
-def _spectrum_at(point, rng: np.random.Generator) -> SpectralEstimate:
-    """``estimate_spectrum`` at a point the caller has already evaluated."""
-    low, high, steps, residual = _lanczos(point, rng)
-    est = SpectralEstimate(lambda_max=high, lambda_min=low, kappa=None, iterations_used=steps,
-                           residual=residual, psd_flag=low > -LANCZOS_TOL)
-    kappa = condition_number(est)
-    est.kappa = kappa if isinstance(kappa, float) else None
-    return est
+    return _lanczos(obj.evaluate(theta), rng)

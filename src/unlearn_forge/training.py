@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 OPTIMIZER_KINDS = ("gd_fixed", "gd_adaptive", "sgd", "adam")
+PHI_KINDS = ("loss", "one_minus_accuracy")
 DIVERGENCE_FACTOR = 1e6
 # Adam's moment decay rates and denominator guard (Kingma and Ba, 2015)
 ADAM_BETA1 = 0.9
@@ -98,6 +99,15 @@ class TrainTrace:
     records: list
     theta: np.ndarray
     stop_reason: str  # converged | max_epochs
+
+
+def _phi(phi_kind: str):
+    """The error for ``phi_kind`` of an evaluated point or an epoch record."""
+    if phi_kind == "loss":
+        return lambda point: point.loss
+    if phi_kind == "one_minus_accuracy":
+        return lambda point: 1.0 - point.accuracy
+    raise ValueError(f"unknown phi kind {phi_kind!r}; use one of {PHI_KINDS}")
 
 
 def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: np.random.Generator):
@@ -200,7 +210,7 @@ def forget_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, see
     on the model under audit. This function trains the oracle on every call;
     the CLI's ``rcd`` caches it under ``<runs-root>/oracles/``."""
     ckpt = _train_oracle(data, spec, cfg, seed, "forget", "forget_oracle", lambda last: {
-        "phi_ref": {"loss": last.loss, "one_minus_accuracy": 1.0 - last.accuracy}})
+        "phi_ref": {kind: _phi(kind)(last) for kind in PHI_KINDS}})
     return ckpt, ckpt.extra["phi_ref"]
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, gen_blobs, split_random, split_objective
-from .models import Objective, make_quadratic, logistic_spec, mlp_spec
+from .models import make_quadratic, logistic_spec, mlp_spec
 from .metrics import rcd, mia_threshold_attack, eval_report, MiaResult
 from .numcore import derive_stream, jsonable, kaiming_sample
 from .spectral import estimate_spectrum
@@ -254,13 +254,13 @@ def check_irp_stationary_law() -> CheckResult:
                        margin=float(worst), details=details)
 
 
-def _explicit_kappa(obj: Objective, theta: np.ndarray) -> float:
-    """Condition number from the dense Hessian assembled column-by-column
-    via Hessian-vector products (independent of the Lanczos path)."""
-    d = theta.size
+def _explicit_kappa(point) -> float:
+    """Condition number at an evaluated point from the dense Hessian
+    assembled column-by-column via Hessian-vector products (independent of
+    the Lanczos path)."""
+    d = point.theta.size
     H = np.empty((d, d))
     eye = np.eye(d)
-    point = obj.evaluate(theta)
     for i in range(d):
         H[:, i] = point.hvp(eye[i])
     w = np.linalg.eigvalsh(H)
@@ -282,16 +282,17 @@ def check_condition_number_trends() -> CheckResult:
         # the kappa curve along `epochs` steps of full-batch gradient descent, step 1
         theta = kaiming_sample(spec.param_count, derive_stream(seed, 907))
         for t in range(epochs + 1):
-            train_curves[seed, t] = _explicit_kappa(obj, theta)
+            point = obj.evaluate(theta)
+            train_curves[seed, t] = _explicit_kappa(point)
             if t < epochs:
-                theta = theta - obj.gradient(theta)
+                theta = theta - point.gradient()
         opt = train(obj, theta,
                     OptimizerConfig(kind="gd_fixed", eta=1.0, max_epochs=800,
                                     grad_norm_tol=1e-7),
                     derive_stream(seed, 909)).theta
         traj = irp_run(opt, 0.9, irp_steps, derive_stream(seed, 910))
         for t in range(irp_steps + 1):
-            irp_curves[seed, t] = _explicit_kappa(obj, traj[t])
+            irp_curves[seed, t] = _explicit_kappa(obj.evaluate(traj[t]))
     from scipy.stats import spearmanr  # deferred: scipy.stats is slow to import
 
     mean_train = train_curves.mean(axis=0)

@@ -123,6 +123,23 @@ def test_gen_data_refuses_a_bad_scale(runs_dir, tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_gen_data_into_a_missing_directory_leaves_nothing(runs_dir, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert cli(["gen-data", "--seed", "0", "--out", str(missing / "x.uds")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not missing.exists()
+    assert not any(runs_dir.iterdir())
+
+
+def test_gen_data_out_may_sit_beside_a_new_runs_root(tmp_path, monkeypatch):
+    # the runs root is made, with its parents, before any file is written,
+    # so an --out beside a runs root that does not exist yet has its directory
+    base = tmp_path / "base"
+    monkeypatch.setenv("UNLEARN_FORGE_RUNS_DIR", str(base / "runs"))
+    assert cli(["gen-data", "--seed", "0", "--out", str(base / "x.uds")]) == 0
+    assert (base / "x.uds").is_file()
+
+
 def test_silent_no_op_settings_exit_one(runs_dir, tmp_path, capsys):
     data = tmp_path / "d.uds"
     assert cli(["gen-data", "--seed", "1", "--n-per-class", "10", "--out", str(data)]) == 0
@@ -498,6 +515,7 @@ def test_artifact_formats(runs_dir, tmp_path, capsys):
     run = ["--seed", "2", "--data", str(data)]
     assert cli(["gen-data", "--seed", "2", "--n-per-class", "10", "--features", "4",
                 "--out", str(data)]) == 0
+    assert cli(["gen-data", "--seed", "3", "--n-per-class", "10"]) == 0  # into its run directory
     assert cli(["train", *run, "--model", "logistic:4,3", "--epochs", "3"]) == 0
     original = str(_one("*/checkpoints/original.ieuc", runs_dir))
     assert cli(["unlearn", *run, "--ckpt", original, "--method", "scrub", "--epochs", "2"]) == 0
@@ -514,9 +532,25 @@ def test_artifact_formats(runs_dir, tmp_path, capsys):
                                     "residual", "psd_flag"}
     evaluation = json.loads(_one("*/reports/eval.json", runs_dir).read_text())
     assert set(evaluation) == {"accuracies", "mia_rate", "gaps", "avg_gap"}
-    for manifest in runs_dir.glob("*/manifest.json"):
-        assert set(json.loads(manifest.read_text())) == {
+    # a run directory holds its manifest, the files it names and no empty directory
+    keys = {"gen-data": {"dataset"}, "train": {"checkpoint", "trace"},
+            "unlearn": {"checkpoint", "trace", "wall_clock"},
+            "rcd": {"report", "report_csv", "oracle", "oracle_cache"}, "eval": {"report"}}
+    facts = {"wall_clock", "oracle", "oracle_cache"}
+    manifests = sorted(runs_dir.glob("*/manifest.json"))
+    assert len(manifests) == 6
+    for manifest in manifests:
+        content = json.loads(manifest.read_text())
+        assert set(content) == {
             "command", "experiment_id", "config", "seed", "artifacts", "created"}
+        artifacts = content["artifacts"]
+        assert set(artifacts) == keys[content["command"]]
+        named = {Path(path) for key, path in artifacts.items() if key not in facts}
+        assert all(path.is_absolute() and path.is_file() for path in named)
+        run_dir = manifest.parent
+        inside = {path for path in run_dir.rglob("*") if path.is_file()}
+        assert inside == {manifest} | {path for path in named if run_dir in path.parents}
+        assert all(any(d.iterdir()) for d in run_dir.rglob("*") if d.is_dir())
 
     headers = {"train.csv": "epoch,loss,acc,grad_norm,lambda_max,eta",
                "scrub.csv": "epoch,retain_loss,forget_loss,retain_acc,forget_acc,"

@@ -68,6 +68,15 @@ def test_rcd_negative_k_rejected():
         rcd(np.zeros(2), obj, 0.0, -1, _adaptive_cfg(), "loss", derive_stream(3, 0))
 
 
+def test_rcd_refuses_accuracy_phi_on_a_quadratic(monkeypatch):
+    import unlearn_forge.metrics as metrics
+
+    obj = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
+    monkeypatch.setattr(metrics, "_descend", lambda *a: pytest.fail("relearned"))
+    with pytest.raises(ValueError, match="'one_minus_accuracy'.*'quadratic'"):
+        rcd(np.ones(2), obj, 0.0, 3, _adaptive_cfg(), "one_minus_accuracy", derive_stream(3, 0))
+
+
 @pytest.mark.parametrize("spec", [logistic_spec(4, 3), mlp_spec([4, 6, 3])],
                          ids=["logistic", "mlp"])
 @pytest.mark.parametrize("kind", ["gd_fixed", "gd_adaptive", "sgd", "adam"])

@@ -145,7 +145,8 @@ def _binary_logistic():
 def test_lanczos_is_bitwise_the_list_loop(make):
     obj, theta = make()
     point = obj.evaluate(theta)
-    got = _lanczos(point, derive_stream(9, 2))
+    est = _lanczos(point, derive_stream(9, 2))
+    got = est.lambda_min, est.lambda_max, est.iterations_used, est.residual
     assert got == _list_lanczos(point, derive_stream(9, 2))
     assert [type(x) for x in got] == [float, float, int, float]
     assert got[2] > 3  # more steps than the start-up ones
