@@ -7,7 +7,8 @@ Every artifact-producing command hashes its resolved settings plus seed
 into an experiment id, and writes
 
     <runs-root>/<experiment-id>/
-        manifest.json  config, seed and the path of every file the run wrote
+        manifest.json  config, seed, working directory and the path of every
+                       file the run wrote
         checkpoints/   binary model checkpoints
         reports/       JSON and CSV metric reports
         traces/        per-epoch CSV traces
@@ -107,9 +108,11 @@ def _write_run(command: str, cfg: dict, seed, files: dict, **facts):
     """Write one run: each of ``files``, ``{artifact: (path, write)}`` with
     ``path`` relative to the run directory and ``write(path)`` writing it,
     then ``manifest.json``, whose ``artifacts`` are the paths written plus
-    ``facts``. The runs root is made first, then only the directories of
-    the run that those files go in; a file bound outside the run whose
-    directory is missing fails with nothing written under the runs root.
+    ``facts`` and whose ``cwd``, the working directory, is what relative
+    paths in ``cfg`` and ``artifacts`` resolve against. The runs root is
+    made first, then only the directories of the run that those files go
+    in; a file bound outside the run whose directory is missing fails with
+    nothing written under the runs root.
     Returns the experiment id and the paths written, by artifact."""
     blob = json.dumps({"command": command, "config": cfg, "seed": seed},
                       sort_keys=True).encode()
@@ -128,6 +131,7 @@ def _write_run(command: str, cfg: dict, seed, files: dict, **facts):
         "experiment_id": exp_id,
         "config": cfg,
         "seed": seed,
+        "cwd": os.getcwd(),
         "artifacts": {**{k: str(path) for k, path in paths.items()}, **facts},
         "created": datetime.now(timezone.utc).isoformat(),
     })

@@ -197,9 +197,11 @@ class Objective:
     cross-entropy for the classifiers.
 
     ``evaluate(theta)`` runs the forward pass once and returns the point
-    that serves every quantity at ``theta``. Objectives hold no cache;
-    identical inputs always give identical outputs, so objectives may be
-    shared across tasks.
+    that serves every quantity at ``theta``. Points cache nothing across
+    thetas; a logistic objective keeps one thing, its bias-augmented design
+    matrix, built on the first evaluation from ``X`` (which must not change
+    after it) and shared by every point. Identical inputs always give
+    identical outputs, so objectives may be shared across tasks.
     """
 
     spec: ModelSpec
@@ -218,6 +220,11 @@ class Objective:
     @property
     def n_examples(self) -> int:
         return 0 if self.X is None else len(self.X)
+
+    @_once
+    def _design(self) -> np.ndarray:
+        """``[X, 1]``, logistic regression's bias-augmented design matrix."""
+        return np.concatenate([self.X, np.ones((len(self.X), 1))], axis=1)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -279,10 +286,10 @@ class _ClassifierPoint(_Point):
     def _exp_rows(self):
         """The logits' row max, exp(logits - max) and its row sums, for both
         the log-sum-exp and the softmax."""
-        zmax = self.logits.max(axis=1, keepdims=True)
+        zmax = _row_max(self.logits)
         e = self.logits - zmax
         np.exp(e, out=e)
-        return zmax, e, e.sum(axis=1, keepdims=True)
+        return zmax, e, _row_sum(e)
 
     @_once
     def per_example_loss(self) -> np.ndarray:
@@ -326,8 +333,8 @@ class _ClassifierPoint(_Point):
 
 class _LogisticPoint(_ClassifierPoint):
     def _forward(self):
-        X, spec = self.obj.X, self.obj.spec
-        self.xt = np.concatenate([X, np.ones((len(X), 1))], axis=1)  # bias-augmented design
+        spec = self.obj.spec
+        self.xt = self.obj._design
         part = self.xt @ self.theta.reshape(spec.n_features + 1, spec.num_classes - 1)
         return np.concatenate([part, np.zeros((len(part), 1))], axis=1)
 
@@ -338,7 +345,7 @@ class _LogisticPoint(_ClassifierPoint):
         n, cm1 = len(self.xt), self.obj.spec.num_classes - 1
         rz = np.concatenate([self.xt @ v.reshape(-1, cm1), np.zeros((n, 1))], axis=1)
         p = self.probs
-        rp = p * (rz - (p * rz).sum(axis=1, keepdims=True))
+        rp = p * (rz - _row_sum(p * rz))
         return (self.xt.T @ (rp[:, :cm1] / n)).ravel()
 
 
@@ -372,7 +379,7 @@ class _MlpPoint(_ClassifierPoint):
                 ras.append(rz * masks[layer])
 
         p, delta = self.probs, self.delta
-        rdelta = p * (rz - (p * rz).sum(axis=1, keepdims=True)) / n
+        rdelta = p * (rz - _row_sum(p * rz)) / n
 
         # reverse pass carrying both the gradient and its tangent
         out = np.zeros_like(self.theta)
@@ -392,6 +399,36 @@ _POINTS = {"quadratic": _QuadraticPoint, "logistic": _LogisticPoint, "mlp": _Mlp
 
 # ---------------------------------------------------------------------------
 # numerics helpers
+
+# Below this many columns the row reductions run one column at a time: numpy
+# runs one inner loop per row of a reduction along axis 1, which costs more
+# than the arithmetic on a few columns. From 8 columns on numpy sums a row
+# in pairwise blocks of 8, so only its own reduction gives its bits.
+_COLUMN_LOOP_LIMIT = 8
+
+
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """``z.max(axis=1, keepdims=True)`` bit for bit, signed zeros included,
+    save a NaN's sign and payload: where a row starts with a NaN, numpy
+    returns its own canonical NaN and this returns the row's first NaN."""
+    if z.shape[1] >= _COLUMN_LOOP_LIMIT:
+        return z.max(axis=1, keepdims=True)
+    out = z[:, :1].copy()
+    for k in range(1, z.shape[1]):
+        np.maximum(out, z[:, k : k + 1], out=out)
+    return out
+
+
+def _row_sum(z: np.ndarray) -> np.ndarray:
+    """``z.sum(axis=1, keepdims=True)`` bit for bit. Below 8 columns numpy
+    adds a row in order onto +0.0, so a row of -0.0 sums to +0.0; the
+    ``+ 0.0`` start keeps that."""
+    if z.shape[1] >= _COLUMN_LOOP_LIMIT:
+        return z.sum(axis=1, keepdims=True)
+    out = z[:, :1] + 0.0
+    for k in range(1, z.shape[1]):
+        out += z[:, k : k + 1]
+    return out
 
 
 def _mlp_unpack(spec: ModelSpec, theta: np.ndarray):

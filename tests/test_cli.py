@@ -497,6 +497,33 @@ def test_checkpoint_of_no_classifier_exits_one(runs_dir, tmp_path, capsys):
     assert "is no classifier" in capsys.readouterr().err
 
 
+def test_manifest_paths_resolve_against_its_cwd(tmp_path, monkeypatch):
+    """With the default relative runs root and a relative ``--data``, each
+    manifest's ``cwd`` is where its relative paths resolve; the same run
+    made in another directory keeps its experiment id."""
+    monkeypatch.setenv("UNLEARN_FORGE_RUNS_DIR", "runs")
+    runs = []
+    for name in ("a", "bb"):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli(["gen-data", "--seed", "4", "--n-per-class", "10", "--out", "d.uds"]) == 0
+        assert cli(["train", "--seed", "4", "--data", "d.uds", "--model", "logistic:5,3",
+                    "--epochs", "2"]) == 0
+        ckpt = _one("*/checkpoints/original.ieuc", Path("runs"))
+        runs.append((work, ckpt.parents[1].resolve() / "manifest.json"))
+    monkeypatch.chdir(tmp_path)
+    for work, path in runs:
+        manifest = json.loads(path.read_text())
+        assert Path(manifest["cwd"]) == work.resolve()
+        assert manifest["config"]["data"] == "d.uds"
+        assert (Path(manifest["cwd"]) / manifest["config"]["data"]).is_file()
+        for artifact in manifest["artifacts"].values():
+            assert not Path(artifact).is_absolute()
+            assert (Path(manifest["cwd"]) / artifact).is_file()
+    assert runs[0][1].parent.name == runs[1][1].parent.name
+
+
 def _is_cell(text):
     """A CSV cell is empty, an int, a float, True or False."""
     if text in ("", "True", "False"):
@@ -542,7 +569,7 @@ def test_artifact_formats(runs_dir, tmp_path, capsys):
     for manifest in manifests:
         content = json.loads(manifest.read_text())
         assert set(content) == {
-            "command", "experiment_id", "config", "seed", "artifacts", "created"}
+            "command", "experiment_id", "config", "seed", "cwd", "artifacts", "created"}
         artifacts = content["artifacts"]
         assert set(artifacts) == keys[content["command"]]
         named = {Path(path) for key, path in artifacts.items() if key not in facts}

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from unlearn_forge.models import (
     _mlp_unpack,
+    _row_max,
+    _row_sum,
     make_quadratic,
     make_classifier,
     quadratic_spec,
@@ -76,6 +78,71 @@ def test_logistic_hvp_matches_finite_differences():
     theta = derive_stream(4, 0).normal(0.0, 0.5, spec.param_count)
     v = derive_stream(5, 0).normal(0.0, 1.0, spec.param_count)
     assert np.allclose(obj.hvp(theta, v), _fd_hvp(obj, theta, v), rtol=1e-4, atol=1e-7)
+
+
+@pytest.mark.parametrize("classes", [2, 3, 9])
+def test_logistic_point_is_bitwise_the_numpy_reference(classes):
+    spec = logistic_spec(4, classes)
+    obj = _random_task(spec, 50, 31)
+    obj.X[0] = 0.0  # with the zero biases below, exact zeros among its logits
+    theta = derive_stream(32, 0).normal(0.0, 0.7, spec.param_count)
+    theta.reshape(5, classes - 1)[-1, ::2] = 0.0
+    rng = derive_stream(33, 0)
+    d = rng.normal(0.0, 1.0, (50, classes))
+    v = rng.normal(0.0, 1.0, spec.param_count)
+    point = obj.evaluate(theta)
+
+    n, cm1, rows = 50, classes - 1, np.arange(50)
+    xt = np.concatenate([obj.X, np.ones((n, 1))], axis=1)
+    z = np.concatenate([xt @ theta.reshape(-1, cm1), np.zeros((n, 1))], axis=1)
+    zmax = z.max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    sums = e.sum(axis=1, keepdims=True)
+    losses = np.log(sums[:, 0]) + zmax[:, 0] - z[rows, obj.y]
+    probs = e / sums
+    delta = probs.copy()
+    delta[rows, obj.y] -= 1.0
+    delta /= n
+    rz = np.concatenate([xt @ v.reshape(-1, cm1), np.zeros((n, 1))], axis=1)
+    rp = probs * (rz - np.sum(probs * rz, axis=1, keepdims=True))
+
+    assert np.all(z[0, ::2] == 0.0)
+    assert point.logits.tobytes() == z.tobytes()
+    assert point.per_example_loss.tobytes() == losses.tobytes()
+    assert point.loss == losses.mean()
+    assert point.probs.tobytes() == probs.tobytes()
+    assert point.gradient().tobytes() == (xt.T @ delta[:, :cm1]).ravel().tobytes()
+    assert point.backprop(d).tobytes() == (xt.T @ d[:, :cm1]).ravel().tobytes()
+    assert point.hvp(v).tobytes() == (xt.T @ (rp[:, :cm1] / n)).ravel().tobytes()
+    # every point of one objective reads one design matrix
+    assert obj.evaluate(v).xt is point.xt
+
+
+# numpy's own NaN only: a row that starts with another NaN is the one case
+# where _row_max and numpy may return NaNs of different bits
+_EDGES = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 1120), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.1, 0.6]), st.sampled_from(["any", "cancel", "nonpositive"]))
+def test_row_reductions_are_bitwise_numpy(rows, cols, seed, edge_share, sign):
+    """On either side of the 8-column line, with exact zeros, rows of -0.0
+    only, NaN, infinities and magnitudes from 2**-60 to 2**60. ``cancel``
+    makes the last column the first one negated, so sums cancel exactly;
+    ``nonpositive`` makes many rows' maximum a zero of either sign."""
+    rng = derive_stream(seed, 0)
+    z = rng.normal(0.0, 1.0, (rows, cols)) * np.exp2(rng.integers(-60, 61, (rows, cols)))
+    if sign == "cancel" and cols > 1:
+        z[:, -1] = -z[:, 0]
+    elif sign == "nonpositive":
+        z = -np.abs(z)
+    edge = rng.random((rows, cols)) < edge_share
+    z[edge] = rng.choice(_EDGES, np.count_nonzero(edge))
+    z[rng.random(rows) < 0.2] = -0.0
+    with np.errstate(all="ignore"):
+        assert _row_max(z).tobytes() == z.max(axis=1, keepdims=True).tobytes()
+        assert _row_sum(z).tobytes() == z.sum(axis=1, keepdims=True).tobytes()
 
 
 def test_logistic_binary_param_count():
@@ -192,7 +259,8 @@ def _ref_hvp(dims, wb, X, acts, masks, probs, delta, v):
     return out
 
 
-@pytest.mark.parametrize("dims", [(4, 6, 3), (3, 5, 4, 6, 3)], ids=["1-hidden", "3-hidden"])
+@pytest.mark.parametrize("dims", [(4, 6, 3), (3, 5, 4, 6, 3), (4, 6, 9)],
+                         ids=["1-hidden", "3-hidden", "9-classes"])
 def test_mlp_point_is_bitwise_the_float_mask_reference(dims):
     spec = mlp_spec(dims)
     obj = _random_task(spec, 24, 21)
