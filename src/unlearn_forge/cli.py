@@ -4,7 +4,8 @@ Each setting of a command is declared once, as a flag of its subparser
 with its default. A ``--config`` JSON file becomes that subparser's
 defaults, so argparse resolves CLI flags > ``--config`` file > defaults.
 Every artifact-producing command hashes its resolved settings plus seed
-into an experiment id, and writes
+(None for ``eval``, which draws nothing and takes no ``--seed``) into an
+experiment id, and writes
 
     <runs-root>/<experiment-id>/
         manifest.json  config, seed, working directory and the path of every
@@ -230,11 +231,10 @@ def _cmd_unlearn(cfg: dict, seed) -> int:
     original = load_checkpoint(cfg["ckpt"])
     run = unlearn(original, ds, ucfg)
     ck = Checkpoint(role="unlearned", spec=original.spec, config=ucfg.to_dict(),
-                    root_seed=seed, theta=run.theta,
-                    extra={"method": run.method})
+                    root_seed=seed, theta=run.theta)
     exp_id, paths = _write_run("unlearn", cfg, seed, {
-        "checkpoint": (f"checkpoints/{run.method}.ieuc", lambda path: save_checkpoint(ck, path)),
-        "trace": (f"traces/{run.method}.csv", lambda path: write_csv(
+        "checkpoint": (f"checkpoints/{ucfg.method}.ieuc", lambda path: save_checkpoint(ck, path)),
+        "trace": (f"traces/{ucfg.method}.csv", lambda path: write_csv(
             path, [f.name for f in fields(EpochRow)], (astuple(row) for row in run.trace)))},
         wall_clock=run.wall_clock)
     print(f"{exp_id}\t{paths['checkpoint']}")
@@ -368,13 +368,14 @@ def _build_parser() -> tuple[_Parser, dict]:
                      description="desk-scale machine unlearning laboratory")
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, fn, *required, seed_required=True, **kwargs):
+    def add(name, fn, *required, seed=True, **kwargs):
         # cli() refuses a required flag left unset or empty once --config is
         # resolved; --data and --ckpt are added here, other flags by the caller
         p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
                            **kwargs)
         p.set_defaults(fn=fn, required=required)
-        p.add_argument("--seed", type=int, required=seed_required, default=0, help="root seed")
+        if seed:  # a command that draws nothing takes no seed
+            p.add_argument("--seed", type=int, required=True, help="root seed")
         p.add_argument("--config", help="JSON file whose values replace this command's "
                        "defaults; flags given on the command line still win")
         for flag, text in (("--data", ".uds dataset"), ("--ckpt", "checkpoint")):
@@ -425,7 +426,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--step", default="fixed:0.0001", help="fixed:<eta> or adaptive")
     p.add_argument("--batch-size", dest="batch_size", type=int, help="None is the full batch")
 
-    p = add("eval", _cmd_eval, "--data", "--ckpt", seed_required=False)
+    p = add("eval", _cmd_eval, "--data", "--ckpt", seed=False)
     p.add_argument("--against", help="retrain reference checkpoint for gap metrics")
 
     p = sub.add_parser("compare")

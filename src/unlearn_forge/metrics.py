@@ -121,8 +121,10 @@ def mia_threshold_attack(member_losses: np.ndarray, nonmember_losses: np.ndarray
     threshold. Each candidate's member and non-member counts come from a
     binary search in the sorted losses, so the sweep is O(n log n).
     """
-    if len(member_losses) == 0 or len(nonmember_losses) == 0 or len(audit_losses) == 0:
-        raise ValueError("all three loss views must be non-empty")
+    for view, losses in (("member", member_losses), ("non-member", nonmember_losses),
+                         ("audit", audit_losses)):
+        if len(losses) == 0 or not np.isfinite(losses).all():
+            raise ValueError(f"the {view} losses must be non-empty and finite")
     members, nonmembers = np.sort(member_losses), np.sort(nonmember_losses)
     pooled = np.sort(np.concatenate([members, nonmembers]))
     mids = (pooled[:-1] + pooled[1:]) / 2.0

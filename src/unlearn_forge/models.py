@@ -76,9 +76,7 @@ class ModelSpec:
     """Architecture description; payload fields depend on ``kind``."""
 
     kind: str  # quadratic | logistic | mlp
-    layer_dims: tuple = ()  # mlp only, (p, h1, ..., C)
-    num_classes: int = 0  # classification kinds
-    n_features: int = 0  # classification kinds
+    layer_dims: tuple = ()  # classifiers: (p, C) for logistic, (p, h1, ..., C) for mlp
     spectrum: tuple = ()  # quadratic only, non-increasing positive
     theta_star: tuple = ()  # quadratic only
     l_star: float = 0.0  # quadratic only
@@ -88,7 +86,8 @@ class ModelSpec:
         if self.kind == "quadratic":
             return len(self.spectrum)
         if self.kind == "logistic":
-            return (self.n_features + 1) * (self.num_classes - 1)
+            p, C = self.layer_dims
+            return (p + 1) * (C - 1)
         if self.kind == "mlp":
             dims = self.layer_dims
             return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
@@ -96,7 +95,7 @@ class ModelSpec:
 
     @property
     def is_classifier(self) -> bool:
-        return self.kind in ("logistic", "mlp") and self.num_classes >= 2
+        return self.kind in ("logistic", "mlp") and self.layer_dims[-1] >= 2
 
     @property
     def constant_hessian(self) -> bool:
@@ -139,7 +138,7 @@ class ModelSpec:
             if kind == "quadratic":
                 spec = quadratic_spec(d["spectrum"], d["theta_star"], d["l_star"])
             elif kind == "logistic":
-                spec = logistic_spec(d["n_features"], d["num_classes"])
+                spec = logistic_spec(*d["layer_dims"])
             else:
                 spec = mlp_spec(d["layer_dims"])
         except (KeyError, TypeError, OverflowError) as exc:
@@ -175,7 +174,7 @@ def logistic_spec(n_features: int, num_classes: int) -> ModelSpec:
         raise ValueError("logistic regression needs num_classes >= 2")
     if n_features < 1:
         raise ValueError("need n_features >= 1")
-    return ModelSpec(kind="logistic", n_features=n_features, num_classes=num_classes)
+    return ModelSpec(kind="logistic", layer_dims=(n_features, num_classes))
 
 
 def mlp_spec(layer_dims) -> ModelSpec:
@@ -183,7 +182,7 @@ def mlp_spec(layer_dims) -> ModelSpec:
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError("layer_dims must list at least input and output sizes, all >= 1")
-    return ModelSpec(kind="mlp", layer_dims=dims, num_classes=dims[-1], n_features=dims[0])
+    return ModelSpec(kind="mlp", layer_dims=dims)
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +332,16 @@ class _ClassifierPoint(_Point):
 
 class _LogisticPoint(_ClassifierPoint):
     def _forward(self):
-        spec = self.obj.spec
+        p, C = self.obj.spec.layer_dims
         self.xt = self.obj._design
-        part = self.xt @ self.theta.reshape(spec.n_features + 1, spec.num_classes - 1)
+        part = self.xt @ self.theta.reshape(p + 1, C - 1)
         return np.concatenate([part, np.zeros((len(part), 1))], axis=1)
 
     def backprop(self, dlogits):
-        return (self.xt.T @ dlogits[:, : self.obj.spec.num_classes - 1]).ravel()
+        return (self.xt.T @ dlogits[:, : self.obj.spec.layer_dims[-1] - 1]).ravel()
 
     def _hvp(self, v):
-        n, cm1 = len(self.xt), self.obj.spec.num_classes - 1
+        n, cm1 = len(self.xt), self.obj.spec.layer_dims[-1] - 1
         rz = np.concatenate([self.xt @ v.reshape(-1, cm1), np.zeros((n, 1))], axis=1)
         p = self.probs
         rp = p * (rz - _row_sum(p * rz))
@@ -483,11 +482,11 @@ def make_classifier(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> Objective:
     y = np.ascontiguousarray(y, dtype=np.int64)
     check_finite(X, "features")
     if not spec.is_classifier:
-        raise ValueError(f"a {spec.kind!r} model with {spec.num_classes} classes is no classifier")
-    if X.ndim != 2 or X.shape[1] != spec.n_features:
-        raise ValueError(f"features have shape {X.shape}; this model reads "
-                         f"{spec.n_features} per example")
-    if y.size and not 0 <= y.min() <= y.max() < spec.num_classes:
-        raise ValueError(f"labels must lie in [0, {spec.num_classes}) for this model, "
+        raise ValueError(f"a {spec.kind!r} model of sizes {spec.layer_dims} is no classifier")
+    p, C = spec.layer_dims[0], spec.layer_dims[-1]
+    if X.ndim != 2 or X.shape[1] != p:
+        raise ValueError(f"features have shape {X.shape}; this model reads {p} per example")
+    if y.size and not 0 <= y.min() <= y.max() < C:
+        raise ValueError(f"labels must lie in [0, {C}) for this model, "
                          f"not [{y.min()}, {y.max()}]")
     return Objective(spec=spec, X=X, y=y)

@@ -111,13 +111,13 @@ def _lambda_max_at(point, rng: np.random.Generator):
 
 
 def condition_number(est: SpectralEstimate):
-    """``lambda_max / lambda_min`` when defined, else a diagnostic string."""
+    """``est.kappa`` when the estimate has one, else a diagnostic saying why not."""
+    if est.kappa is not None:
+        return est.kappa
     if not est.psd_flag:
         return NON_PSD_DIAGNOSTIC
-    if est.lambda_min <= KAPPA_FLOOR:
-        return (f"lambda_min {est.lambda_min:.3e} at or below floor {KAPPA_FLOOR:.1e}; "
-                "kappa undefined")
-    return est.lambda_max / est.lambda_min
+    return (f"lambda_min {est.lambda_min:.3e} at or below floor {KAPPA_FLOOR:.1e}; "
+            "kappa undefined")
 
 
 def estimate_spectrum(obj, theta: np.ndarray, rng: np.random.Generator) -> SpectralEstimate:

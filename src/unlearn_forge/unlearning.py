@@ -116,8 +116,6 @@ class EpochRow:
 
 @dataclass
 class UnlearnRun:
-    method: str
-    config: dict
     trace: list
     theta: np.ndarray
     wall_clock: float
@@ -216,7 +214,7 @@ def _relabel_rule(cfg: UnlearnConfig, rng: np.random.Generator, retain0, forget0
     labels resampled uniformly over the other C-1 classes each epoch; salun
     restricts the update to the coordinates salient at the start."""
     mask = _saliency_mask(forget0, cfg.salun_fraction) if cfg.method == "salun" else None
-    C = forget0.obj.spec.num_classes
+    C = forget0.obj.spec.layer_dims[-1]
     y_f = forget0.obj.y
     n = len(retain0.obj.y) + len(y_f)
 
@@ -349,5 +347,4 @@ def unlearn(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> Unlearn
     trace = []
     for epoch, (retain, forget, extra) in enumerate(points):
         trace.append(_eval_row(epoch, retain, forget, **extra))
-    return UnlearnRun(method=cfg.method, config=cfg.to_dict(), trace=trace, theta=retain.theta,
-                      wall_clock=time.perf_counter() - start)
+    return UnlearnRun(trace=trace, theta=retain.theta, wall_clock=time.perf_counter() - start)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoints import Checkpoint
-from .datasets import SplitDataset, gen_blobs, split_random, split_objective
+from .datasets import gen_blobs, split_random, split_objective
 from .models import make_quadratic, logistic_spec, mlp_spec
 from .metrics import rcd, mia_threshold_attack, eval_report, MiaResult
 from .numcore import derive_stream, jsonable, kaiming_sample
@@ -362,23 +362,22 @@ def check_desk_scale_ordering() -> CheckResult:
         retrain_ck = retrain_oracle(ds, spec, tcfg, seed)
         _, phi_ref = forget_oracle(ds, spec, tcfg, seed)
         obj_forget = split_objective(ds, spec, "forget")
-        runs = {
-            "ft": unlearn(original, ds, UnlearnConfig(method="ft", eta=0.05, epochs=50,
-                                                      seed=seed)),
-            "rl": unlearn(original, ds, UnlearnConfig(method="rl", eta=0.05, epochs=50,
-                                                      seed=seed)),
-            "ieu": unlearn(original, ds, UnlearnConfig(method="ieu", alpha=0.999, c=0.0,
-                                                       eta=0.05, epochs=50, seed=seed)),
+        cfgs = {
+            "ft": UnlearnConfig(method="ft", eta=0.05, epochs=50, seed=seed),
+            "rl": UnlearnConfig(method="rl", eta=0.05, epochs=50, seed=seed),
+            "ieu": UnlearnConfig(method="ieu", alpha=0.999, c=0.0, eta=0.05, epochs=50,
+                                 seed=seed),
         }
         relearn = OptimizerConfig(kind="sgd", eta=0.05, batch_size=128, max_epochs=1)
-        thetas = {"retrain": retrain_ck.theta, **{m: r.theta for m, r in runs.items()}}
+        thetas = {"retrain": retrain_ck.theta,
+                  **{m: unlearn(original, ds, cfg).theta for m, cfg in cfgs.items()}}
         for m, th in thetas.items():
             rep = rcd(th, obj_forget, phi_ref["one_minus_accuracy"], 50, relearn,
                       "one_minus_accuracy", derive_stream(seed, 53), attach_bound=False)
             rcds[m].append(rep.rcd_value)
         ref = eval_report(retrain_ck, ds)
         for m in gaps:
-            ck = Checkpoint(role="unlearned", spec=spec, config=runs[m].config,
+            ck = Checkpoint(role="unlearned", spec=spec, config=cfgs[m].to_dict(),
                             root_seed=seed, theta=thetas[m])
             gaps[m].append(eval_report(ck, ds, ref).avg_gap)
     mean_rcd = {m: float(np.mean(v)) for m, v in rcds.items()}

@@ -126,13 +126,14 @@ def test_header_missing_key_detected(tmp_path, key):
         load_checkpoint(path)
 
 
-# an mlp without layers, which mlp_spec refuses; a logistic spec carrying an
-# mlp field; an mlp whose num_classes is not its last layer; a float count; an
-# mlp spec written before MLPs were ReLU only, which still names its activation
-_BAD_SPECS = [({"layer_dims": [], "num_classes": 3}, 0),
-              ({"kind": "logistic", "n_features": 3, "num_classes": 2}, 4),
+# an mlp without layers, which mlp_spec refuses; a logistic spec with a hidden
+# layer; an mlp that states its class count beside its last layer, which no
+# spec can hold; a float size; an mlp spec written before MLPs were ReLU only,
+# which still names its activation
+_BAD_SPECS = [({"layer_dims": []}, 0),
+              ({"kind": "logistic"}, 4),
               ({"num_classes": 3}, None),
-              ({"kind": "logistic", "layer_dims": [], "n_features": 3.0, "num_classes": 2}, 4),
+              ({"kind": "logistic", "layer_dims": [3.0, 2]}, 4),
               ({"activation": "relu"}, None)]
 
 
@@ -154,17 +155,42 @@ def test_nonfinite_parameters_detected(tmp_path, value):
         load_checkpoint(path)
 
 
-def test_eval_of_malformed_checkpoint_exits_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("UNLEARN_FORGE_RUNS_DIR", str(tmp_path / "runs"))
+def _toy_data(tmp_path):
+    """A dataset the toy model reads: 3 features, 2 classes."""
     data = tmp_path / "d.uds"
     save_uds(split_random(gen_blobs(10, 2, 3, separation=3.0, noise_sd=1.0, seed=1), 0.3, 1),
              data)
+    return data
+
+
+def test_eval_of_malformed_checkpoint_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("UNLEARN_FORGE_RUNS_DIR", str(tmp_path / "runs"))
+    data = _toy_data(tmp_path)
     path = tmp_path / "model.ieuc"
     for kw in ({"drop": "config"}, {"theta": _nonfinite_theta(np.nan)},
-               {"spec": {"layer_dims": [], "num_classes": 3}, "theta": np.zeros(0)}):
+               {"spec": {"layer_dims": []}, "theta": np.zeros(0)}):
         _write_by_hand(path, **kw)
         assert cli(["eval", "--data", str(data), "--ckpt", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# the toy model's spec as checkpoints wrote it when a classifier's spec also
+# held n_features and num_classes, and a logistic model's layer_dims was empty
+_OLD_LAYOUT = {"mlp": ({"layer_dims": [3, 4, 2], "n_features": 3, "num_classes": 2}, None),
+               "logistic": ({"kind": "logistic", "layer_dims": [], "n_features": 3,
+                             "num_classes": 2}, 4)}
+
+
+@pytest.mark.parametrize("kind", sorted(_OLD_LAYOUT))
+def test_old_spec_layout_is_refused(tmp_path, monkeypatch, capsys, kind):
+    monkeypatch.setenv("UNLEARN_FORGE_RUNS_DIR", str(tmp_path / "runs"))
+    spec, dim = _OLD_LAYOUT[kind]
+    path = tmp_path / "model.ieuc"
+    _write_by_hand(path, spec=spec, theta=None if dim is None else np.zeros(dim))
+    with pytest.raises(CheckpointError, match="model.ieuc"):
+        load_checkpoint(path)
+    assert cli(["eval", "--data", str(_toy_data(tmp_path)), "--ckpt", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 _THETA = _toy_ckpt().theta
@@ -192,8 +218,5 @@ def test_malformed_file_is_a_checkpoint_error(tmp_path, monkeypatch, capsys, nam
     write_raw(path, *_MALFORMED[name])
     with pytest.raises(CheckpointError, match="model.ieuc"):
         load_checkpoint(path)
-    data = tmp_path / "d.uds"
-    save_uds(split_random(gen_blobs(10, 2, 3, separation=3.0, noise_sd=1.0, seed=1), 0.3, 1),
-             data)
-    assert cli(["eval", "--data", str(data), "--ckpt", str(path)]) == 1
+    assert cli(["eval", "--data", str(_toy_data(tmp_path)), "--ckpt", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")

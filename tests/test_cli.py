@@ -111,6 +111,8 @@ def test_usage_errors_exit_one(runs_dir, capsys):
     assert "fraction must be in (0, 1)" in capsys.readouterr().err
     assert cli(["gen-data", "--seed", "0", "--n-per-class", "0"]) == 1
     assert "n_per_class must be >= 2" in capsys.readouterr().err
+    assert cli(["eval", "--seed", "1", "--data", "x.uds", "--ckpt", "y"]) == 1  # draws nothing
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--noise-sd", "nan"), ("--noise-sd", "inf"),
@@ -235,14 +237,15 @@ _SET = {"--data": "d.uds", "--model": "logistic:5,3", "--ckpt": "c.ieuc", "--met
 @pytest.mark.parametrize("command", sorted(_REQUIRED))
 def test_missing_required_flags_are_named(runs_dir, tmp_path, capsys, command):
     required = _REQUIRED[command]
-    assert cli([command, "--seed", "1"]) == 1
+    seed = [] if command == "eval" else ["--seed", "1"]  # eval draws nothing, so takes no seed
+    assert cli([command, *seed]) == 1
     assert capsys.readouterr().err == f"error: {command} requires {', '.join(required)}\n"
     for flag in required:
         others = {f[2:]: _SET[f] for f in required if f != flag}
         # an empty value is unset too; --method's choices refuse "" before this check
         for config in [others] + ([{**others, flag[2:]: ""}] if flag != "--method" else []):
             (tmp_path / "cfg.json").write_text(json.dumps(config))
-            assert cli([command, "--seed", "1", "--config", "cfg.json"]) == 1
+            assert cli([command, *seed, "--config", "cfg.json"]) == 1
             assert capsys.readouterr().err == f"error: {command} requires {flag}\n"
 
 
@@ -497,6 +500,24 @@ def test_checkpoint_of_no_classifier_exits_one(runs_dir, tmp_path, capsys):
     assert "is no classifier" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_checkpoint_of_nan_losses_exits_one(runs_dir, tmp_path, capsys):
+    # finite weights so large that every per-example loss is NaN
+    from unlearn_forge.checkpoints import Checkpoint
+    from unlearn_forge.models import mlp_spec
+    from unlearn_forge.numcore import derive_stream, kaiming_sample
+
+    data = tmp_path / "d.uds"
+    assert cli(["gen-data", "--seed", "1", "--n-per-class", "10", "--features", "4",
+                "--out", str(data)]) == 0
+    spec, huge = mlp_spec([4, 6, 3]), tmp_path / "huge.ieuc"
+    theta = 1e160 * kaiming_sample(spec.param_count, derive_stream(1, 11))
+    save_checkpoint(Checkpoint("original", spec, {}, 0, theta), huge)
+    capsys.readouterr()
+    assert cli(["eval", "--data", str(data), "--ckpt", str(huge)]) == 1
+    assert "losses must be non-empty and finite" in capsys.readouterr().err
+
+
 def test_manifest_paths_resolve_against_its_cwd(tmp_path, monkeypatch):
     """With the default relative runs root and a relative ``--data``, each
     manifest's ``cwd`` is where its relative paths resolve; the same run
@@ -570,6 +591,7 @@ def test_artifact_formats(runs_dir, tmp_path, capsys):
         content = json.loads(manifest.read_text())
         assert set(content) == {
             "command", "experiment_id", "config", "seed", "cwd", "artifacts", "created"}
+        assert (content["seed"] is None) == (content["command"] == "eval")
         artifacts = content["artifacts"]
         assert set(artifacts) == keys[content["command"]]
         named = {Path(path) for key, path in artifacts.items() if key not in facts}

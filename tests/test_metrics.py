@@ -153,6 +153,16 @@ def test_mia_empty_view_rejected():
         mia_threshold_attack(np.array([]), np.array([1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("view", [0, 1, 2])
+def test_mia_nonfinite_view_rejected(view, bad):
+    views = [np.array([0.5, 1.0]) for _ in range(3)]
+    views[view] = np.array([0.5, bad])
+    name = ("member", "non-member", "audit")[view]
+    with pytest.raises(ValueError, match=f"the {name} losses must be non-empty and finite"):
+        mia_threshold_attack(*views)
+
+
 @pytest.fixture(scope="module")
 def trained_world():
     ds = split_random(gen_blobs(40, 3, 4, separation=3.0, noise_sd=1.0, seed=21),

@@ -31,8 +31,9 @@ def _fd_hvp(obj, theta, v, h=1e-6):
 
 def _random_task(spec, n, seed):
     rng = derive_stream(seed, 0)
-    X = rng.normal(0.0, 1.0, n * spec.n_features).reshape(n, spec.n_features)
-    y = rng.integers(spec.num_classes, size=n)
+    p, C = spec.layer_dims[0], spec.layer_dims[-1]
+    X = rng.normal(0.0, 1.0, n * p).reshape(n, p)
+    y = rng.integers(C, size=n)
     return make_classifier(spec, X, y)
 
 

@@ -127,8 +127,6 @@ def test_every_method_runs_on_the_shared_loop(blob_ckpt, method):
     extra = {"alpha": 0.999, "c": 0.01} if method == "ieu" else {}
     cfg = UnlearnConfig(method=method, eta=0.05, epochs=4, seed=5, **extra)
     run = unlearn(ckpt, ds, cfg)
-    assert run.method == cfg.method
-    assert run.config == cfg.to_dict()
     assert len(run.trace) == cfg.epochs
     last = run.trace[-1]
     retain = split_objective(ds, ckpt.spec, "retain")
@@ -146,7 +144,6 @@ def test_ft_is_alpha_one_limit(blob_ckpt):
                                         epochs=8, seed=5))
     b = unlearn(ckpt, ds, UnlearnConfig(method="ft", eta=0.05, epochs=8, seed=5))
     assert np.array_equal(a.theta, b.theta)
-    assert b.method == "ft"
 
 
 def test_salun_full_mask_is_rl(blob_ckpt):
@@ -163,7 +160,7 @@ def test_rl_descends_one_objective_over_retain_and_relabeled_forget_rows(blob_ck
     ckpt, ds = blob_ckpt
     retain = split_objective(ds, ckpt.spec, "retain")
     forget = split_objective(ds, ckpt.spec, "forget")
-    C, rng, theta = ckpt.spec.num_classes, derive_stream(5, 301), ckpt.theta
+    C, rng, theta = ckpt.spec.layer_dims[-1], derive_stream(5, 301), ckpt.theta
     for _ in range(3):
         fake = (forget.y + 1 + rng.integers(C - 1, size=len(forget.y))) % C
         combined = Objective(spec=ckpt.spec, X=np.vstack([retain.X, forget.X]),
