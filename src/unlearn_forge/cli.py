@@ -461,10 +461,14 @@ def cli(argv=None) -> int:
             raise UsageError(f"{args.command} requires {', '.join(missing)}")
         return args.fn(cfg, getattr(args, "seed", None))
     except (UsageError, OSError, ValueError, CheckpointError, DivergenceError,
-            FloatingPointError) as exc:
+            FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -123,6 +123,8 @@ def gen_blobs(n_per_class: int, C: int, p: int, separation: float, noise_sd: flo
     point_rng = derive_stream(seed, _STREAM_POINTS)
     noise = point_rng.normal(0.0, noise_sd, C * n_per_class * p).reshape(C * n_per_class, p)
     X = np.repeat(centers, n_per_class, axis=0) + noise
+    if not np.isfinite(X).all():
+        raise ValueError(f"separation {separation} and noise_sd {noise_sd} overflow the features")
     y = np.repeat(np.arange(C, dtype=np.int64), n_per_class)
 
     split_rng = derive_stream(seed, _STREAM_TESTSPLIT)

@@ -78,7 +78,6 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
     if phi_kind == "one_minus_accuracy" and not forget_obj.spec.is_classifier:
         raise ValueError(f"phi kind {phi_kind!r} needs an accuracy, which a "
                          f"{forget_obj.spec.kind!r} model does not have")
-    theta0 = np.array(theta0, dtype=np.float64)
     errors = np.empty(K + 1)
     for t, (point, _, _) in zip(range(K + 1), _descend(forget_obj, theta0, relearn_cfg, rng)):
         if t == 0:

@@ -30,7 +30,7 @@ Conventions
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,13 +95,7 @@ class ModelSpec:
 
     @property
     def is_classifier(self) -> bool:
-        return self.kind in ("logistic", "mlp") and self.layer_dims[-1] >= 2
-
-    @property
-    def constant_hessian(self) -> bool:
-        """Whether the loss Hessian is the same at every theta: the
-        quadratic oracle's is diag(spectrum)."""
-        return self.kind == "quadratic"
+        return self.kind != "quadratic"
 
     @_once
     def _quadratic_arrays(self):
@@ -134,6 +128,10 @@ class ModelSpec:
         kind = d.get("kind") if isinstance(d, dict) else None
         if kind not in ("quadratic", "logistic", "mlp"):
             raise ValueError(f"not a model spec of a known kind: {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(ModelSpec)})
+        if unknown:
+            raise ValueError(f"{kind} spec has keys {unknown} of an older layout; "
+                             "retrain the model")
         try:
             if kind == "quadratic":
                 spec = quadratic_spec(d["spectrum"], d["theta_star"], d["l_star"])
@@ -182,6 +180,8 @@ def mlp_spec(layer_dims) -> ModelSpec:
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError("layer_dims must list at least input and output sizes, all >= 1")
+    if dims[-1] < 2:
+        raise ValueError("an MLP classifier needs an output layer of >= 2 classes")
     return ModelSpec(kind="mlp", layer_dims=dims)
 
 

@@ -42,6 +42,13 @@ class SpectralEstimate:
     residual: float  # the larger of the two extreme Ritz residuals
     psd_flag: bool
 
+    @property
+    def largest_magnitude(self) -> float:
+        """The extreme eigenvalue of larger absolute value, so negative when
+        the most negative eigenvalue dominates."""
+        high, low = self.lambda_max, self.lambda_min
+        return high if abs(high) >= abs(low) else low
+
 
 def _lanczos(point, rng: np.random.Generator):
     """Extreme Ritz values of the Hessian at an evaluated ``point``, whose
@@ -90,24 +97,16 @@ def _lanczos(point, rng: np.random.Generator):
 
 
 def lambda_max(obj, theta: np.ndarray, rng: np.random.Generator):
-    """Largest-magnitude Hessian eigenvalue of ``obj`` at ``theta``: the
-    extreme Ritz value of one Lanczos run with the larger absolute value,
-    so it is negative when the most negative eigenvalue dominates.
+    """Largest-magnitude Hessian eigenvalue of ``obj`` at ``theta``, the
+    ``largest_magnitude`` of one Lanczos run.
 
     Returns ``(eigenvalue, diagnostics)`` where diagnostics is a dict with
     the final residual, the number of Lanczos steps and whether it met
     ``LANCZOS_TOL``.
     """
-    return _lambda_max_at(obj.evaluate(theta), rng)
-
-
-def _lambda_max_at(point, rng: np.random.Generator):
-    """``lambda_max`` at a point the caller has already evaluated."""
-    est = _lanczos(point, rng)
-    low, high = est.lambda_min, est.lambda_max
-    lam = high if abs(high) >= abs(low) else low
-    return lam, {"residual": est.residual, "iterations": est.iterations_used,
-                 "converged": est.residual <= LANCZOS_TOL}
+    est = _lanczos(obj.evaluate(theta), rng)
+    return est.largest_magnitude, {"residual": est.residual, "iterations": est.iterations_used,
+                                   "converged": est.residual <= LANCZOS_TOL}
 
 
 def condition_number(est: SpectralEstimate):

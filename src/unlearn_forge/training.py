@@ -25,7 +25,7 @@ from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import ModelSpec, Objective
 from .numcore import check_field_types, derive_stream, jsonable, kaiming_sample, norm, write_csv
-from .spectral import _lambda_max_at
+from . import spectral
 
 __all__ = [
     "OptimizerConfig",
@@ -118,8 +118,8 @@ def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: np.r
     the next point is asked for, so a caller that stops draws no more.
 
     ``gd_adaptive`` runs Lanczos at the point each epoch starts from, or
-    only at the first when ``obj.spec.constant_hessian``: a quadratic's
-    lambda_max is the same at every theta. So on a quadratic ``rng`` gives
+    only at the first on a quadratic, whose Hessian diag(spectrum) and so
+    lambda_max are the same at every theta. So on a quadratic ``rng`` gives
     one Lanczos start vector per run, not one per epoch, and a later draw
     from it (``rcd``'s bound) sees the stream in that state."""
     n, bs = obj.n_examples, cfg.batch_size
@@ -130,8 +130,8 @@ def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: np.r
         yield point, eta, lam
         theta, eta = point.theta, cfg.eta
         if cfg.kind == "gd_adaptive":
-            if lam is None or not obj.spec.constant_hessian:
-                lam, _ = _lambda_max_at(point, rng)
+            if lam is None or obj.spec.kind != "quadratic":
+                lam = spectral._lanczos(point, rng).largest_magnitude
                 if lam <= 0:
                     raise DivergenceError("adaptive step-size needs a positive lambda_max")
             eta = cfg.eta / lam

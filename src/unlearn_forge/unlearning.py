@@ -41,7 +41,7 @@ from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
 from .numcore import (derive_stream, kaiming_sample, kaiming_scale, check_finite,
-                      check_field_types, jsonable)
+                      check_field_types, jsonable, norm)
 
 __all__ = [
     "UnlearnConfig",
@@ -200,7 +200,7 @@ def _ieu_rule(cfg: UnlearnConfig, rng: np.random.Generator, retain0, forget0):
         if c > 0:
             grad_f = forget.gradient()
             check_finite(grad_f, "forget gradient")
-            gr, gf = np.linalg.norm(grad_r), np.linalg.norm(grad_f)
+            gr, gf = norm(grad_r), norm(grad_f)
             if gr > 0 and gf > CLIP_RATIO * gr:
                 grad_f, clipped = grad_f * (CLIP_RATIO * gr / gf), True
             theta = theta + c * eta * grad_f
@@ -311,7 +311,7 @@ def retain_bound_monitor(retain_obj: Objective, forget_obj: Objective,
     mu, beta = float(min(spec.spectrum)), float(max(spec.spectrum))
     points = [retain for retain, _, _ in _unlearn_points(retain_obj, forget_obj, theta0, cfg)]
     thetas = np.array([p.theta for p in points])
-    grad_norm_max = max(float(np.linalg.norm(p.gradient())) for p in points)
+    grad_norm_max = max(norm(p.gradient()) for p in points)
     sq_dists = np.zeros((len(thetas), len(thetas)))
     for col in thetas.T:  # summed coordinate by coordinate, as scipy's pdist sums
         sq_dists += (col[:, None] - col[None, :]) ** 2

@@ -28,7 +28,7 @@ from .models import make_quadratic, logistic_spec, mlp_spec
 from .metrics import rcd, mia_threshold_attack, eval_report, MiaResult
 from .numcore import derive_stream, jsonable, kaiming_sample
 from .spectral import estimate_spectrum
-from .training import OptimizerConfig, train, retrain_oracle, forget_oracle
+from .training import OptimizerConfig, _descend, train, retrain_oracle, forget_oracle
 from .unlearning import UnlearnConfig, unlearn, irp_run, retain_bound_monitor
 
 __all__ = ["CheckResult", "SuiteReport", "run_suite", "CHECKS", "HEAVY_CHECKS"]
@@ -134,7 +134,7 @@ def check_rcd_curvature_bound() -> CheckResult:
         cfg = OptimizerConfig(kind="gd_fixed", eta=1.0 / est.lambda_max, max_epochs=1)
         rep = rcd(theta0, obj, 0.0, 500, cfg, "loss", rng, attach_bound=False)
         partial = np.cumsum(rep.errors)
-        bound = task["kappa"] * obj.value(theta0)
+        bound = task["kappa"] * rep.errors[0]  # the loss at theta0, as phi_ref is 0
         worst_upper = min(worst_upper, float(np.min(bound + 1e-8 - partial)))
         worst_lower = min(worst_lower, float(np.min(partial + 1e-10)))
         details["count"] += 1
@@ -177,20 +177,20 @@ def check_rcd_tail_decay() -> CheckResult:
 
 def check_geometric_decay_and_pl() -> CheckResult:
     """Per-step geometric loss decay and the gradient-dominance inequality
-    hold on every random quadratic with step 1/beta."""
+    hold along ``gd_fixed`` with step 1/beta on every random quadratic."""
     worst = np.inf
     steps_checked = 0
     for task in _random_quadratics():
         obj, mu, beta = task["obj"], task["mu"], task["beta"]
-        theta = np.array(task["theta0"])
-        eta = 1.0 / beta
         rate = 1.0 - mu / beta
+        cfg = OptimizerConfig(kind="gd_fixed", eta=1.0 / beta, max_epochs=1)
+        walk = _descend(obj, task["theta0"], cfg, None)  # gd_fixed on a full batch draws nothing
+        point, _, _ = next(walk)
         for _ in range(200):
-            gap = obj.value(theta)
-            grad = obj.gradient(theta)
+            gap, grad = point.loss, point.gradient()
             pl_slack = float(np.dot(grad, grad) - 2.0 * mu * gap)
-            theta = theta - eta * grad
-            decay_slack = float(rate * gap - obj.value(theta))
+            point, _, _ = next(walk)
+            decay_slack = float(rate * gap - point.loss)
             worst = min(worst, pl_slack, decay_slack)
             steps_checked += 1
             if gap < 1e-280:
@@ -273,23 +273,18 @@ def check_condition_number_trends() -> CheckResult:
     (Spearman sign tests at 0.05)."""
     n_seeds, epochs, irp_steps = 100, 30, 30
     p, C = 5, 3
+    gd = OptimizerConfig(kind="gd_fixed", eta=1.0, max_epochs=800, grad_norm_tol=1e-7)
     train_curves = np.empty((n_seeds, epochs + 1))
     irp_curves = np.empty((n_seeds, irp_steps + 1))
     for seed in range(n_seeds):
         ds = gen_blobs(100, C, p, separation=1.0, noise_sd=3.0, seed=seed)
         spec = logistic_spec(p, C)
         obj = split_objective(ds, spec, "train")
-        # the kappa curve along `epochs` steps of full-batch gradient descent, step 1
-        theta = kaiming_sample(spec.param_count, derive_stream(seed, 907))
-        for t in range(epochs + 1):
-            point = obj.evaluate(theta)
+        # the kappa curve along `epochs` steps of gd, then gd on from there to the optimum
+        theta0 = kaiming_sample(spec.param_count, derive_stream(seed, 907))
+        for t, (point, _, _) in zip(range(epochs + 1), _descend(obj, theta0, gd, None)):
             train_curves[seed, t] = _explicit_kappa(point)
-            if t < epochs:
-                theta = theta - point.gradient()
-        opt = train(obj, theta,
-                    OptimizerConfig(kind="gd_fixed", eta=1.0, max_epochs=800,
-                                    grad_norm_tol=1e-7),
-                    derive_stream(seed, 909)).theta
+        opt = train(obj, point.theta, gd, derive_stream(seed, 909)).theta
         traj = irp_run(opt, 0.9, irp_steps, derive_stream(seed, 910))
         for t in range(irp_steps + 1):
             irp_curves[seed, t] = _explicit_kappa(obj.evaluate(traj[t]))

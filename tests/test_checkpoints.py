@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -175,22 +176,27 @@ def test_eval_of_malformed_checkpoint_exits_one(tmp_path, monkeypatch, capsys):
 
 
 # the toy model's spec as checkpoints wrote it when a classifier's spec also
-# held n_features and num_classes, and a logistic model's layer_dims was empty
+# held n_features and num_classes, and a logistic model's layer_dims was empty,
+# or, before MLPs were ReLU only, when an MLP's spec named its activation
 _OLD_LAYOUT = {"mlp": ({"layer_dims": [3, 4, 2], "n_features": 3, "num_classes": 2}, None),
                "logistic": ({"kind": "logistic", "layer_dims": [], "n_features": 3,
-                             "num_classes": 2}, 4)}
+                             "num_classes": 2}, 4),
+               "activation": ({"activation": "relu"}, None)}
 
 
 @pytest.mark.parametrize("kind", sorted(_OLD_LAYOUT))
 def test_old_spec_layout_is_refused(tmp_path, monkeypatch, capsys, kind):
     monkeypatch.setenv("UNLEARN_FORGE_RUNS_DIR", str(tmp_path / "runs"))
     spec, dim = _OLD_LAYOUT[kind]
+    keys = sorted(set(spec) - {"kind", "layer_dims"})
+    why = re.escape(f"{keys} of an older layout; retrain the model")
     path = tmp_path / "model.ieuc"
     _write_by_hand(path, spec=spec, theta=None if dim is None else np.zeros(dim))
-    with pytest.raises(CheckpointError, match="model.ieuc"):
+    with pytest.raises(CheckpointError, match=f"model.ieuc.*{why}"):
         load_checkpoint(path)
     assert cli(["eval", "--data", str(_toy_data(tmp_path)), "--ckpt", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(why, err)
 
 
 _THETA = _toy_ckpt().theta

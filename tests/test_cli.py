@@ -2,7 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from unlearn_forge.checkpoints import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
+import unlearn_forge.cli as cli_module
 from unlearn_forge.cli import cli
 
 
@@ -123,6 +127,61 @@ def test_gen_data_refuses_a_bad_scale(runs_dir, tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be a finite number >= 0")
     assert not out.exists()
+
+
+# 160 center draws at sd 1e308 (10 classes x 16 features) hold some beyond
+# the largest float; 1500 noise draws at sd 1e308 always do
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("flags", [["--separation", "1e308", "--classes", "10",
+                                    "--features", "16"],
+                                   ["--noise-sd", "1e308"]], ids=["separation", "noise_sd"])
+def test_gen_data_refuses_overflowing_features(runs_dir, tmp_path, capsys, flags):
+    out = tmp_path / "d.uds"
+    assert cli(["gen-data", "--seed", "0", *flags, "--out", str(out)]) == 1
+    assert "overflow the features" in capsys.readouterr().err
+    assert not out.exists() and not runs_dir.exists()
+
+
+def test_mlp_of_one_output_is_a_usage_error(runs_dir, tmp_path, capsys):
+    data = str(tmp_path / "d.uds")
+    assert cli(["gen-data", "--seed", "0", "--n-per-class", "10", "--out", data]) == 0
+    capsys.readouterr()
+    assert cli(["train", "--seed", "0", "--data", data, "--model", "mlp:5,1"]) == 1
+    assert "bad model spec 'mlp:5,1'" in capsys.readouterr().err
+
+
+# the commands whose arrays, at these sizes, numpy cannot allocate; each
+# worker is replaced by one that raises as numpy does, so nothing large is made
+@pytest.mark.parametrize("argv", [["gen-data", "--n-per-class", "100000000000"],
+                                  ["train", "--data", "d.uds", "--model", "mlp:4,100000,100000,3"],
+                                  ["rcd", "--data", "d.uds", "--ckpt", "c.ieuc",
+                                   "--k", "100000000000"]], ids=["gen-data", "train", "rcd"])
+def test_memory_error_exits_one(runs_dir, monkeypatch, capsys, argv):
+    def worker(cfg, seed):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+    monkeypatch.setattr(cli_module, "_cmd_" + argv[0].replace("-", "_"), worker)
+    assert cli([*argv, "--seed", "0"]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array " \
+                                      "with shape (10000000000,)\n"
+
+
+def _run_module(tmp_path, *argv):
+    """``python -m unlearn_forge.cli`` with ``argv`` in a fresh process."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, UNLEARN_FORGE_RUNS_DIR=str(tmp_path / "runs"),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "unlearn_forge.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    proc = _run_module(tmp_path)
+    assert proc.returncode == 1 and proc.stderr.startswith("usage: unlearn-forge")
+    proc = _run_module(tmp_path, "gen-data", "--seed", "0", "--n-per-class", "10",
+                       "--out", "d.uds")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "d.uds").is_file()
 
 
 def test_gen_data_into_a_missing_directory_leaves_nothing(runs_dir, tmp_path, capsys):

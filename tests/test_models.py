@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unlearn_forge.models import (
+    ModelSpec,
     _mlp_unpack,
     _row_max,
     _row_sum,
@@ -294,8 +295,9 @@ def test_mlp_point_is_bitwise_the_float_mask_reference(dims):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(st.integers(1, 7), min_size=2, max_size=6))
-def test_mlp_layout_tiles_theta_and_unpacks_to_views(dims):
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=5), st.integers(2, 7))
+def test_mlp_layout_tiles_theta_and_unpacks_to_views(sizes, classes):
+    dims = [*sizes, classes]  # an MLP's output layer has at least two classes
     spec = mlp_spec(dims)
     end = 0
     for (w, shape, b), din, dout in zip(spec._mlp_layout, dims[:-1], dims[1:]):
@@ -353,6 +355,14 @@ def test_accuracy_bounds():
     obj = _random_task(spec, 30, 19)
     theta = derive_stream(20, 0).normal(0.0, 0.5, spec.param_count)
     assert 0.0 <= obj.accuracy(theta) <= 1.0
+
+
+def test_mlp_spec_refuses_fewer_than_two_outputs():
+    with pytest.raises(ValueError, match="output layer of >= 2 classes"):
+        mlp_spec([4, 1])
+    with pytest.raises(ValueError, match="output layer of >= 2 classes"):
+        ModelSpec.from_dict({"kind": "mlp", "layer_dims": [4, 8, 1], "spectrum": [],
+                             "theta_star": [], "l_star": 0.0})
 
 
 def test_spec_roundtrip_through_dict():

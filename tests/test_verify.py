@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 
+from unlearn_forge import verify
 from unlearn_forge.verify import (
     CheckResult,
     SuiteReport,
@@ -56,3 +58,17 @@ def test_all_passed_accounts_for_byte_identity():
     rerun = CheckResult(name="reproducibility", passed=False, margin=-1.0,
                         details={"reruns": 1, "byte_identical": False, "checks_compared": 1})
     assert not SuiteReport(results=[check, rerun]).all_passed
+
+
+def test_geometric_decay_audits_the_library_descent(monkeypatch):
+    """The check reads its points from ``_descend``: stepping at 2.5 times
+    the configured eta, past the stable 2/beta, breaks the decay it audits."""
+    assert verify.check_geometric_decay_and_pl().passed
+    descend = verify._descend
+
+    def overstep(obj, theta0, cfg, rng):
+        return descend(obj, theta0, replace(cfg, eta=2.5 * cfg.eta), rng)
+
+    monkeypatch.setattr(verify, "_descend", overstep)
+    result = verify.check_geometric_decay_and_pl()
+    assert not result.passed and result.margin < 0.0
