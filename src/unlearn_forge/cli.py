@@ -170,15 +170,6 @@ def _parse_step(text: str):
     raise UsageError(f"bad --step {text!r}; use fixed:<eta> or adaptive")
 
 
-def _opt_config(cfg: dict) -> OptimizerConfig:
-    return OptimizerConfig(
-        kind=cfg["optimizer"],
-        eta=cfg["eta"],
-        batch_size="full" if cfg["batch_size"] is None else cfg["batch_size"],
-        max_epochs=cfg["epochs"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -198,7 +189,8 @@ def _cmd_gen_data(cfg: dict, seed) -> int:
 def _cmd_train(cfg: dict, seed) -> int:
     ds = load_uds(cfg["data"])
     spec = _parse_model(cfg["model"])
-    ocfg = _opt_config(cfg)
+    ocfg = OptimizerConfig(kind=cfg["optimizer"], eta=cfg["eta"], max_epochs=cfg["epochs"],
+                           batch_size="full" if cfg["batch_size"] is None else cfg["batch_size"])
     obj = split_objective(ds, spec, "train")
     theta0 = kaiming_sample(spec.param_count, derive_stream(seed, 11))
     trace = train(obj, theta0, ocfg, derive_stream(seed, 12))

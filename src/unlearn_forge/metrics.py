@@ -25,7 +25,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
-from .numcore import write_csv
+from .numcore import check_finite, write_csv
 from .spectral import SpectralEstimate, _lanczos, condition_number
 from .training import OptimizerConfig, _descend, _phi
 
@@ -66,6 +66,7 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
     for the eta/lambda_max schedule, ``adam`` for the Adam-labeled variant.
     K sets the epochs and relearning has no stop rule, so
     ``relearn_cfg.max_epochs`` must be 1 and ``grad_norm_tol`` its default.
+    A diverged relearning raises a ``FloatingPointError`` naming the epoch.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -85,6 +86,8 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
         errors[t] = e = phi(point) - phi_ref
         if not math.isfinite(e):
             raise FloatingPointError(f"non-finite relearning error at epoch {t}: phi={phi(point)}")
+        if phi_kind != "loss":  # a NaN logit still has an argmax, so the accuracy stays finite
+            check_finite(point.theta, f"the relearned parameters at epoch {t}")
     bound = diag = est = None
     if attach_bound and phi_kind == "loss":  # kappa at theta0 times the loss gap there
         est = _lanczos(point0, rng)

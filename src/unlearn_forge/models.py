@@ -329,23 +329,28 @@ class _ClassifierPoint(_Point):
     def _gradient(self):
         return self.backprop(self.delta)
 
+    def _softmax_tangent(self, rz):
+        """The softmax's tangent along the logits' tangent ``rz``."""
+        p = self.probs
+        return p * (rz - _row_sum(p * rz))
+
 
 class _LogisticPoint(_ClassifierPoint):
     def _forward(self):
-        p, C = self.obj.spec.layer_dims
         self.xt = self.obj._design
-        part = self.xt @ self.theta.reshape(p + 1, C - 1)
+        return self._linear(self.theta)
+
+    def _linear(self, w):
+        """The logits ``[X, 1] @ w`` of parameters ``w``, the last one pinned at 0."""
+        part = self.xt @ w.reshape(-1, self.obj.spec.layer_dims[-1] - 1)
         return np.concatenate([part, np.zeros((len(part), 1))], axis=1)
 
     def backprop(self, dlogits):
         return (self.xt.T @ dlogits[:, : self.obj.spec.layer_dims[-1] - 1]).ravel()
 
     def _hvp(self, v):
-        n, cm1 = len(self.xt), self.obj.spec.layer_dims[-1] - 1
-        rz = np.concatenate([self.xt @ v.reshape(-1, cm1), np.zeros((n, 1))], axis=1)
-        p = self.probs
-        rp = p * (rz - _row_sum(p * rz))
-        return (self.xt.T @ (rp[:, :cm1] / n)).ravel()
+        rp = self._softmax_tangent(self._linear(v))
+        return (self.xt.T @ (rp[:, :-1] / len(rp))).ravel()
 
 
 class _MlpPoint(_ClassifierPoint):
@@ -368,7 +373,6 @@ class _MlpPoint(_ClassifierPoint):
         spec, acts, masks = self.obj.spec, self.acts, self.masks
         wb = _mlp_unpack(spec, self.theta)
         vb = _mlp_unpack(spec, v)
-        n = len(self.logits)
 
         # forward tangent pass; rz ends as the logits' tangent
         ras = [np.zeros_like(self.obj.X)]
@@ -377,8 +381,7 @@ class _MlpPoint(_ClassifierPoint):
             if layer < len(masks):
                 ras.append(rz * masks[layer])
 
-        p, delta = self.probs, self.delta
-        rdelta = p * (rz - _row_sum(p * rz)) / n
+        delta, rdelta = self.delta, self._softmax_tangent(rz) / len(rz)
 
         # reverse pass carrying both the gradient and its tangent
         out = np.zeros_like(self.theta)

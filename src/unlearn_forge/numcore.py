@@ -106,12 +106,8 @@ def jsonable(value):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
         return [jsonable(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    if isinstance(value, np.generic):
+        return value.item()
     return value
 
 

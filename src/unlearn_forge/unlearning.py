@@ -57,7 +57,6 @@ METHODS = ("ft", "rl", "scrub", "salun", "ieu")
 _STREAM_UNLEARN = 301
 
 CLIP_RATIO = 10.0  # the forget gradient's norm is clipped at this multiple of the retain one
-_IRP_DRAW_VALUES = 1 << 16  # irp_run's noise draws, in values per normal() call
 
 # the methods that read each setting beyond eta, epochs and seed; for any
 # other method a value away from the default would silently do nothing (ft
@@ -141,41 +140,25 @@ def _unlearn_points(retain_obj: Objective, forget_obj: Objective, theta0: np.nda
     yield retain, forget, extra
 
 
-def _eval_row(epoch, retain, forget, clip_active=False, teacher_probs=None) -> EpochRow:
-    """The row of the points an epoch ends at; scrub's carries the forget KL."""
-    return EpochRow(
-        epoch=epoch,
-        retain_loss=retain.loss,
-        forget_loss=forget.loss,
-        retain_acc=retain.accuracy,
-        forget_acc=forget.accuracy,
-        clip_active=clip_active,
-        forget_kl=None if teacher_probs is None else _kl_divergence(teacher_probs, forget.probs),
-    )
-
-
 def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: np.random.Generator) -> np.ndarray:
     """Iterative re-initialization trajectory, shape (steps + 1, d): row t + 1
     is ``alpha * row_t + (1 - alpha) * xi`` with xi a fresh Normal(0, 2/d)
-    draw. One ``normal`` call draws the xi of many rows, the numbers and end
-    state of one ``kaiming_sample`` per row; ``alpha * row_t`` is added in
-    place to ``(1 - alpha) * xi``, the same sum, as addition commutes."""
+    draw. One ``standard_normal`` call draws the z of every row, the numbers
+    and end state of one ``kaiming_sample`` per row; each is scaled in place
+    to ``(1 - alpha) * (0.0 + sqrt(2/d) * z)``, as ``normal`` adds its loc
+    0.0, which turns a -0.0 draw into +0.0. Then ``alpha * row_t`` is added."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    d = theta.size
-    scale = kaiming_scale(d)
-    traj = np.empty((steps + 1, d))
+    traj = np.empty((steps + 1, theta.size))
     traj[0] = theta
-    prev = traj[0]
-    rows = max(1, _IRP_DRAW_VALUES // d)
-    for start in range(1, steps + 1, rows):
-        block = traj[start : start + rows]
-        np.multiply(1.0 - alpha, rng.normal(0.0, scale, block.shape), out=block)
-        for row in block:
-            row += alpha * prev
-            prev = row
+    noise = rng.standard_normal(out=traj[1:])
+    noise *= kaiming_scale(theta.size)
+    noise += 0.0
+    noise *= 1.0 - alpha
+    for prev, row in zip(traj, noise):
+        row += alpha * prev
     return traj
 
 
@@ -346,5 +329,11 @@ def unlearn(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> Unlearn
     retain, _, _ = next(points)
     trace = []
     for epoch, (retain, forget, extra) in enumerate(points):
-        trace.append(_eval_row(epoch, retain, forget, **extra))
+        teacher_probs = extra.get("teacher_probs")  # scrub's rows carry the forget KL
+        trace.append(EpochRow(
+            epoch=epoch, retain_loss=retain.loss, forget_loss=forget.loss,
+            retain_acc=retain.accuracy, forget_acc=forget.accuracy,
+            clip_active=extra.get("clip_active", False),
+            forget_kl=None if teacher_probs is None
+            else _kl_divergence(teacher_probs, forget.probs)))
     return UnlearnRun(trace=trace, theta=retain.theta, wall_clock=time.perf_counter() - start)

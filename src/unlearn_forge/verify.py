@@ -318,18 +318,17 @@ def check_method_limit_identities() -> CheckResult:
                   tcfg, derive_stream(3, 912))
     ckpt = Checkpoint(role="original", spec=spec, config=tcfg.to_dict(),
                       root_seed=3, theta=trace.theta)
-    a = unlearn(ckpt, ds, UnlearnConfig(method="ieu", alpha=1.0, c=0.0, eta=0.05,
-                                        epochs=12, seed=7))
-    b = unlearn(ckpt, ds, UnlearnConfig(method="ft", eta=0.05, epochs=12, seed=7))
-    ft_ok = np.array_equal(a.theta, b.theta) and all(
-        ra.retain_loss == rb.retain_loss and ra.forget_loss == rb.forget_loss
-        for ra, rb in zip(a.trace, b.trace))
-    c = unlearn(ckpt, ds, UnlearnConfig(method="salun", salun_fraction=1.0, eta=0.05,
-                                        epochs=12, seed=7))
-    d = unlearn(ckpt, ds, UnlearnConfig(method="rl", eta=0.05, epochs=12, seed=7))
-    rl_ok = np.array_equal(c.theta, d.theta) and all(
-        rc.retain_loss == rd.retain_loss and rc.forget_loss == rd.forget_loss
-        for rc, rd in zip(c.trace, d.trace))
+
+    def same_run(a: dict, b: dict) -> bool:
+        """Whether runs ``a`` and ``b`` pass the same losses to the same end, bit for bit."""
+        ra, rb = (unlearn(ckpt, ds, UnlearnConfig(eta=0.05, epochs=12, seed=7, **kw))
+                  for kw in (a, b))
+        return np.array_equal(ra.theta, rb.theta) and all(
+            x.retain_loss == y.retain_loss and x.forget_loss == y.forget_loss
+            for x, y in zip(ra.trace, rb.trace))
+
+    ft_ok = same_run({"method": "ieu", "alpha": 1.0, "c": 0.0}, {"method": "ft"})
+    rl_ok = same_run({"method": "salun", "salun_fraction": 1.0}, {"method": "rl"})
     ok = ft_ok and rl_ok
     return CheckResult(name="method_limit_identities", passed=ok,
                        margin=0.0 if ok else -1.0,

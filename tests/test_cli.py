@@ -669,3 +669,20 @@ def test_artifact_formats(runs_dir, tmp_path, capsys):
         assert lines[0] == header
         cells = [cell for line in lines[1:] for cell in line.split(",")]
         assert cells and all(_is_cell(c) for c in cells), (name, lines)
+
+
+@pytest.mark.parametrize("phi", ["loss", "one_minus_accuracy"])
+def test_rcd_refuses_a_diverged_relearning(runs_dir, tmp_path, capsys, phi):
+    data = tmp_path / "d.uds"
+    assert cli(["gen-data", "--seed", "1", "--out", str(data)]) == 0
+    assert cli(["train", "--seed", "1", "--data", str(data), "--model", "mlp:5,6,3",
+                "--epochs", "20"]) == 0
+    ckpt = _one("*/checkpoints/original.ieuc", runs_dir)
+    runs = sorted(runs_dir.iterdir())
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert cli(["rcd", "--seed", "1", "--data", str(data), "--ckpt", str(ckpt),
+                    "--k", "10", "--phi", phi, "--step", "fixed:1e300"]) == 1
+    assert "at epoch" in capsys.readouterr().err
+    # the forget oracle is cached, but no run directory is written
+    assert [p for p in sorted(runs_dir.iterdir()) if p.name != "oracles"] == runs

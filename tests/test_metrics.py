@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unlearn_forge.checkpoints import Checkpoint
-from unlearn_forge.datasets import gen_blobs, split_random, split_objective
+from unlearn_forge.datasets import (SplitDataset, gen_blobs, split_classwise, split_random,
+                                    split_objective)
 from unlearn_forge.metrics import (
     EvalReport,
     rcd,
@@ -230,3 +231,73 @@ def test_eval_report_values_must_be_numbers(change, named):
     with pytest.raises(ValueError) as info:
         EvalReport.from_dict({**_GOOD_REPORT, **change})
     assert named in str(info.value)
+
+
+@pytest.mark.parametrize("phi, named", [
+    ("loss", "non-finite relearning error at epoch 1"),
+    ("one_minus_accuracy", "non-finite values in the relearned parameters at epoch 2"),
+])
+def test_rcd_refuses_a_diverged_relearning(trained_world, phi, named):
+    # a step of 1e300 overflows the MLP's logits at epoch 1 and its parameters
+    # at epoch 2; NaN logits still have an argmax, so under phi
+    # one_minus_accuracy only the parameters show the divergence
+    _, ds, _ = trained_world
+    spec = mlp_spec([4, 6, 3])
+    theta0 = kaiming_sample(spec.param_count, derive_stream(21, 7))
+    relearn = OptimizerConfig(kind="gd_fixed", eta=1e300, max_epochs=1)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=named):
+        rcd(theta0, split_objective(ds, spec, "forget"), 0.0, 10, relearn, phi,
+            derive_stream(0, 0))
+
+
+@pytest.fixture(scope="module")
+def classwise_world():
+    ds = split_classwise(gen_blobs(30, 4, 4, separation=2.0, noise_sd=1.5, seed=8), 0.5, seed=8)
+    spec = logistic_spec(4, 4)
+    cfg = OptimizerConfig(kind="adam", eta=0.05, max_epochs=30)
+    trace = train(split_objective(ds, spec, "train"),
+                  kaiming_sample(spec.param_count, derive_stream(8, 5)), cfg, derive_stream(8, 6))
+    ckpt = Checkpoint(role="original", spec=spec, config=cfg.to_dict(), root_seed=8,
+                      theta=trace.theta)
+    return ckpt, ds, cfg
+
+
+def test_eval_report_test_halves_are_the_accuracies_on_each_half(classwise_world):
+    ckpt, ds, _ = classwise_world
+    pred = split_objective(ds, ckpt.spec, "test").evaluate(ckpt.theta).logits.argmax(axis=1)
+    labels = ds.labels[ds.test_idx]
+    forgotten = np.isin(labels, ds.forgotten_classes)
+    assert forgotten.any() and not forgotten.all()
+    accs = eval_report(ckpt, ds).accuracies
+    assert accs["test_forget"] == np.mean(pred[forgotten] == labels[forgotten])
+    assert accs["test_retain"] == np.mean(pred[~forgotten] == labels[~forgotten])
+
+
+def test_eval_report_classwise_gap_is_the_mean_over_six_metrics(classwise_world):
+    ckpt, ds, cfg = classwise_world
+    ref = eval_report(retrain_oracle(ds, ckpt.spec, cfg, seed=8), ds)
+    rep = eval_report(ckpt, ds, ref)
+    mine, theirs = rep.metrics(), ref.metrics()
+    names = {"retain", "forget", "test", "test_retain", "test_forget", "mia"}
+    assert set(rep.gaps) == names
+    gaps = [abs(mine[k] - theirs[k]) for k in sorted(names)]
+    assert rep.avg_gap == pytest.approx(sum(gaps) / 6, rel=1e-12)
+
+
+def test_eval_report_leaves_out_an_empty_test_half(classwise_world):
+    # class 3 is forgotten and has no test example, so test_forget is empty
+    ckpt, _, _ = classwise_world
+    ds0 = gen_blobs(10, 4, 4, separation=2.0, noise_sd=1.5, seed=9)
+    idx = np.arange(len(ds0.labels))
+    test = idx[(ds0.labels < 3) & (idx % 4 == 0)]
+    train_ = np.setdiff1d(idx, test)
+    ds = SplitDataset(features=ds0.features, labels=ds0.labels,
+                      retain_idx=train_[ds0.labels[train_] < 3],
+                      forget_idx=train_[ds0.labels[train_] == 3], test_idx=test,
+                      forgotten_classes=(3,))
+    ref = eval_report(ckpt, ds)
+    rep = eval_report(ckpt, ds, ref)
+    assert rep.accuracies["test_forget"] is None
+    assert rep.accuracies["test_retain"] == rep.accuracies["test"]
+    assert "test_forget" not in rep.gaps
+    assert set(rep.gaps) == {"retain", "forget", "test", "test_retain", "mia"}

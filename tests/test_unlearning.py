@@ -273,3 +273,32 @@ def test_retain_bound_monitor_needs_constants_for_nonquadratic(blob_ckpt):
     cfg = UnlearnConfig(method="ieu", alpha=1.0, c=0.0, eta=0.05, epochs=2, seed=0)
     with pytest.raises(ValueError):
         retain_bound_monitor(retain, forget, ckpt.theta, cfg)
+
+
+class _SignedZeroDraws:
+    """A generator stand-in whose standard normal draws include -0.0, which
+    ``normal(0.0, scale)`` turns into +0.0."""
+
+    def __init__(self):
+        self.z, self.used = np.tile([-0.0, 1.5, -0.0, -0.25], 8), 0
+
+    def _take(self, k):
+        self.used += k
+        return self.z[self.used - k : self.used]
+
+    def normal(self, loc, scale, size):
+        return loc + scale * self._take(int(np.prod(size))).reshape(size)
+
+    def standard_normal(self, out):
+        out[...] = self._take(out.size).reshape(out.shape)
+        return out
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_irp_run_draws_as_normal_does_for_a_draw_of_minus_zero(alpha):
+    theta = np.array([-1.0, -0.0, 2.0, 0.5])
+    traj = irp_run(theta, alpha, 6, _SignedZeroDraws())
+    ref, rng = [theta], _SignedZeroDraws()
+    for _ in range(6):
+        ref.append(alpha * ref[-1] + (1 - alpha) * kaiming_sample(theta.size, rng))
+    assert traj.tobytes() == np.array(ref).tobytes()

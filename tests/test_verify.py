@@ -72,3 +72,31 @@ def test_geometric_decay_audits_the_library_descent(monkeypatch):
     monkeypatch.setattr(verify, "_descend", overstep)
     result = verify.check_geometric_decay_and_pl()
     assert not result.passed and result.margin < 0.0
+
+
+def _fake_check(name, details=dict):
+    return lambda: CheckResult(name=name, passed=True, margin=1.0, details=details())
+
+
+def test_run_suite_runs_the_heavy_checks_only_when_full(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", [_fake_check("a"), _fake_check("b")])
+    monkeypatch.setattr(verify, "HEAVY_CHECKS", [_fake_check("heavy")])
+    names = lambda report: [r.name for r in report.results]
+    assert names(verify.run_suite(full=False, reproducibility=False)) == ["a", "b"]
+    assert names(verify.run_suite(full=True, reproducibility=False)) == ["a", "b", "heavy"]
+    report = verify.run_suite(full=False)
+    assert names(report) == ["a", "b", "reproducibility"] and report.all_passed
+    assert report.results[-1].details == {"reruns": 1, "byte_identical": True,
+                                          "checks_compared": 2}
+
+
+def test_run_suite_fails_a_rerun_whose_details_change(monkeypatch):
+    passes = iter(range(2))
+    monkeypatch.setattr(verify, "CHECKS", [_fake_check("steady"),
+                                           _fake_check("drifting", lambda: {"pass": next(passes)})])
+    monkeypatch.setattr(verify, "HEAVY_CHECKS", [_fake_check("heavy")])
+    report = verify.run_suite()
+    rerun = report.results[-1]
+    assert rerun.name == "reproducibility" and not rerun.passed and rerun.margin == -1.0
+    assert rerun.details == {"reruns": 1, "byte_identical": False, "checks_compared": 3}
+    assert all(r.passed for r in report.results[:-1]) and not report.all_passed
