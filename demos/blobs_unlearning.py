@@ -1,7 +1,8 @@
 """End-to-end unlearning comparison on synthetic blobs.
 
-Trains a small MLP on a 10-class Gaussian-blob task, forgets a random 30%
-of the training set with several methods, and compares them on two axes:
+Runs the verification suite's desk-scale comparison for one seed: a small
+MLP trained on a 10-class Gaussian-blob task forgets a random 30% of its
+training set with several methods, which are compared on two axes:
 
 * relearning convergence delay on the forgotten examples (higher means
   the influence is more thoroughly gone; retraining from scratch is the
@@ -9,74 +10,29 @@ of the training set with several methods, and compares them on two axes:
 * average performance gap against the retrained reference (lower means
   the model still behaves like the reference on everything we care about).
 
-Run:  python3 demos/blobs_unlearning.py   (about half a minute)
+The ``original`` row is the trained model itself: fine-tuning for zero
+epochs returns the checkpoint's own parameters.
+
+Run:  python3 demos/blobs_unlearning.py   (a few seconds)
 """
 
-import numpy as np
-
-from unlearn_forge import (
-    Checkpoint,
-    UnlearnConfig,
-    eval_report,
-    gen_blobs,
-    mlp_spec,
-    rcd,
-    split_random,
-    split_objective,
-    unlearn,
-)
-from unlearn_forge.numcore import derive_stream, kaiming_sample
-from unlearn_forge.training import OptimizerConfig, train, retrain_oracle, forget_oracle
+from unlearn_forge import UnlearnConfig
+from unlearn_forge.verify import desk_scale_comparison
 
 SEED = 0
 
-
-def main():
-    ds = split_random(gen_blobs(200, 10, 8, separation=3.0, noise_sd=2.0, seed=SEED),
-                      0.3, seed=SEED + 1000)
-    spec = mlp_spec([8, 32, 32, 10])
-    tcfg = OptimizerConfig(kind="adam", eta=0.01, max_epochs=200, grad_norm_tol=1e-6)
-
-    obj_train = split_objective(ds, spec, "train")
-    trace = train(obj_train, kaiming_sample(spec.param_count, derive_stream(SEED, 51)),
-                  tcfg, derive_stream(SEED, 52))
-    original = Checkpoint(role="original", spec=spec, config=tcfg.to_dict(),
-                          root_seed=SEED, theta=trace.theta)
-    print(f"original: train acc {obj_train.accuracy(trace.theta):.3f}, "
-          f"test acc {split_objective(ds, spec, 'test').accuracy(trace.theta):.3f}")
-
-    retrain_ck = retrain_oracle(ds, spec, tcfg, SEED)
-    _, phi_ref = forget_oracle(ds, spec, tcfg, SEED)
-    obj_forget = split_objective(ds, spec, "forget")
-
-    methods = {
-        "ft": UnlearnConfig(method="ft", eta=0.05, epochs=50, seed=SEED),
-        "rl": UnlearnConfig(method="rl", eta=0.05, epochs=50, seed=SEED),
-        "scrub": UnlearnConfig(method="scrub", eta=0.05, epochs=50, seed=SEED),
-        "salun": UnlearnConfig(method="salun", eta=0.05, epochs=50, seed=SEED),
-        "ieu-noisy": UnlearnConfig(method="ieu", alpha=0.999, c=0.0, eta=0.05,
-                                   epochs=50, seed=SEED),
-        "ieu-ga": UnlearnConfig(method="ieu", alpha=1.0, c=0.01, eta=0.05,
-                                epochs=50, seed=SEED),
-    }
-
-    relearn = OptimizerConfig(kind="sgd", eta=0.05, batch_size=128, max_epochs=1)
-    reference = eval_report(retrain_ck, ds)
-
-    print(f"\n{'method':10s} {'RCD^50':>8s} {'avg gap':>8s} {'forget acc':>10s}")
-    rows = {"retrain": retrain_ck.theta}
-    rows.update({name: unlearn(original, ds, cfg).theta
-                 for name, cfg in methods.items()})
-    for name, theta in rows.items():
-        rep = rcd(theta, obj_forget, phi_ref["one_minus_accuracy"], 50, relearn,
-                  "one_minus_accuracy", derive_stream(SEED, 53), attach_bound=False)
-        ck = Checkpoint(role="unlearned" if name != "retrain" else "retrain",
-                        spec=spec, config={}, root_seed=SEED, theta=theta)
-        ev = eval_report(ck, ds, reference)
-        gap = "---" if name == "retrain" else f"{ev.avg_gap:8.4f}"
-        print(f"{name:10s} {rep.rcd_value:8.3f} {gap:>8s} "
-              f"{ev.accuracies['forget']:10.3f}")
-
+METHODS = {
+    "original": UnlearnConfig(method="ft", epochs=0),
+    "ft": UnlearnConfig(method="ft", eta=0.05, epochs=50, seed=SEED),
+    "rl": UnlearnConfig(method="rl", eta=0.05, epochs=50, seed=SEED),
+    "scrub": UnlearnConfig(method="scrub", eta=0.05, epochs=50, seed=SEED),
+    "salun": UnlearnConfig(method="salun", eta=0.05, epochs=50, seed=SEED),
+    "ieu-noisy": UnlearnConfig(method="ieu", alpha=0.999, c=0.0, eta=0.05, epochs=50, seed=SEED),
+    "ieu-ga": UnlearnConfig(method="ieu", alpha=1.0, c=0.01, eta=0.05, epochs=50, seed=SEED),
+}
 
 if __name__ == "__main__":
-    main()
+    print(f"{'method':10s} {'RCD^50':>8s} {'avg gap':>8s} {'forget acc':>10s}")
+    for name, (rep, ev) in desk_scale_comparison(SEED, METHODS).items():
+        gap = "---" if name == "retrain" else f"{ev.avg_gap:8.4f}"
+        print(f"{name:10s} {rep.rcd_value:8.3f} {gap:>8s} {ev.accuracies['forget']:10.3f}")

@@ -451,7 +451,8 @@ def cli(argv=None) -> int:
         missing = [flag for flag in getattr(args, "required", ()) if not cfg[flag[2:]]]
         if missing:
             raise UsageError(f"{args.command} requires {', '.join(missing)}")
-        return args.fn(cfg, getattr(args, "seed", None))
+        with np.errstate(all="ignore"):  # a diverged run is refused by name, not warned of
+            return args.fn(cfg, getattr(args, "seed", None))
     except (UsageError, OSError, ValueError, CheckpointError, DivergenceError,
             FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

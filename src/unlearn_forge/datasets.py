@@ -7,8 +7,9 @@ partition) and test. Class-wise forgetting additionally records which
 class ids were forgotten, so the test set can be partitioned the same way.
 
 The ``.uds`` file is a single-line JSON header (schema version, shapes,
-dtypes, split indices, provenance) followed by raw little-endian float64
-feature bytes and int64 label bytes, which makes round-trips bit-exact.
+split indices, provenance) followed by raw little-endian float64 feature
+bytes and int64 label bytes, which makes round-trips bit-exact; schema
+version 1 fixes both dtypes, so the header names neither.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class SplitDataset:
     @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
 
     def indices(self, which: str) -> np.ndarray:
         if which == "retain":
@@ -210,9 +207,7 @@ def save_uds(ds: SplitDataset, path) -> None:
     header = {
         "schema_version": UDS_SCHEMA_VERSION,
         "n": len(ds.features),
-        "p": ds.n_features,
-        "dtype": "f64le",
-        "label_dtype": "i64le",
+        "p": ds.features.shape[1],
         "retain_idx": ds.retain_idx.tolist(),
         "forget_idx": ds.forget_idx.tolist(),
         "test_idx": ds.test_idx.tolist(),

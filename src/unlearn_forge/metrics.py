@@ -87,7 +87,7 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
         if not math.isfinite(e):
             raise FloatingPointError(f"non-finite relearning error at epoch {t}: phi={phi(point)}")
         if phi_kind != "loss":  # a NaN logit still has an argmax, so the accuracy stays finite
-            check_finite(point.theta, f"the relearned parameters at epoch {t}")
+            check_finite(point.logits, f"the relearned logits at epoch {t}")
     bound = diag = est = None
     if attach_bound and phi_kind == "loss":  # kappa at theta0 times the loss gap there
         est = _lanczos(point0, rng)

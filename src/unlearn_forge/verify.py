@@ -336,46 +336,49 @@ def check_method_limit_identities() -> CheckResult:
                                 "rl_equals_full_mask_saliency": rl_ok})
 
 
+def desk_scale_comparison(seed: int, configs: dict) -> dict:
+    """For one data seed of 10-class blobs with 30% random forgetting and an
+    MLP [8, 32, 32, 10] trained by Adam for up to 200 epochs: by name, for
+    ``"retrain"`` and for each named ``UnlearnConfig`` run from the trained
+    model, an ``(RcdReport, EvalReport)`` pair, RCD^50 of 1 - accuracy under
+    SGD relearning and the evaluation against the retrain reference."""
+    ds = split_random(gen_blobs(200, 10, 8, separation=3.0, noise_sd=2.0, seed=seed),
+                      0.3, seed + 1000)
+    spec = mlp_spec([8, 32, 32, 10])
+    tcfg = OptimizerConfig(kind="adam", eta=0.01, max_epochs=200, grad_norm_tol=1e-6)
+    trace = train(split_objective(ds, spec, "train"),
+                  kaiming_sample(spec.param_count, derive_stream(seed, 51)),
+                  tcfg, derive_stream(seed, 52))
+    original = Checkpoint(role="original", spec=spec, config=tcfg.to_dict(),
+                          root_seed=seed, theta=trace.theta)
+    retrain_ck = retrain_oracle(ds, spec, tcfg, seed)
+    _, phi_ref = forget_oracle(ds, spec, tcfg, seed)
+    obj_forget = split_objective(ds, spec, "forget")
+    relearn = OptimizerConfig(kind="sgd", eta=0.05, batch_size=128, max_epochs=1)
+    reference = eval_report(retrain_ck, ds)
+    ckpts = {"retrain": retrain_ck, **{
+        name: Checkpoint(role="unlearned", spec=spec, config=cfg.to_dict(), root_seed=seed,
+                         theta=unlearn(original, ds, cfg).theta)
+        for name, cfg in configs.items()}}
+    return {name: (rcd(ck.theta, obj_forget, phi_ref["one_minus_accuracy"], 50, relearn,
+                       "one_minus_accuracy", derive_stream(seed, 53), attach_bound=False),
+                   eval_report(ck, ds, reference))
+            for name, ck in ckpts.items()}
+
+
 def check_desk_scale_ordering() -> CheckResult:
     """Mean delay over 5 seeds orders retrain > random-label > fine-tune,
     and the noisy variant's average performance gap does not exceed random
-    labeling's, on the 10-class blobs task with 30% random forgetting."""
-    p, C, n_per_class, seeds = 8, 10, 200, 5
-    rcds = {m: [] for m in ("retrain", "rl", "ft", "ieu")}
-    gaps = {m: [] for m in ("rl", "ft", "ieu")}
-    for seed in range(seeds):
-        ds = split_random(gen_blobs(n_per_class, C, p, separation=3.0, noise_sd=2.0,
-                                    seed=seed), 0.3, seed + 1000)
-        spec = mlp_spec([p, 32, 32, C])
-        tcfg = OptimizerConfig(kind="adam", eta=0.01, max_epochs=200, grad_norm_tol=1e-6)
-        obj_train = split_objective(ds, spec, "train")
-        trace = train(obj_train, kaiming_sample(spec.param_count, derive_stream(seed, 51)),
-                      tcfg, derive_stream(seed, 52))
-        original = Checkpoint(role="original", spec=spec, config=tcfg.to_dict(),
-                              root_seed=seed, theta=trace.theta)
-        retrain_ck = retrain_oracle(ds, spec, tcfg, seed)
-        _, phi_ref = forget_oracle(ds, spec, tcfg, seed)
-        obj_forget = split_objective(ds, spec, "forget")
-        cfgs = {
-            "ft": UnlearnConfig(method="ft", eta=0.05, epochs=50, seed=seed),
-            "rl": UnlearnConfig(method="rl", eta=0.05, epochs=50, seed=seed),
-            "ieu": UnlearnConfig(method="ieu", alpha=0.999, c=0.0, eta=0.05, epochs=50,
-                                 seed=seed),
-        }
-        relearn = OptimizerConfig(kind="sgd", eta=0.05, batch_size=128, max_epochs=1)
-        thetas = {"retrain": retrain_ck.theta,
-                  **{m: unlearn(original, ds, cfg).theta for m, cfg in cfgs.items()}}
-        for m, th in thetas.items():
-            rep = rcd(th, obj_forget, phi_ref["one_minus_accuracy"], 50, relearn,
-                      "one_minus_accuracy", derive_stream(seed, 53), attach_bound=False)
-            rcds[m].append(rep.rcd_value)
-        ref = eval_report(retrain_ck, ds)
-        for m in gaps:
-            ck = Checkpoint(role="unlearned", spec=spec, config=cfgs[m].to_dict(),
-                            root_seed=seed, theta=thetas[m])
-            gaps[m].append(eval_report(ck, ds, ref).avg_gap)
-    mean_rcd = {m: float(np.mean(v)) for m, v in rcds.items()}
-    mean_gap = {m: float(np.mean(v)) for m, v in gaps.items()}
+    labeling's, in the desk-scale comparison."""
+    seeds = 5
+    rows = [desk_scale_comparison(seed, {
+        "ft": UnlearnConfig(method="ft", eta=0.05, epochs=50, seed=seed),
+        "rl": UnlearnConfig(method="rl", eta=0.05, epochs=50, seed=seed),
+        "ieu": UnlearnConfig(method="ieu", alpha=0.999, c=0.0, eta=0.05, epochs=50, seed=seed),
+    }) for seed in range(seeds)]
+    mean_rcd = {m: float(np.mean([r[m][0].rcd_value for r in rows]))
+                for m in ("retrain", "rl", "ft", "ieu")}
+    mean_gap = {m: float(np.mean([r[m][1].avg_gap for r in rows])) for m in ("rl", "ft", "ieu")}
     margin = min(mean_rcd["retrain"] - mean_rcd["rl"],
                  mean_rcd["rl"] - mean_rcd["ft"],
                  mean_gap["rl"] - mean_gap["ieu"])

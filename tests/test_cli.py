@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -164,6 +165,26 @@ def test_memory_error_exits_one(runs_dir, monkeypatch, capsys, argv):
     assert cli([*argv, "--seed", "0"]) == 1
     assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array " \
                                       "with shape (10000000000,)\n"
+
+
+@pytest.mark.parametrize("phi", ["loss", "one_minus_accuracy"])
+def test_a_diverged_command_prints_its_error_alone(runs_dir, tmp_path, capsys, phi):
+    # a step of 1e300 overflows the logits; numpy's warnings of that would
+    # come before the error line, each with a source line
+    data = str(tmp_path / "d.uds")
+    assert cli(["gen-data", "--seed", "1", "--out", data]) == 0
+    assert cli(["train", "--seed", "1", "--data", data, "--model", "mlp:5,6,3",
+                "--epochs", "20"]) == 0
+    ckpt = str(_one("*/checkpoints/original.ieuc", runs_dir))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught, \
+            np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+        warnings.simplefilter("always")
+        assert cli(["rcd", "--seed", "1", "--data", data, "--ckpt", ckpt, "--k", "10",
+                    "--phi", phi, "--step", "fixed:1e300"]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite") and "epoch 1" in err[0], err
 
 
 def _run_module(tmp_path, *argv):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,25 @@ def test_uds_roundtrip(tmp_path):
     path2 = tmp_path / "toy2.uds"
     save_uds(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_uds_header_names_no_dtype_and_files_that_do_still_load(tmp_path):
+    ds = split_random(gen_blobs(25, 3, 4, 2.0, 1.0, seed=6), 0.3, seed=6)
+    path = tmp_path / "toy.uds"
+    save_uds(ds, path)
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    assert "dtype" not in header and "label_dtype" not in header
+    # schema version 1 as written when the header also named both dtypes
+    old = tmp_path / "old.uds"
+    old.write_bytes(json.dumps(dict(header, dtype="f64le", label_dtype="i64le"),
+                               sort_keys=True).encode() + b"\n" + payload)
+    back = load_uds(old)
+    for name in ("features", "labels", "retain_idx", "forget_idx", "test_idx"):
+        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
+    assert back.provenance == ds.provenance
+    save_uds(back, tmp_path / "again.uds")
+    assert (tmp_path / "again.uds").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("cut, message", [(-3, "truncated"), (-8 * 80, "truncated"),

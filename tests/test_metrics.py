@@ -235,12 +235,12 @@ def test_eval_report_values_must_be_numbers(change, named):
 
 @pytest.mark.parametrize("phi, named", [
     ("loss", "non-finite relearning error at epoch 1"),
-    ("one_minus_accuracy", "non-finite values in the relearned parameters at epoch 2"),
+    ("one_minus_accuracy", "non-finite values in the relearned logits at epoch 1"),
 ])
 def test_rcd_refuses_a_diverged_relearning(trained_world, phi, named):
-    # a step of 1e300 overflows the MLP's logits at epoch 1 and its parameters
-    # at epoch 2; NaN logits still have an argmax, so under phi
-    # one_minus_accuracy only the parameters show the divergence
+    # a step of 1e300 overflows the MLP's logits at epoch 1; NaN logits still
+    # have an argmax, so under phi one_minus_accuracy the logits themselves
+    # are checked
     _, ds, _ = trained_world
     spec = mlp_spec([4, 6, 3])
     theta0 = kaiming_sample(spec.param_count, derive_stream(21, 7))

@@ -219,7 +219,7 @@ def test_irp_run_shape_and_mixing():
 
 
 @pytest.mark.parametrize("steps", [0, 1, 257])
-@pytest.mark.parametrize("d", [1, 3, 100, 700])  # at d = 700 the draws span three blocks
+@pytest.mark.parametrize("d", [1, 3, 100, 700])
 def test_irp_run_is_bitwise_the_per_step_loop(d, steps):
     theta = derive_stream(8, d).normal(0.0, 1.0, d)
     rng, ref_rng = derive_stream(8, 0), derive_stream(8, 0)
