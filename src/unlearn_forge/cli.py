@@ -15,7 +15,9 @@ experiment id, and writes
         traces/        per-epoch CSV traces
     <runs-root>/oracles/<key>.ieuc   forget oracles cached by ``rcd``
 
-with only those subdirectories that the command's files go in.
+with only those subdirectories that the command's files go in. ``rcd``
+trains every forget oracle with one optimizer config, and ``retrain`` with
+the one held by the checkpoint that ``train`` wrote.
 
 The runs root defaults to ``./runs`` and can be overridden with the
 ``UNLEARN_FORGE_RUNS_DIR`` environment variable. Exit codes: 0 on
@@ -208,7 +210,12 @@ def _cmd_train(cfg: dict, seed) -> int:
 def _cmd_retrain(cfg: dict, seed) -> int:
     ds = load_uds(cfg["data"])
     original = load_checkpoint(cfg["ckpt"])
-    ck = retrain_oracle(ds, original.spec, _oracle_config(original, cfg["ckpt"]), seed)
+    try:  # the retrain reference repeats the training that produced the original
+        ocfg = OptimizerConfig(**original.config)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{cfg['ckpt']}: retrain needs the checkpoint train wrote, which "
+                              f"must hold an optimizer config of this version ({exc})") from exc
+    ck = retrain_oracle(ds, original.spec, ocfg, seed)
     exp_id, paths = _write_run("retrain", cfg, seed, {
         "checkpoint": ("checkpoints/retrain.ieuc", lambda path: save_checkpoint(ck, path))})
     print(f"{exp_id}\t{paths['checkpoint']}")
@@ -241,8 +248,7 @@ def _cmd_rcd(cfg: dict, seed) -> int:
     if step["kind"] == "gd_fixed" and batch is not None:
         step = {"kind": "sgd", "eta": step["eta"]}
     relearn = OptimizerConfig(batch_size="full" if batch is None else batch, max_epochs=1, **step)
-    oracle_cfg = _oracle_config(ckpt, cfg["ckpt"])
-    phi_ref, oracle_path, oracle_cache = _cached_forget_oracle(ds, ckpt.spec, oracle_cfg, seed)
+    phi_ref, oracle_path, oracle_cache = _cached_forget_oracle(ds, ckpt.spec, seed)
     forget_obj = split_objective(ds, ckpt.spec, "forget")
     report = rcd(ckpt.theta, forget_obj, phi_ref[cfg["phi"]], cfg["k"], relearn,
                  cfg["phi"], derive_stream(seed, 13))
@@ -254,7 +260,13 @@ def _cmd_rcd(cfg: dict, seed) -> int:
     return 0
 
 
-def _cached_forget_oracle(ds, spec: ModelSpec, cfg: OptimizerConfig, seed: int):
+# every forget oracle trains with this one recipe, whatever model is audited,
+# so every rcd on one forget set, spec and seed measures against one phi_ref;
+# it is part of the cache key, so changing it retrains every cached oracle
+_FORGET_ORACLE_CONFIG = OptimizerConfig(kind="adam", eta=0.01, max_epochs=200)
+
+
+def _cached_forget_oracle(ds, spec: ModelSpec, seed: int):
     """The forget oracle's reference errors, trained once per runs root.
 
     The oracle depends only on (forget set, spec, config, seed), so it is
@@ -266,8 +278,8 @@ def _cached_forget_oracle(ds, spec: ModelSpec, cfg: OptimizerConfig, seed: int):
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(ds.features[idx], dtype="<f8").tobytes())
     digest.update(np.ascontiguousarray(ds.labels[idx], dtype="<i8").tobytes())
-    digest.update(json.dumps({"spec": spec.to_dict(), "config": cfg.to_dict(), "seed": seed},
-                             sort_keys=True).encode())
+    digest.update(json.dumps({"spec": spec.to_dict(), "config": _FORGET_ORACLE_CONFIG.to_dict(),
+                             "seed": seed}, sort_keys=True).encode())
     key = digest.hexdigest()
     path = _runs_root() / "oracles" / f"{key}.ieuc"
     try:
@@ -276,30 +288,13 @@ def _cached_forget_oracle(ds, spec: ModelSpec, cfg: OptimizerConfig, seed: int):
             return cached.extra["phi_ref"], path, "hit"
     except (OSError, CheckpointError):
         pass  # absent or damaged: retrain and replace it
-    ck, phi_ref = forget_oracle(ds, spec, cfg, seed)
+    ck, phi_ref = forget_oracle(ds, spec, _FORGET_ORACLE_CONFIG, seed)
     ck.extra["oracle_key"] = key
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     save_checkpoint(ck, tmp)
     os.replace(tmp, path)
     return phi_ref, path, "miss"
-
-
-# oracles for an unlearned model, which no optimizer produced, train with this
-_UNLEARNED_ORACLE_CONFIG = OptimizerConfig(kind="adam", eta=0.01, max_epochs=200)
-
-
-def _oracle_config(ckpt: Checkpoint, path) -> OptimizerConfig:
-    """The optimizer config that oracles for ``ckpt`` train with: the one
-    ``ckpt`` was trained with, or for an unlearned model, which no optimizer
-    produced, the default oracle config."""
-    if ckpt.role == "unlearned":
-        return _UNLEARNED_ORACLE_CONFIG
-    try:
-        return OptimizerConfig(**ckpt.config)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: a {ckpt.role!r} checkpoint must hold an optimizer "
-                              f"config of this version ({exc})") from exc
 
 
 def _cmd_eval(cfg: dict, seed) -> int:

@@ -208,7 +208,8 @@ def forget_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, see
 
     The reference values depend only on (forget set, spec, cfg, seed), never
     on the model under audit. This function trains the oracle on every call;
-    the CLI's ``rcd`` caches it under ``<runs-root>/oracles/``."""
+    the CLI's ``rcd`` passes one fixed ``cfg`` for every checkpoint and caches
+    the oracle under ``<runs-root>/oracles/``."""
     ckpt = _train_oracle(data, spec, cfg, seed, "forget", "forget_oracle", lambda last: {
         "phi_ref": {kind: _phi(kind)(last) for kind in PHI_KINDS}})
     return ckpt, ckpt.extra["phi_ref"]

@@ -58,3 +58,20 @@ def test_settable_values_do_not_grow():
              for path in sorted(Path(unlearn_forge.__file__).parent.glob("*.py"))
              for name in _settable_values(ast.parse(path.read_text()))]
     assert len(found) <= MAX_SETTABLE_VALUES, found
+
+
+def test_benchmark_tracer_names_resolve():
+    """Every function and ``Objective`` method that the benchmark's tracer
+    wraps still exists, so deleting one fails here and not only in the
+    benchmark's own smoke tests."""
+    from unlearn_forge import models
+
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, name, _ in tracer.FUNCTIONS
+               if not hasattr(importlib.import_module(f"unlearn_forge.{module}"), name)]
+    missing += [f"models.Objective.{name}" for name in tracer.MODEL_METHODS
+                if not hasattr(models.Objective, name)]
+    assert not missing, missing

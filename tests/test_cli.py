@@ -131,11 +131,16 @@ def test_gen_data_refuses_a_bad_scale(runs_dir, tmp_path, capsys, flag, value):
 
 
 # 160 center draws at sd 1e308 (10 classes x 16 features) hold some beyond
-# the largest float; 1500 noise draws at sd 1e308 always do
+# the largest float; 1500 noise draws at sd 1e308 always do. At the default
+# 3 classes x 5 features, separations of 1e308 and 1e160 give finite features
+# whose squared norm, which every HVP sums over, overflows
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 @pytest.mark.parametrize("flags", [["--separation", "1e308", "--classes", "10",
                                     "--features", "16"],
-                                   ["--noise-sd", "1e308"]], ids=["separation", "noise_sd"])
+                                   ["--noise-sd", "1e308"],
+                                   ["--separation", "1e308"],
+                                   ["--separation", "1e160"]],
+                         ids=["separation", "noise_sd", "finite-1e308", "finite-1e160"])
 def test_gen_data_refuses_overflowing_features(runs_dir, tmp_path, capsys, flags):
     out = tmp_path / "d.uds"
     assert cli(["gen-data", "--seed", "0", *flags, "--out", str(out)]) == 1
@@ -429,21 +434,45 @@ def _trained(tmp_path, capsys):
     return data, capsys.readouterr().out.split("\t")[1]
 
 
-def test_retrain_from_unlearned_checkpoint_uses_the_oracle_config(runs_dir, tmp_path, capsys):
+def test_retrain_refuses_an_unlearned_checkpoint(runs_dir, tmp_path, capsys):
+    """An unlearned checkpoint holds no optimizer config to retrain with."""
     data, ckpt = _trained(tmp_path, capsys)
     assert cli(["unlearn", "--seed", "1", "--data", str(data), "--ckpt", ckpt,
                 "--method", "ft", "--epochs", "1"]) == 0
     unlearned = capsys.readouterr().out.split("\t")[1].strip()
-    assert cli(["retrain", "--seed", "1", "--data", str(data), "--ckpt", unlearned]) == 0
-    retrain = load_checkpoint(capsys.readouterr().out.split("\t")[1].strip())
-    assert retrain.config == {"kind": "adam", "eta": 0.01, "batch_size": "full",
-                              "max_epochs": 200, "grad_norm_tol": 1e-8}
+    runs = sorted(runs_dir.iterdir())
+    assert cli(["retrain", "--seed", "1", "--data", str(data), "--ckpt", unlearned]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {unlearned}: ") and "must hold an optimizer config" in err
+    assert "retrain needs the checkpoint train wrote" in err
+    assert sorted(runs_dir.iterdir()) == runs
+
+
+def test_rcd_measures_every_checkpoint_against_one_forget_oracle(runs_dir, tmp_path, capsys):
+    """A zero-epoch ft copy holds the original's parameters bit for bit, so
+    rcd of either, with every default, writes the same errors and phi_ref."""
+    data = str(tmp_path / "d.uds")
+    assert cli(["gen-data", "--seed", "0", "--out", data]) == 0
+    capsys.readouterr()
+    assert cli(["train", "--seed", "0", "--data", data, "--model", "mlp:5,8,3"]) == 0
+    original = capsys.readouterr().out.split("\t")[1]
+    assert cli(["unlearn", "--seed", "0", "--data", data, "--ckpt", original,
+                "--method", "ft", "--epochs", "0"]) == 0
+    copy = capsys.readouterr().out.split("\t")[1].strip()
+    assert load_checkpoint(copy).theta.tobytes() == load_checkpoint(original).theta.tobytes()
+    reports = []
+    for ckpt in (original, copy):
+        assert cli(["rcd", "--seed", "0", "--data", data, "--ckpt", ckpt]) == 0
+        reports.append(json.loads(Path(capsys.readouterr().out.split("\t")[2].strip())
+                                  .read_text()))
+    for key in ("errors", "phi_ref"):
+        assert json.dumps(reports[0][key]) == json.dumps(reports[1][key])
 
 
 def test_checkpoint_without_optimizer_config_exits_one(runs_dir, tmp_path, capsys):
     """A trained checkpoint whose config is no optimizer config of this
     version, such as one that still holds the Adam and Lanczos constants
-    as settings, is refused by name wherever its optimizer is needed."""
+    as settings, is refused by name by retrain, which trains with it."""
     from unlearn_forge.checkpoints import save_checkpoint
 
     data, ckpt = _trained(tmp_path, capsys)
@@ -452,10 +481,9 @@ def test_checkpoint_without_optimizer_config_exits_one(runs_dir, tmp_path, capsy
                            spectral_max_iter=100_000)
     old = tmp_path / "old.ieuc"
     save_checkpoint(original, old)
-    for argv in (["retrain", "--seed", "1"], ["rcd", "--seed", "1", "--k", "1"]):
-        assert cli(argv + ["--data", str(data), "--ckpt", str(old)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "must hold an optimizer config" in err
+    assert cli(["retrain", "--seed", "1", "--data", str(data), "--ckpt", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must hold an optimizer config" in err
 
 
 @pytest.mark.parametrize("key, value, named", [
@@ -472,10 +500,9 @@ def test_checkpoint_config_of_a_wrong_type_exits_one(runs_dir, tmp_path, capsys,
     original.config.update({key: value, "kind": "sgd"} if key == "batch_size" else {key: value})
     bad = tmp_path / "bad.ieuc"
     save_checkpoint(original, bad)
-    for argv in (["retrain", "--seed", "1"], ["rcd", "--seed", "1", "--k", "1"]):
-        assert cli(argv + ["--data", str(data), "--ckpt", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and named in err
+    assert cli(["retrain", "--seed", "1", "--data", str(data), "--ckpt", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 @pytest.mark.parametrize("payload, named", [({"K": 1}, "'accuracies'"),

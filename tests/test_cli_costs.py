@@ -147,7 +147,7 @@ def test_oracle_cache_key_covers_forget_set_spec_and_seed(setup, tmp_path, capsy
     save_uds(replace(ds, features=features), other)
     assert _rcd(runs, other, ckpt, capsys)[1] == "miss"
 
-    # unlearned checkpoints all get the default oracle config, so only the spec differs
+    # every rcd trains its oracle with one config, so only the spec differs
     assert _rcd(runs, data, _unlearned(capsys, data, "mlp:4,3,3"), capsys)[1] == "miss"
     assert len(list((runs / "oracles").glob("*.ieuc"))) == 4
     assert _rcd(runs, data, ckpt, capsys)[1] == "hit"
