@@ -16,8 +16,9 @@ experiment id, and writes
     <runs-root>/oracles/<key>.ieuc   forget oracles cached by ``rcd``
 
 with only those subdirectories that the command's files go in. ``rcd``
-trains every forget oracle with one optimizer config, and ``retrain`` with
-the one held by the checkpoint that ``train`` wrote.
+trains every forget oracle with ``training.FORGET_ORACLE_CONFIG``, and
+``retrain`` with the optimizer config held by the checkpoint that ``train``
+wrote.
 
 The runs root defaults to ``./runs`` and can be overridden with the
 ``UNLEARN_FORGE_RUNS_DIR`` environment variable. Exit codes: 0 on
@@ -42,9 +43,9 @@ from .checkpoints import Checkpoint, CheckpointError, save_checkpoint, load_chec
 from .datasets import gen_blobs, split_random, split_classwise, split_objective, save_uds, load_uds
 from .models import ModelSpec, logistic_spec, mlp_spec
 from .metrics import rcd, eval_report, EvalReport
-from .numcore import derive_stream, kaiming_sample, read_json, write_csv, write_json
-from .training import (OPTIMIZER_KINDS, PHI_KINDS, OptimizerConfig, DivergenceError, train,
-                       retrain_oracle, forget_oracle, trace_to_csv)
+from .numcore import derive_stream, read_json, write_csv, write_json
+from .training import (FORGET_ORACLE_CONFIG, OPTIMIZER_KINDS, PHI_KINDS, OptimizerConfig,
+                       DivergenceError, _fit, retrain_oracle, forget_oracle, trace_to_csv)
 from .unlearning import METHODS, EpochRow, UnlearnConfig, unlearn
 from . import verify as verify_mod
 
@@ -193,12 +194,7 @@ def _cmd_train(cfg: dict, seed) -> int:
     spec = _parse_model(cfg["model"])
     ocfg = OptimizerConfig(kind=cfg["optimizer"], eta=cfg["eta"], max_epochs=cfg["epochs"],
                            batch_size="full" if cfg["batch_size"] is None else cfg["batch_size"])
-    obj = split_objective(ds, spec, "train")
-    theta0 = kaiming_sample(spec.param_count, derive_stream(seed, 11))
-    trace = train(obj, theta0, ocfg, derive_stream(seed, 12))
-    ckpt = Checkpoint(role="original", spec=spec, config=ocfg.to_dict(),
-                      root_seed=seed, theta=trace.theta,
-                      extra={"stop_reason": trace.stop_reason})
+    ckpt, trace = _fit(ds, spec, ocfg, seed, "train", (11, 12))
     exp_id, paths = _write_run("train", cfg, seed, {
         "checkpoint": ("checkpoints/original.ieuc", lambda path: save_checkpoint(ckpt, path)),
         "trace": ("traces/train.csv", lambda path: trace_to_csv(trace, path))})
@@ -251,19 +247,13 @@ def _cmd_rcd(cfg: dict, seed) -> int:
     phi_ref, oracle_path, oracle_cache = _cached_forget_oracle(ds, ckpt.spec, seed)
     forget_obj = split_objective(ds, ckpt.spec, "forget")
     report = rcd(ckpt.theta, forget_obj, phi_ref[cfg["phi"]], cfg["k"], relearn,
-                 cfg["phi"], derive_stream(seed, 13))
+                 cfg["phi"], derive_stream(seed, 13), attach_bound=cfg["phi"] == "loss")
     exp_id, paths = _write_run("rcd", cfg, seed, {
         "report": ("reports/rcd.json", lambda path: write_json(path, report)),
         "report_csv": ("reports/rcd.csv", report.to_csv)},
         oracle=str(oracle_path), oracle_cache=oracle_cache)
     print(f"{exp_id}\trcd={report.rcd_value:.6g}\t{paths['report']}")
     return 0
-
-
-# every forget oracle trains with this one recipe, whatever model is audited,
-# so every rcd on one forget set, spec and seed measures against one phi_ref;
-# it is part of the cache key, so changing it retrains every cached oracle
-_FORGET_ORACLE_CONFIG = OptimizerConfig(kind="adam", eta=0.01, max_epochs=200)
 
 
 def _cached_forget_oracle(ds, spec: ModelSpec, seed: int):
@@ -278,7 +268,7 @@ def _cached_forget_oracle(ds, spec: ModelSpec, seed: int):
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(ds.features[idx], dtype="<f8").tobytes())
     digest.update(np.ascontiguousarray(ds.labels[idx], dtype="<i8").tobytes())
-    digest.update(json.dumps({"spec": spec.to_dict(), "config": _FORGET_ORACLE_CONFIG.to_dict(),
+    digest.update(json.dumps({"spec": spec.to_dict(), "config": FORGET_ORACLE_CONFIG.to_dict(),
                              "seed": seed}, sort_keys=True).encode())
     key = digest.hexdigest()
     path = _runs_root() / "oracles" / f"{key}.ieuc"
@@ -288,7 +278,7 @@ def _cached_forget_oracle(ds, spec: ModelSpec, seed: int):
             return cached.extra["phi_ref"], path, "hit"
     except (OSError, CheckpointError):
         pass  # absent or damaged: retrain and replace it
-    ck, phi_ref = forget_oracle(ds, spec, _FORGET_ORACLE_CONFIG, seed)
+    ck, phi_ref = forget_oracle(ds, spec, FORGET_ORACLE_CONFIG, seed)
     ck.extra["oracle_key"] = key
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

@@ -105,21 +105,23 @@ def gen_blobs(n_per_class: int, C: int, p: int, separation: float, noise_sd: flo
             raise ValueError(f"{name} must be a finite number >= 0, not {value!r}")
     center_rng = derive_stream(seed, _STREAM_CENTERS)
     centers = None
-    for _ in range(200):
-        cand = center_rng.normal(0.0, separation, C * p).reshape(C, p)
-        dists = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=-1)
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() >= separation:
-            centers = cand
-            break
-    if centers is None:
-        raise ValueError(
-            f"could not place {C} centers with pairwise separation {separation} in {p}-d"
-        )
+    # a huge scale overflows the distances or X; the vdot rule below refuses it by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(200):
+            cand = center_rng.normal(0.0, separation, C * p).reshape(C, p)
+            dists = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=-1)
+            np.fill_diagonal(dists, np.inf)
+            if dists.min() >= separation:
+                centers = cand
+                break
+        if centers is None:
+            raise ValueError(
+                f"could not place {C} centers with pairwise separation {separation} in {p}-d"
+            )
 
-    point_rng = derive_stream(seed, _STREAM_POINTS)
-    noise = point_rng.normal(0.0, noise_sd, C * n_per_class * p).reshape(C * n_per_class, p)
-    X = np.repeat(centers, n_per_class, axis=0) + noise
+        point_rng = derive_stream(seed, _STREAM_POINTS)
+        noise = point_rng.normal(0.0, noise_sd, C * n_per_class * p).reshape(C * n_per_class, p)
+        X = np.repeat(centers, n_per_class, axis=0) + noise
     # ||X||_F^2, which every HVP sums over, can overflow while each feature is finite
     if not math.isfinite(np.vdot(X, X)):
         raise ValueError(f"separation {separation} and noise_sd {noise_sd} overflow the features")

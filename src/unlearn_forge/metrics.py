@@ -67,6 +67,7 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
     K sets the epochs and relearning has no stop rule, so
     ``relearn_cfg.max_epochs`` must be 1 and ``grad_norm_tol`` its default.
     A diverged relearning raises a ``FloatingPointError`` naming the epoch.
+    The curvature bound bounds the loss, so ``attach_bound`` needs phi ``loss``.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -79,6 +80,8 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
     if phi_kind == "one_minus_accuracy" and not forget_obj.spec.is_classifier:
         raise ValueError(f"phi kind {phi_kind!r} needs an accuracy, which a "
                          f"{forget_obj.spec.kind!r} model does not have")
+    if attach_bound and phi_kind != "loss":
+        raise ValueError("the curvature bound is on the loss; attach_bound needs phi 'loss'")
     errors = np.empty(K + 1)
     for t, (point, _, _) in zip(range(K + 1), _descend(forget_obj, theta0, relearn_cfg, rng)):
         if t == 0:
@@ -89,7 +92,7 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
         if phi_kind != "loss":  # a NaN logit still has an argmax, so the accuracy stays finite
             check_finite(point.logits, f"the relearned logits at epoch {t}")
     bound = diag = est = None
-    if attach_bound and phi_kind == "loss":  # kappa at theta0 times the loss gap there
+    if attach_bound:  # kappa at theta0 times the loss gap there
         est = _lanczos(point0, rng)
         if est.kappa is None:
             diag = condition_number(est)

@@ -46,9 +46,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# stream ids reserved for oracle runs
-_STREAM_ORACLE_INIT = 201
-_STREAM_ORACLE_TRAIN = 202
+# stream ids reserved for oracle runs: the init's, then the training's
+_STREAMS_ORACLE = (201, 202)
 
 
 class DivergenceError(RuntimeError):
@@ -82,6 +81,11 @@ class OptimizerConfig:
 
     def to_dict(self) -> dict:
         return jsonable(self)
+
+
+# every forget oracle's recipe, whatever model is audited, so one forget set, spec and seed
+# give one phi_ref; it is in the CLI's oracle cache key, so changing it retrains the cache
+FORGET_ORACLE_CONFIG = OptimizerConfig(kind="adam", eta=0.01, max_epochs=200)
 
 
 @dataclass
@@ -181,38 +185,40 @@ def train(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig,
     return TrainTrace(records=records, theta=point.theta, stop_reason=stop_reason)
 
 
-def _train_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, seed: int,
-                  which: str, role: str, extra) -> Checkpoint:
-    """A fresh Kaiming init trained on split ``which`` alone; ``extra(last)``
-    adds the entries read off the last epoch record, which is evaluated at
-    the returned theta, to its stop reason."""
+def _fit(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, seed: int, which: str,
+         streams: tuple) -> tuple[Checkpoint, TrainTrace]:
+    """``(checkpoint, trace)`` of a Kaiming init from stream ``(seed, streams[0])`` trained
+    on split ``which`` alone with stream ``(seed, streams[1])``. The checkpoint's role
+    follows from the split, and it records the run's stop reason."""
     trace = train(split_objective(data, spec, which),
-                  kaiming_sample(spec.param_count, derive_stream(seed, _STREAM_ORACLE_INIT)),
-                  cfg, derive_stream(seed, _STREAM_ORACLE_TRAIN))
+                  kaiming_sample(spec.param_count, derive_stream(seed, streams[0])),
+                  cfg, derive_stream(seed, streams[1]))
+    role = {"train": "original", "retain": "retrain", "forget": "forget_oracle"}[which]
     return Checkpoint(role=role, spec=spec, config=cfg.to_dict(), root_seed=seed,
-                      theta=trace.theta,
-                      extra={"stop_reason": trace.stop_reason, **extra(trace.records[-1])})
+                      theta=trace.theta, extra={"stop_reason": trace.stop_reason}), trace
 
 
 def retrain_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig,
                    seed: int) -> Checkpoint:
     """Exact-unlearning reference: fresh Kaiming init trained on the retain
     set only."""
-    return _train_oracle(data, spec, cfg, seed, "retain", "retrain",
-                         lambda last: {"epochs_run": last.epoch})
+    ckpt, trace = _fit(data, spec, cfg, seed, "retain", _STREAMS_ORACLE)
+    ckpt.extra["epochs_run"] = trace.records[-1].epoch
+    return ckpt
 
 
 def forget_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, seed: int):
-    """Model trained to convergence on the forget set alone, plus the
-    reference error value for each supported error-evaluation kind.
+    """Model trained on the forget set alone, plus the reference error value
+    for each supported error-evaluation kind, read off the last epoch.
 
     The reference values depend only on (forget set, spec, cfg, seed), never
     on the model under audit. This function trains the oracle on every call;
-    the CLI's ``rcd`` passes one fixed ``cfg`` for every checkpoint and caches
-    the oracle under ``<runs-root>/oracles/``."""
-    ckpt = _train_oracle(data, spec, cfg, seed, "forget", "forget_oracle", lambda last: {
-        "phi_ref": {kind: _phi(kind)(last) for kind in PHI_KINDS}})
-    return ckpt, ckpt.extra["phi_ref"]
+    every delay the lab computes passes ``FORGET_ORACLE_CONFIG``: the CLI's
+    ``rcd``, which caches the oracle under ``<runs-root>/oracles/``, and
+    ``verify.desk_scale_comparison``."""
+    ckpt, trace = _fit(data, spec, cfg, seed, "forget", _STREAMS_ORACLE)
+    ckpt.extra["phi_ref"] = phi_ref = {kind: _phi(kind)(trace.records[-1]) for kind in PHI_KINDS}
+    return ckpt, phi_ref
 
 
 def trace_to_csv(trace: TrainTrace, path) -> None:

@@ -239,7 +239,7 @@ def _scrub_rule(cfg: UnlearnConfig, rng: np.random.Generator, retain0, forget0):
         # descend cross-entropy + KL(teacher || student) on the retain set
         dlog = retain.delta + (retain.probs - p_teacher_r) / len(p_teacher_r)
         theta = theta - cfg.eta * retain.backprop(dlog)
-        return theta, {"teacher_probs": p_teacher_f}
+        return theta, {}
 
     return step
 
@@ -326,14 +326,13 @@ def unlearn(ckpt: Checkpoint, data: SplitDataset, cfg: UnlearnConfig) -> Unlearn
     forget_obj = split_objective(data, ckpt.spec, "forget")
     start = time.perf_counter()
     points = _unlearn_points(retain_obj, forget_obj, ckpt.theta, cfg)
-    retain, _, _ = next(points)
+    retain, teacher, _ = next(points)  # scrub's teacher: the forget point at the checkpoint
     trace = []
     for epoch, (retain, forget, extra) in enumerate(points):
-        teacher_probs = extra.get("teacher_probs")  # scrub's rows carry the forget KL
         trace.append(EpochRow(
             epoch=epoch, retain_loss=retain.loss, forget_loss=forget.loss,
             retain_acc=retain.accuracy, forget_acc=forget.accuracy,
             clip_active=extra.get("clip_active", False),
-            forget_kl=None if teacher_probs is None
-            else _kl_divergence(teacher_probs, forget.probs)))
+            forget_kl=_kl_divergence(teacher.probs, forget.probs)
+            if cfg.method == "scrub" else None))
     return UnlearnRun(trace=trace, theta=retain.theta, wall_clock=time.perf_counter() - start)

@@ -28,7 +28,8 @@ from .models import make_quadratic, logistic_spec, mlp_spec
 from .metrics import rcd, mia_threshold_attack, eval_report, MiaResult
 from .numcore import derive_stream, jsonable, kaiming_sample
 from .spectral import estimate_spectrum
-from .training import OptimizerConfig, _descend, train, retrain_oracle, forget_oracle
+from .training import (FORGET_ORACLE_CONFIG, OptimizerConfig, _descend, _fit, train,
+                       retrain_oracle, forget_oracle)
 from .unlearning import UnlearnConfig, unlearn, irp_run, retain_bound_monitor
 
 __all__ = ["CheckResult", "SuiteReport", "run_suite", "CHECKS", "HEAVY_CHECKS"]
@@ -312,12 +313,8 @@ def check_method_limit_identities() -> CheckResult:
     full-mask saliency variant is random labeling, both bit-for-bit."""
     ds = split_random(gen_blobs(30, 4, 4, separation=3.0, noise_sd=1.0, seed=3), 0.25, 3)
     spec = mlp_spec([4, 8, 4])
-    tcfg = OptimizerConfig(kind="adam", eta=0.01, max_epochs=30)
-    obj = split_objective(ds, spec, "train")
-    trace = train(obj, kaiming_sample(spec.param_count, derive_stream(3, 911)),
-                  tcfg, derive_stream(3, 912))
-    ckpt = Checkpoint(role="original", spec=spec, config=tcfg.to_dict(),
-                      root_seed=3, theta=trace.theta)
+    ckpt, _ = _fit(ds, spec, OptimizerConfig(kind="adam", eta=0.01, max_epochs=30), 3, "train",
+                   (911, 912))
 
     def same_run(a: dict, b: dict) -> bool:
         """Whether runs ``a`` and ``b`` pass the same losses to the same end, bit for bit."""
@@ -341,18 +338,16 @@ def desk_scale_comparison(seed: int, configs: dict) -> dict:
     MLP [8, 32, 32, 10] trained by Adam for up to 200 epochs: by name, for
     ``"retrain"`` and for each named ``UnlearnConfig`` run from the trained
     model, an ``(RcdReport, EvalReport)`` pair, RCD^50 of 1 - accuracy under
-    SGD relearning and the evaluation against the retrain reference."""
+    SGD relearning and the evaluation against the retrain reference. The
+    retrain reference repeats the original's training; the forget oracle
+    trains with ``FORGET_ORACLE_CONFIG``, as the CLI's ``rcd`` does."""
     ds = split_random(gen_blobs(200, 10, 8, separation=3.0, noise_sd=2.0, seed=seed),
                       0.3, seed + 1000)
     spec = mlp_spec([8, 32, 32, 10])
     tcfg = OptimizerConfig(kind="adam", eta=0.01, max_epochs=200, grad_norm_tol=1e-6)
-    trace = train(split_objective(ds, spec, "train"),
-                  kaiming_sample(spec.param_count, derive_stream(seed, 51)),
-                  tcfg, derive_stream(seed, 52))
-    original = Checkpoint(role="original", spec=spec, config=tcfg.to_dict(),
-                          root_seed=seed, theta=trace.theta)
+    original, _ = _fit(ds, spec, tcfg, seed, "train", (51, 52))
     retrain_ck = retrain_oracle(ds, spec, tcfg, seed)
-    _, phi_ref = forget_oracle(ds, spec, tcfg, seed)
+    _, phi_ref = forget_oracle(ds, spec, FORGET_ORACLE_CONFIG, seed)
     obj_forget = split_objective(ds, spec, "forget")
     relearn = OptimizerConfig(kind="sgd", eta=0.05, batch_size=128, max_epochs=1)
     reference = eval_report(retrain_ck, ds)

@@ -153,6 +153,15 @@ def test_oracle_cache_key_covers_forget_set_spec_and_seed(setup, tmp_path, capsy
     assert _rcd(runs, data, ckpt, capsys)[1] == "hit"
 
 
+def test_oracle_cache_file_name_is_pinned(setup, capsys):
+    # the key hashes the forget set, spec, FORGET_ORACLE_CONFIG and seed; a change
+    # to any of them names another file and leaves every cached oracle unread
+    runs, data, ckpt = setup
+    _rcd(runs, data, ckpt, capsys)
+    assert [p.name for p in (runs / "oracles").iterdir()] == [
+        "2fa7fe2c3d1862c93a49ce5c90a909117660ae8d5479b02248a8b57706b46977.ieuc"]
+
+
 @pytest.mark.parametrize("damage", ["truncate", "flip", "other_key"])
 def test_damaged_oracle_cache_is_recomputed(setup, capsys, damage):
     runs, data, ckpt = setup

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ def test_blobs_refuse_a_scale_that_is_not_finite_and_non_negative(name, value):
     kwargs = {"separation": 2.0, "noise_sd": 1.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0"):
         gen_blobs(10, 3, 4, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("separation", [1e160, 1e200, 1e308])
+def test_blobs_refuse_overflowing_features_without_a_warning(separation):
+    # the centers and features overflow on the way; the refusal names it, no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow the features"):
+            gen_blobs(100, 3, 5, separation, 1.0, 0)
 
 
 def test_blobs_test_split_is_stratified():

@@ -247,7 +247,7 @@ def test_rcd_refuses_a_diverged_relearning(trained_world, phi, named):
     relearn = OptimizerConfig(kind="gd_fixed", eta=1e300, max_epochs=1)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=named):
         rcd(theta0, split_objective(ds, spec, "forget"), 0.0, 10, relearn, phi,
-            derive_stream(0, 0))
+            derive_stream(0, 0), attach_bound=False)
 
 
 @pytest.fixture(scope="module")

@@ -206,6 +206,11 @@ def test_models_refuse(world, capsys, call, exc, named, argv):
                                        1, OptimizerConfig(max_epochs=1), "bogus",
                                        derive_stream(0, 0)),
           ValueError, "unknown phi kind 'bogus'"),
+    _case("bound-without-loss-phi",
+          lambda w: rcd(np.zeros(_LOGISTIC.param_count),
+                        make_classifier(_LOGISTIC, np.zeros((2, 2)), np.array([0, 1])), 0.0, 1,
+                        OptimizerConfig(max_epochs=1), "one_minus_accuracy", derive_stream(0, 0)),
+          ValueError, "attach_bound needs phi 'loss'"),
 ])
 def test_training_refuses(world, capsys, call, exc, named, argv):
     _refused(world, capsys, call, exc, named, argv)

@@ -16,6 +16,7 @@ from unlearn_forge.training import (
     forget_oracle,
     trace_to_csv,
     _descend,
+    _fit,
 )
 
 
@@ -152,6 +153,21 @@ def test_oracles_are_deterministic_and_fresh():
     assert set(phi_ref) == {"loss", "one_minus_accuracy"}
     assert phi_ref["loss"] >= 0.0
     assert 0.0 <= phi_ref["one_minus_accuracy"] <= 1.0
+
+
+def test_fit_is_the_draw_train_wrap_it_replaces():
+    ds = split_random(gen_blobs(30, 3, 4, 2.0, 1.0, seed=11), 0.3, seed=11)
+    spec = logistic_spec(4, 3)
+    cfg = OptimizerConfig(kind="adam", eta=0.05, max_epochs=20)
+    ckpt, trace = _fit(ds, spec, cfg, 11, "train", (11, 12))
+    by_hand = train(split_objective(ds, spec, "train"),
+                    kaiming_sample(spec.param_count, derive_stream(11, 11)), cfg,
+                    derive_stream(11, 12))
+    assert ckpt.theta.tobytes() == by_hand.theta.tobytes() == trace.theta.tobytes()
+    assert ckpt.role == "original" and ckpt.config == cfg.to_dict() and ckpt.root_seed == 11
+    assert ckpt.extra == {"stop_reason": by_hand.stop_reason}
+    assert _fit(ds, spec, cfg, 11, "retain", (11, 12))[0].role == "retrain"
+    assert _fit(ds, spec, cfg, 11, "forget", (11, 12))[0].role == "forget_oracle"
 
 
 @pytest.mark.parametrize("oracle,which", [(retrain_oracle, "retain"), (forget_oracle, "forget")])

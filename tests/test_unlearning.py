@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from unlearn_forge.models import Objective, make_quadratic, mlp_spec
 from unlearn_forge.numcore import derive_stream, kaiming_sample
 from unlearn_forge.training import OptimizerConfig, train
 from unlearn_forge.unlearning import (
+    EpochRow,
     UnlearnConfig,
     _unlearn_points,
     irp_run,
@@ -136,6 +139,17 @@ def test_every_method_runs_on_the_shared_loop(blob_ckpt, method):
     assert last.retain_acc == retain.accuracy(run.theta)
     assert last.forget_acc == forget.accuracy(run.theta)
     assert all((row.forget_kl is not None) == (method == "scrub") for row in run.trace)
+
+
+@pytest.mark.parametrize("method", ["ft", "rl", "scrub", "salun", "ieu"])
+def test_every_rule_returns_epoch_row_fields_only(blob_ckpt, method):
+    ckpt, ds = blob_ckpt
+    extra = {"alpha": 0.999, "c": 0.01} if method == "ieu" else {}
+    cfg = UnlearnConfig(method=method, eta=0.05, epochs=3, seed=5, **extra)
+    names = {f.name for f in fields(EpochRow)}
+    points = _unlearn_points(split_objective(ds, ckpt.spec, "retain"),
+                             split_objective(ds, ckpt.spec, "forget"), ckpt.theta, cfg)
+    assert all(set(extra) <= names for _, _, extra in points)
 
 
 def test_ft_is_alpha_one_limit(blob_ckpt):

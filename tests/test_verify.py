@@ -2,8 +2,10 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from unlearn_forge import verify
+from unlearn_forge.training import FORGET_ORACLE_CONFIG
 from unlearn_forge.verify import (
     CheckResult,
     SuiteReport,
@@ -72,6 +74,19 @@ def test_geometric_decay_audits_the_library_descent(monkeypatch):
     monkeypatch.setattr(verify, "_descend", overstep)
     result = verify.check_geometric_decay_and_pl()
     assert not result.passed and result.margin < 0.0
+
+
+def test_desk_scale_comparison_trains_its_forget_oracle_with_the_shared_recipe(monkeypatch):
+    class Recorded(Exception):
+        pass
+
+    def record(data, spec, cfg, seed):
+        raise Recorded(cfg)
+
+    monkeypatch.setattr(verify, "forget_oracle", record)
+    with pytest.raises(Recorded) as info:
+        verify.desk_scale_comparison(0, {})
+    assert info.value.args[0] == FORGET_ORACLE_CONFIG
 
 
 def _fake_check(name, details=dict):
