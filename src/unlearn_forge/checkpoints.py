@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelSpec
-from .numcore import read_json
+from .numcore import is_int, read_json
 
 __all__ = ["Checkpoint", "CheckpointError", "save_checkpoint", "load_checkpoint"]
 
@@ -44,6 +44,8 @@ class Checkpoint:
             raise ValueError(f"unknown checkpoint role {self.role!r}")
         if not isinstance(self.config, dict) or not isinstance(self.extra, dict):
             raise ValueError("a checkpoint's config and extra must be dicts")
+        if not is_int(self.root_seed):
+            raise ValueError(f"root_seed must be an integer, not {self.root_seed!r}")
         self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
         if self.theta.size != self.spec.param_count:
             raise ValueError("theta length does not match the model spec")
@@ -93,7 +95,7 @@ def load_checkpoint(path) -> Checkpoint:
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")
         dim = header["dim"]
-        if type(dim) is not int or len(payload) != 8 * dim:
+        if not is_int(dim) or len(payload) != 8 * dim:
             raise CheckpointError(f"{path}: parameter payload of {len(payload)} bytes does "
                                   f"not hold dim = {dim!r} float64 values")
         theta = np.frombuffer(payload, dtype="<f8").copy()

@@ -43,7 +43,7 @@ from .checkpoints import Checkpoint, CheckpointError, save_checkpoint, load_chec
 from .datasets import gen_blobs, split_random, split_classwise, split_objective, save_uds, load_uds
 from .models import ModelSpec, logistic_spec, mlp_spec
 from .metrics import rcd, eval_report, EvalReport
-from .numcore import derive_stream, read_json, write_csv, write_json
+from .numcore import derive_stream, is_int, is_real, read_json, write_csv, write_json
 from .training import (FORGET_ORACLE_CONFIG, OPTIMIZER_KINDS, PHI_KINDS, OptimizerConfig,
                        DivergenceError, _fit, retrain_oracle, forget_oracle, trace_to_csv)
 from .unlearning import METHODS, EpochRow, UnlearnConfig, unlearn
@@ -77,7 +77,9 @@ def _settings(parser: argparse.ArgumentParser) -> dict:
 
 
 def _read_config(path, parser: argparse.ArgumentParser) -> dict:
-    """The values of a ``--config`` file, each checked against its flag."""
+    """The values of a ``--config`` file as their flags would give them: one
+    of a flag's choices, an ``is_int`` for an int flag, an ``is_real`` for a
+    float flag, else a string, converted by the flag's type (``1`` to ``1.0``)."""
     from_file = read_json(Path(path).read_text())
     if not isinstance(from_file, dict):
         raise UsageError("--config must hold a JSON object")
@@ -85,27 +87,15 @@ def _read_config(path, parser: argparse.ArgumentParser) -> dict:
     unknown = set(from_file) - set(flags)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return {key: _config_value(flags[key], key, value) for key, value in from_file.items()}
-
-
-def _config_value(flag: argparse.Action, key: str, value):
-    """A ``--config`` value as its flag would give it. The value must be
-    one of the flag's choices, an integer for an int flag, a number for a
-    float flag, else a string; JSON true and false are none of these. It
-    is then converted by the flag's type, so ``1`` for a float flag is
-    ``1.0``, as ``--flag 1`` gives."""
-    if flag.choices is not None:
-        ok, want = value in flag.choices, f"one of {flag.choices}"
-    else:
-        kinds = {int: (int,), float: (int, float)}.get(flag.type, (str,))
-        ok = isinstance(value, kinds) and not isinstance(value, bool)
-        want = {int: "an integer", float: "a number"}.get(flag.type, "a string")
-    if not ok:
-        raise UsageError(f"config key {key!r} must be {want}, not {value!r}")
-    try:
-        return value if flag.type is None else flag.type(value)
-    except OverflowError as exc:
-        raise UsageError(f"config key {key!r} is too large for a float: {value!r}") from exc
+    for key, value in from_file.items():
+        rule, want = {int: (is_int, "an integer"), float: (is_real, "a finite number")}.get(
+            flags[key].type, (lambda v: isinstance(v, str), "a string"))
+        if flags[key].choices is not None:
+            rule, want = flags[key].choices.__contains__, f"one of {flags[key].choices}"
+        if not rule(value):
+            raise UsageError(f"config key {key!r} must be {want}, not {value!r}")
+    return {key: value if flags[key].type is None else flags[key].type(value)
+            for key, value in from_file.items()}
 
 
 def _write_run(command: str, cfg: dict, seed, files: dict, **facts):
@@ -261,8 +251,9 @@ def _cached_forget_oracle(ds, spec: ModelSpec, seed: int):
 
     The oracle depends only on (forget set, spec, config, seed), so it is
     kept at ``<runs-root>/oracles/<key>.ieuc``, ``<key>`` being the sha256
-    of those four. A file that fails to load or names another key is
-    recomputed and replaced. Returns ``(phi_ref, path, "hit" | "miss")``.
+    of those four. A file that fails to load, names another key or lacks an
+    ``is_real`` ``phi_ref`` of a phi kind is recomputed and replaced.
+    Returns ``(phi_ref, path, "hit" | "miss")``.
     """
     idx = ds.forget_idx
     digest = hashlib.sha256()
@@ -274,8 +265,9 @@ def _cached_forget_oracle(ds, spec: ModelSpec, seed: int):
     path = _runs_root() / "oracles" / f"{key}.ieuc"
     try:
         cached = load_checkpoint(path)
-        if cached.extra.get("oracle_key") == key:
-            return cached.extra["phi_ref"], path, "hit"
+        phi_ref = cached.extra.get("phi_ref") if cached.extra.get("oracle_key") == key else None
+        if isinstance(phi_ref, dict) and all(is_real(phi_ref.get(k)) for k in PHI_KINDS):
+            return phi_ref, path, "hit"
     except (OSError, CheckpointError):
         pass  # absent or damaged: retrain and replace it
     ck, phi_ref = forget_oracle(ds, spec, FORGET_ORACLE_CONFIG, seed)

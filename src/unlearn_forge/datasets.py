@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .models import Objective, ModelSpec, make_classifier
-from .numcore import derive_stream, read_json
+from .numcore import derive_stream, is_int, is_real, read_json
 
 __all__ = [
     "SplitDataset",
@@ -101,7 +101,7 @@ def gen_blobs(n_per_class: int, C: int, p: int, separation: float, noise_sd: flo
     if p < 2:
         raise ValueError("need at least 2 features")
     for name, value in (("separation", separation), ("noise_sd", noise_sd)):
-        if not (math.isfinite(value) and value >= 0):
+        if not (is_real(value) and value >= 0):
             raise ValueError(f"{name} must be a finite number >= 0, not {value!r}")
     center_rng = derive_stream(seed, _STREAM_CENTERS)
     centers = None
@@ -237,7 +237,7 @@ def _check_uds_header(header) -> None:
             raise ValueError(f".uds header lacks key {key!r}")
         value = [header[key]] if key in ("n", "p") else header[key]
         if not (isinstance(value, dict) if key == "provenance" else (isinstance(value, list)
-                and all(type(i) is int and 0 <= i < 2**63 for i in value))):
+                and all(is_int(i) and 0 <= i < 2**63 for i in value))):
             raise ValueError(f".uds header key {key!r} holds a bad value: {header[key]!r}")
 
 

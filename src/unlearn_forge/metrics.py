@@ -25,7 +25,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
-from .numcore import check_finite, write_csv
+from .numcore import check_finite, is_real, write_csv
 from .spectral import SpectralEstimate, _lanczos, condition_number
 from .training import OptimizerConfig, _descend, _phi
 
@@ -150,11 +150,6 @@ def mia_threshold_attack(member_losses: np.ndarray, nonmember_losses: np.ndarray
 # evaluation reports
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is a JSON number; a bool is none."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass
 class EvalReport:
     accuracies: dict  # split name -> accuracy
@@ -170,21 +165,24 @@ class EvalReport:
     @staticmethod
     def from_dict(d) -> "EvalReport":
         """The report in ``d``; a ``ValueError`` names what an eval report
-        needs and ``d`` lacks, or the key whose value is no number: each
-        accuracy and ``avg_gap`` is a number or null, ``mia_rate`` a number."""
+        needs and ``d`` lacks, or the key whose value is no ``is_real`` number:
+        each accuracy and ``avg_gap`` one or null, ``mia_rate`` and each gap one."""
         if not isinstance(d, dict):
             raise ValueError(f"an eval report is a JSON object, not {type(d).__name__}")
         for key in ("accuracies", "mia_rate"):
             if key not in d:
                 raise ValueError(f"not an eval report: no key {key!r}")
-        if not isinstance(d["accuracies"], dict):
-            raise ValueError("eval report 'accuracies' must be a JSON object")
+        for key in ("accuracies", "gaps"):
+            if not isinstance(d.get(key, {}), dict):
+                raise ValueError(f"eval report {key!r} must be a JSON object")
         for key, value in [*((f"accuracies[{k!r}]", v) for k, v in d["accuracies"].items()),
                            ("avg_gap", d.get("avg_gap"))]:
-            if value is not None and not _is_number(value):
+            if value is not None and not is_real(value):
                 raise ValueError(f"eval report {key} must be a number or null, not {value!r}")
-        if not _is_number(d["mia_rate"]):
-            raise ValueError(f"eval report mia_rate must be a number, not {d['mia_rate']!r}")
+        for key, value in [("mia_rate", d["mia_rate"]),
+                           *((f"gaps[{k!r}]", v) for k, v in d.get("gaps", {}).items())]:
+            if not is_real(value):
+                raise ValueError(f"eval report {key} must be a number, not {value!r}")
         return EvalReport(accuracies=d["accuracies"], mia_rate=d["mia_rate"],
                           gaps=d.get("gaps", {}), avg_gap=d.get("avg_gap"))
 

@@ -10,8 +10,9 @@ bit-for-bit on any platform; distinct stream ids give statistically
 independent streams and can be used concurrently without coordination.
 
 Parameter vectors are plain 1-D ``float64`` numpy arrays;
-:func:`check_finite` guards them at the boundaries, and
-:func:`check_field_types` the types of the config dataclasses' fields.
+:func:`check_finite` guards them at the boundaries. :func:`is_int` and
+:func:`is_real` judge every integer and number the library reads, the
+config dataclasses' fields through :func:`check_field_types`.
 
 Every report, trace and manifest the library writes becomes bytes here:
 :func:`jsonable` turns results into plain JSON values, :func:`write_json`
@@ -30,6 +31,8 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 __all__ = [
+    "is_int",
+    "is_real",
     "derive_stream",
     "kaiming_scale",
     "kaiming_sample",
@@ -43,13 +46,24 @@ __all__ = [
 ]
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is none."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a finite float or an integer that fits one, Python or numpy."""
+    if isinstance(value, (float, np.floating)):
+        return bool(np.isfinite(value))
+    return bool(is_int(value) and -sys.float_info.max <= value <= sys.float_info.max)
+
+
 def derive_stream(root_seed: int, stream_id: int) -> np.random.Generator:
     """The Philox 4x64 generator keyed by ``(root_seed, stream_id)``, each
     an integer in [0, 2**64). Owned by exactly one logical task; derive separate
     streams for concurrent work instead of sharing one."""
     for name, value in (("root_seed", root_seed), ("stream_id", stream_id)):
-        integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not (integral and 0 <= value < 2**64):
+        if not (is_int(value) and 0 <= value < 2**64):
             raise ValueError(f"{name} must lie in [0, 2**64) and be an integer, not {value!r}")
     key = np.array([root_seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -81,19 +95,12 @@ def norm(v: np.ndarray) -> float:
 
 def check_field_types(config) -> None:
     """A ``ValueError`` naming the first field of dataclass ``config``
-    annotated ``int`` that holds no Python or numpy integer, or ``float``
-    that holds no finite Python or numpy real; a bool is neither."""
+    annotated ``int`` that holds no :func:`is_int` value, or ``float`` no
+    :func:`is_real` one."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "int":
-            ok, want = isinstance(value, (int, np.integer)), "an integer"
-        elif f.type == "float":  # an int must also fit a float
-            ok = (isinstance(value, (int, np.integer)) and abs(value) <= sys.float_info.max
-                  or isinstance(value, (float, np.floating)) and np.isfinite(value))
-            want = "a finite number"
-        else:
-            continue
-        if not ok or isinstance(value, bool):
+        rule, want = {"int": (is_int, "an integer"),
+                      "float": (is_real, "a finite number")}.get(f.type, (None, None))
+        if rule and not rule(value := getattr(config, f.name)):
             raise ValueError(f"{f.name} must be {want}, not {value!r}")
 
 

@@ -24,7 +24,8 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import ModelSpec, Objective
-from .numcore import check_field_types, derive_stream, jsonable, kaiming_sample, norm, write_csv
+from .numcore import (check_field_types, derive_stream, is_int, jsonable, kaiming_sample, norm,
+                      write_csv)
 from . import spectral
 
 __all__ = [
@@ -71,7 +72,7 @@ class OptimizerConfig:
         if self.grad_norm_tol < 0:
             raise ValueError("grad_norm_tol must be >= 0")
         bs = self.batch_size
-        if bs is True or (bs != "full" and not (isinstance(bs, (int, np.integer)) and bs >= 1)):
+        if bs != "full" and not (is_int(bs) and bs >= 1):
             raise ValueError(f"batch_size must be 'full' or an int >= 1, not {bs!r}")
         if bs != "full" and self.kind in ("gd_fixed", "gd_adaptive"):
             raise ValueError(f"batch_size={bs!r} does nothing for kind={self.kind!r}, "

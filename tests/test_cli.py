@@ -536,6 +536,17 @@ def test_compare_names_the_report_it_refuses(runs_dir, tmp_path, capsys, content
     assert captured.out == ""
 
 
+def test_compare_refuses_non_finite_numbers(runs_dir, tmp_path, capsys):
+    # Python's json reads NaN and Infinity, which no eval report holds
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"accuracies": {"forget": NaN}, "mia_rate": Infinity, "avg_gap": NaN}')
+    assert cli(["compare", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {bad}: eval report accuracies['forget'] must be a number "
+                            "or null, not nan\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("name", ["r.json", "a,b.json", 'say "a".json'])
 def test_compare_csv_quotes_cells(runs_dir, tmp_path, capsys, name):
     report = tmp_path / name

@@ -181,3 +181,21 @@ def test_damaged_oracle_cache_is_recomputed(setup, capsys, damage):
     again, status = _rcd(runs, data, ckpt, capsys)
     assert status == "miss" and again == cold
     assert _rcd(runs, data, ckpt, capsys) == (cold, "hit")
+
+
+@pytest.mark.parametrize("phi_ref", [{"one_minus_accuracy": 0.25}, {"loss": "0.5",
+                                     "one_minus_accuracy": 0.25},
+                                     {"loss": float("nan"), "one_minus_accuracy": 0.25}, [0.5]],
+                         ids=["no-loss-kind", "string", "nan", "list"])
+def test_oracle_cache_with_a_bad_phi_ref_is_recomputed(setup, capsys, phi_ref):
+    # a file with a valid hash and key whose phi_ref rcd cannot read is damaged
+    runs, data, ckpt = setup
+    cold, _ = _rcd(runs, data, ckpt, capsys)
+    (cached,) = (runs / "oracles").glob("*.ieuc")
+    ck = load_checkpoint(cached)
+    ck.extra["phi_ref"] = phi_ref
+    save_checkpoint(ck, cached)
+    again, status = _rcd(runs, data, ckpt, capsys)
+    assert status == "miss" and again == cold
+    assert set(load_checkpoint(cached).extra["phi_ref"]) == {"loss", "one_minus_accuracy"}
+    assert _rcd(runs, data, ckpt, capsys) == (cold, "hit")

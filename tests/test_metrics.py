@@ -224,8 +224,18 @@ _GOOD_REPORT = {"accuracies": {"retain": 0.5, "test_forget": None, "forget": 1},
     ({"mia_rate": False}, "mia_rate"),
     ({"avg_gap": [1]}, "avg_gap must be a number or null, not [1]"),
     ({"avg_gap": True}, "avg_gap"),
+    ({"accuracies": {"forget": float("nan")}}, "accuracies['forget'] must be a number or null"),
+    ({"accuracies": {"retain": 10**400}}, "accuracies['retain'] must be a number or null"),
+    ({"mia_rate": float("inf")}, "mia_rate must be a number, not inf"),
+    ({"mia_rate": -float("inf")}, "mia_rate must be a number, not -inf"),
+    ({"avg_gap": float("nan")}, "avg_gap must be a number or null, not nan"),
+    ({"gaps": 7}, "eval report 'gaps' must be a JSON object"),
+    ({"gaps": {"mia": float("nan")}}, "gaps['mia'] must be a number, not nan"),
+    ({"gaps": {"mia": None}}, "gaps['mia'] must be a number, not None"),
+    ({"gaps": {"mia": "x"}}, "gaps['mia'] must be a number, not 'x'"),
 ], ids=["acc-str", "acc-bool", "acc-list", "mia-str", "mia-null", "mia-bool", "gap-list",
-        "gap-bool"])
+        "gap-bool", "acc-nan", "acc-huge-int", "mia-inf", "mia-minus-inf", "gap-nan",
+        "gaps-int", "gaps-nan", "gaps-null", "gaps-str"])
 def test_eval_report_values_must_be_numbers(change, named):
     assert EvalReport.from_dict(_GOOD_REPORT).accuracies == _GOOD_REPORT["accuracies"]
     with pytest.raises(ValueError) as info:

@@ -63,10 +63,29 @@ def _other_version(world):
     return load_checkpoint(world / "v.ieuc")
 
 
+def _root_seed(value):
+    """A call that loads ``m.ieuc`` with header ``root_seed`` set to
+    ``value``, its hash kept valid, from ``s.ieuc``."""
+    def call(world):
+        body = (world / "m.ieuc").read_bytes()[:-32]
+        (hlen,) = struct.unpack("<Q", body[8:16])
+        header = dict(json.loads(body[16 : 16 + hlen]), root_seed=value)
+        head = json.dumps(header, sort_keys=True).encode()
+        body = body[:8] + struct.pack("<Q", len(head)) + head + body[16 + hlen :]
+        (world / "s.ieuc").write_bytes(body + hashlib.sha256(body).digest())
+        return load_checkpoint(world / "s.ieuc")
+    return call
+
+
 @pytest.mark.parametrize("call, exc, named, argv", [
     _case("unsupported-version", _other_version, CheckpointError,
           f"unsupported checkpoint version {FORMAT_VERSION + 1}",
           ["eval", "--data", "{}/d.uds", "--ckpt", "{}/v.ieuc"]),
+    *(_case(f"root-seed-{id}", _root_seed(value), CheckpointError,
+            f"root_seed must be an integer, not {value!r}",
+            ["eval", "--data", "{}/d.uds", "--ckpt", "{}/s.ieuc"])
+      for id, value in [("str", "x"), ("float", 1.5), ("bool", True), ("null", None),
+                        ("list", [1])]),
 ])
 def test_checkpoints_refuse(world, capsys, call, exc, named, argv):
     _refused(world, capsys, call, exc, named, argv)
