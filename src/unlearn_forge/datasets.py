@@ -94,6 +94,9 @@ def gen_blobs(n_per_class: int, C: int, p: int, separation: float, noise_sd: flo
               seed: int) -> SplitDataset:
     """Gaussian clusters at seed-deterministic centers, stratified 80/20
     train/test, with the whole train partition initially retained."""
+    for name, value in (("n_per_class", n_per_class), ("C", C), ("p", p)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     if n_per_class < 2:  # the test split takes at least one point of each class
         raise ValueError(f"n_per_class must be >= 2, not {n_per_class}")
     if C < 2:

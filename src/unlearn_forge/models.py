@@ -24,7 +24,11 @@ Conventions
   Its ReLU masks are boolean (True where a unit's output is positive) and
   are built from the stored activations when a gradient, backprop or HVP
   first needs them.
-* Cross-entropy goes through log-sum-exp with max subtraction.
+* Cross-entropy goes through log-sum-exp with max subtraction, on a
+  class-major head: the logits are copied once into a (C, n) array, so the
+  row max, ``exp`` and the row sums (numpy's own, bit for bit) run over
+  rows of length n. The softmax and ``dlogits`` come back as C-contiguous
+  (n, C) arrays, the operands everything downstream reads.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numcore import check_finite, jsonable
+from .numcore import check_finite, is_int, jsonable
 
 __all__ = [
     "ModelSpec",
@@ -167,6 +171,9 @@ def quadratic_spec(spectrum, theta_star, l_star: float = 0.0) -> ModelSpec:
 
 
 def logistic_spec(n_features: int, num_classes: int) -> ModelSpec:
+    for name, value in (("n_features", n_features), ("num_classes", num_classes)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     n_features, num_classes = int(n_features), int(num_classes)
     if num_classes < 2:
         raise ValueError("logistic regression needs num_classes >= 2")
@@ -177,7 +184,11 @@ def logistic_spec(n_features: int, num_classes: int) -> ModelSpec:
 
 def mlp_spec(layer_dims) -> ModelSpec:
     """A ReLU network with the sizes ``(p, h1, ..., C)``."""
-    dims = tuple(int(d) for d in layer_dims)
+    dims = tuple(layer_dims)
+    for d in dims:
+        if not is_int(d):
+            raise ValueError(f"layer_dims must be integers, not {d!r}")
+    dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError("layer_dims must list at least input and output sizes, all >= 1")
     if dims[-1] < 2:
@@ -213,6 +224,11 @@ class Objective:
                 raise ValueError("empty dataset view")
             if len(self.X) != len(self.y):
                 raise ValueError("features/labels length mismatch")
+            # the label picks read flat indices, which no other check keeps in their row
+            C, low, high = self.spec.layer_dims[-1], np.min(self.y), np.max(self.y)
+            if not 0 <= low <= high < C:
+                raise ValueError(f"labels must lie in [0, {C}) for this model, "
+                                 f"not [{low}, {high}]")
 
     # -- dataset plumbing ---------------------------------------------------
 
@@ -284,17 +300,31 @@ class _ClassifierPoint(_Point):
     @_once
     def _exp_rows(self):
         """The logits' row max, exp(logits - max) and its row sums, for both
-        the log-sum-exp and the softmax."""
-        zmax = _row_max(self.logits)
-        e = self.logits - zmax
+        the log-sum-exp and the softmax. The exponentials are class-major,
+        one contiguous row of n per class, so no step runs one short numpy
+        loop per example. The max over the class rows equals numpy's row
+        max save the sign of a zero, which neither ``logits - max`` nor
+        ``log(sums) + max`` sees."""
+        e = self.logits.T.copy()
+        zmax = e.max(axis=0)
+        e -= zmax
         np.exp(e, out=e)
-        return zmax, e, _row_sum(e)
+        return zmax, e, _class_sum(e)
+
+    def _softmax(self) -> np.ndarray:
+        """A fresh C-contiguous (n, C) softmax, divided straight out of the
+        class-major exponentials."""
+        _, e, sums = self._exp_rows
+        p = np.empty(self.logits.shape)
+        np.divide(e, sums, out=p.T)
+        return p
 
     @_once
     def per_example_loss(self) -> np.ndarray:
         zmax, _, sums = self._exp_rows
-        lse = np.log(sums[:, 0]) + zmax[:, 0]
-        return lse - self.logits[np.arange(len(lse)), self.obj.y]
+        lse = np.log(sums) + zmax
+        lse -= self.logits.take(_label_index(self.obj.y, self.logits.shape[1]))
+        return lse
 
     @property
     def loss(self) -> float:
@@ -308,15 +338,13 @@ class _ClassifierPoint(_Point):
 
     @_once
     def probs(self) -> np.ndarray:
-        _, e, sums = self._exp_rows
-        return e / sums
+        return self._softmax()
 
     def dlogits(self, labels: np.ndarray, n: int) -> np.ndarray:
         """d(sum of the cross-entropies with ``labels``)/d(logits), over n:
         the softmax minus the one-hot labels."""
-        _, e, sums = self._exp_rows
-        d = e / sums
-        d[np.arange(len(d)), labels] -= 1.0
+        d = self._softmax()
+        d.reshape(-1)[_label_index(labels, d.shape[1])] -= 1.0
         d /= n
         return d
 
@@ -332,7 +360,7 @@ class _ClassifierPoint(_Point):
     def _softmax_tangent(self, rz):
         """The softmax's tangent along the logits' tangent ``rz``."""
         p = self.probs
-        return p * (rz - _row_sum(p * rz))
+        return p * (rz - _class_sum((p * rz).T.copy())[:, None])
 
 
 class _LogisticPoint(_ClassifierPoint):
@@ -389,7 +417,7 @@ class _MlpPoint(_ClassifierPoint):
         for layer in reversed(range(len(wb))):
             (W, _), (Vw, _), (gw, gb) = wb[layer], vb[layer], grads[layer]
             gw += ras[layer].T @ delta + acts[layer].T @ rdelta
-            gb += rdelta.sum(axis=0)
+            gb += _column_sum(rdelta)
             if layer > 0:
                 rdelta = (rdelta @ W.T + delta @ Vw.T) * masks[layer - 1]
                 delta = (delta @ W.T) * masks[layer - 1]
@@ -402,35 +430,47 @@ _POINTS = {"quadratic": _QuadraticPoint, "logistic": _LogisticPoint, "mlp": _Mlp
 # ---------------------------------------------------------------------------
 # numerics helpers
 
-# Below this many columns the row reductions run one column at a time: numpy
-# runs one inner loop per row of a reduction along axis 1, which costs more
-# than the arithmetic on a few columns. From 8 columns on numpy sums a row
-# in pairwise blocks of 8, so only its own reduction gives its bits.
-_COLUMN_LOOP_LIMIT = 8
-
-
-def _row_max(z: np.ndarray) -> np.ndarray:
-    """``z.max(axis=1, keepdims=True)`` bit for bit, signed zeros included,
-    save a NaN's sign and payload: where a row starts with a NaN, numpy
-    returns its own canonical NaN and this returns the row's first NaN."""
-    if z.shape[1] >= _COLUMN_LOOP_LIMIT:
-        return z.max(axis=1, keepdims=True)
-    out = z[:, :1].copy()
-    for k in range(1, z.shape[1]):
-        np.maximum(out, z[:, k : k + 1], out=out)
+def _class_sum(e: np.ndarray) -> np.ndarray:
+    """``e.T.sum(axis=1)`` from the class rows of ``e``, bit for bit save a
+    NaN's sign and payload, which follow the operand order numpy's compiled
+    loop picks for each add. numpy sums a row of fewer than 8 entries in
+    order; one of up to 128 in eight running sums of every eighth entry,
+    combined pairwise, then the rest in order. Either sum is added onto
+    +0.0, so a row of -0.0 sums to +0.0. Beyond 128 numpy splits a row in
+    halves, and its own sum of a row-major copy is taken."""
+    C = len(e)
+    if C < 8:
+        return e.sum(axis=0)  # the class rows added in order onto +0.0
+    if C > 128:
+        return np.ascontiguousarray(e.T).sum(axis=1)
+    tail = C - C % 8
+    r = e[:8]
+    for k in range(8, tail, 8):
+        r = r + e[k : k + 8]
+    r = r[0::2] + r[1::2]  # (r0 + r1), (r2 + r3), (r4 + r5), (r6 + r7)
+    r = r[0::2] + r[1::2]
+    out = r[0] + r[1]
+    for k in range(tail, C):
+        out += e[k]
+    out += 0.0
     return out
 
 
-def _row_sum(z: np.ndarray) -> np.ndarray:
-    """``z.sum(axis=1, keepdims=True)`` bit for bit. Below 8 columns numpy
-    adds a row in order onto +0.0, so a row of -0.0 sums to +0.0; the
-    ``+ 0.0`` start keeps that."""
-    if z.shape[1] >= _COLUMN_LOOP_LIMIT:
-        return z.sum(axis=1, keepdims=True)
-    out = z[:, :1] + 0.0
-    for k in range(1, z.shape[1]):
-        out += z[:, k : k + 1]
-    return out
+def _column_sum(d: np.ndarray) -> np.ndarray:
+    """``d.sum(axis=0)`` bit for bit, save a NaN's sign and payload. On a
+    C-contiguous array of two or more columns numpy adds the rows in order,
+    and so does einsum, at about twice the speed. A single column numpy
+    sums pairwise, so that, and any other layout, keeps numpy's own sum."""
+    if d.shape[1] > 1 and d.flags.c_contiguous:
+        return np.einsum("ij->j", d)
+    return d.sum(axis=0)
+
+
+def _label_index(labels: np.ndarray, C: int) -> np.ndarray:
+    """The flat indices of each example's ``labels`` entry in an (n, C)
+    C-contiguous array; the labels lie in [0, C), as ``make_classifier``
+    checks."""
+    return np.arange(0, len(labels) * C, C) + labels
 
 
 def _mlp_unpack(spec: ModelSpec, theta: np.ndarray):
@@ -464,7 +504,7 @@ def _mlp_backward(spec: ModelSpec, theta: np.ndarray, acts, masks,
         W, _ = wb[layer]
         gw, gb = grads[layer]
         gw += acts[layer].T @ delta
-        gb += delta.sum(axis=0)
+        gb += _column_sum(delta)
         if layer > 0:
             delta = delta @ W.T
             delta *= masks[layer - 1]
@@ -486,10 +526,7 @@ def make_classifier(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> Objective:
     check_finite(X, "features")
     if not spec.is_classifier:
         raise ValueError(f"a {spec.kind!r} model of sizes {spec.layer_dims} is no classifier")
-    p, C = spec.layer_dims[0], spec.layer_dims[-1]
+    p = spec.layer_dims[0]
     if X.ndim != 2 or X.shape[1] != p:
         raise ValueError(f"features have shape {X.shape}; this model reads {p} per example")
-    if y.size and not 0 <= y.min() <= y.max() < C:
-        raise ValueError(f"labels must lie in [0, {C}) for this model, "
-                         f"not [{y.min()}, {y.max()}]")
     return Objective(spec=spec, X=X, y=y)

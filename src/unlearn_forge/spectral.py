@@ -74,15 +74,19 @@ def _lanczos(point, rng: np.random.Generator):
         for _ in range(2):  # full reorthogonalization; twice is enough
             w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
         beta[k] = b = norm(w)
-        T = alpha[: k + 1], beta[: max(k, 1)]  # LAPACK reads k off-diagonals
-        ends, last = [], []  # the two extreme Ritz values and their eigenvectors' last entries
-        for i in (1, k + 1):
-            _, ritz, block, split, info = dstebz(*T, 2, 0.0, 0.0, i, i, 0.0, "E")
-            s, info_s = dstein(*T, ritz[:1], block, split)
-            if info or info_s:
-                raise np.linalg.LinAlgError("tridiagonal eigensolver failed in Lanczos")
-            ends.append(float(ritz[0]))
-            last.append(abs(float(s[-1, 0])))
+        # the two extreme Ritz values and their eigenvectors' last entries
+        if k == 0:  # of a 1x1 T, LAPACK returns its entry and a unit eigenvector
+            ends, last = [float(alpha[0])] * 2, [1.0, 1.0]
+        else:
+            T = alpha[: k + 1], beta[:k]  # LAPACK reads k off-diagonals
+            ends, last = [], []
+            for i in (1, k + 1):
+                _, ritz, block, split, info = dstebz(*T, 2, 0.0, 0.0, i, i, 0.0, "E")
+                s, info_s = dstein(*T, ritz[:1], block, split)
+                if info or info_s:
+                    raise np.linalg.LinAlgError("tridiagonal eigensolver failed in Lanczos")
+                ends.append(float(ritz[0]))
+                last.append(abs(float(s[-1, 0])))
         residual = b * max(last)
         if residual <= LANCZOS_TOL or b == 0.0 or k + 1 == steps:
             break

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from unlearn_forge.models import (
     ModelSpec,
+    _class_sum,
+    _column_sum,
     _mlp_unpack,
-    _row_max,
-    _row_sum,
     make_quadratic,
     make_classifier,
     quadratic_spec,
@@ -120,21 +120,18 @@ def test_logistic_point_is_bitwise_the_numpy_reference(classes):
     assert obj.evaluate(v).xt is point.xt
 
 
-# numpy's own NaN only: a row that starts with another NaN is the one case
-# where _row_max and numpy may return NaNs of different bits
 _EDGES = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(1, 1120), st.integers(1, 12), st.integers(0, 2**32 - 1),
-       st.sampled_from([0.0, 0.1, 0.6]), st.sampled_from(["any", "cancel", "nonpositive"]))
-def test_row_reductions_are_bitwise_numpy(rows, cols, seed, edge_share, sign):
-    """On either side of the 8-column line, with exact zeros, rows of -0.0
-    only, NaN, infinities and magnitudes from 2**-60 to 2**60. ``cancel``
-    makes the last column the first one negated, so sums cancel exactly;
-    ``nonpositive`` makes many rows' maximum a zero of either sign."""
+def _adversarial(seed, rows, cols, edge_share, sign, spread=60):
+    """Exact zeros, rows of -0.0 only, NaN, infinities and magnitudes from
+    2**-spread to 2**spread; at spread 0, where every term counts, the
+    order of the adds shows in the last bits. ``cancel`` makes the last
+    column the first one negated, so sums cancel exactly; ``nonpositive``
+    makes many rows' maximum a zero of either sign."""
     rng = derive_stream(seed, 0)
-    z = rng.normal(0.0, 1.0, (rows, cols)) * np.exp2(rng.integers(-60, 61, (rows, cols)))
+    scale = np.exp2(rng.integers(-spread, spread + 1, (rows, cols)))
+    z = rng.normal(0.0, 1.0, (rows, cols)) * scale
     if sign == "cancel" and cols > 1:
         z[:, -1] = -z[:, 0]
     elif sign == "nonpositive":
@@ -142,9 +139,65 @@ def test_row_reductions_are_bitwise_numpy(rows, cols, seed, edge_share, sign):
     edge = rng.random((rows, cols)) < edge_share
     z[edge] = rng.choice(_EDGES, np.count_nonzero(edge))
     z[rng.random(rows) < 0.2] = -0.0
+    return z
+
+
+def _bits(a):
+    """The bytes of ``a`` with every NaN made numpy's canonical NaN: which
+    NaN an add returns depends on its operand order, which numpy's compiled
+    loops choose their own way."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _check_class_reductions(z):
+    """The class-major reductions of ``_exp_rows`` on ``z.T`` against
+    numpy's row reductions of ``z``: the sum bit for bit, the max up to the
+    sign of a zero, which neither ``z - max`` nor ``log(sums) + max`` sees."""
+    e = z.T.copy()
     with np.errstate(all="ignore"):
-        assert _row_max(z).tobytes() == z.max(axis=1, keepdims=True).tobytes()
-        assert _row_sum(z).tobytes() == z.sum(axis=1, keepdims=True).tobytes()
+        assert _bits(_class_sum(e)) == _bits(z.sum(axis=1))
+        assert _bits(e.max(axis=0) + 0.0) == _bits(z.max(axis=1) + 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 1200), st.integers(1, 160), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.1, 0.6]), st.sampled_from(["any", "cancel", "nonpositive"]),
+       st.sampled_from([0, 60]))
+def test_class_major_reductions_are_numpy_row_reductions(rows, cols, seed, edge_share, sign,
+                                                         spread):
+    _check_class_reductions(_adversarial(seed, rows, cols, edge_share, sign, spread))
+
+
+def test_class_major_reductions_cover_every_class_count():
+    # each side of 8 and of numpy's 128-entry pairwise block, and every tail length
+    for cols in range(1, 161):
+        for sign in ("any", "cancel", "nonpositive"):
+            _check_class_reductions(_adversarial(cols, 37, cols, 0.1, sign, spread=60))
+        _check_class_reductions(_adversarial(cols, 37, cols, 0.0, "any", spread=0))
+
+
+def _check_column_sum(d):
+    for a in (d, np.asfortranarray(d)):
+        with np.errstate(all="ignore"):
+            assert _bits(_column_sum(a)) == _bits(a.sum(axis=0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 1200), st.integers(1, 64), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.1]), st.sampled_from(["any", "cancel", "nonpositive"]),
+       st.sampled_from([0, 60]))
+def test_column_sum_is_numpy_sum_over_rows(rows, cols, seed, edge_share, sign, spread):
+    """Bias gradients: rows of the transpose are an MLP delta's columns."""
+    _check_column_sum(_adversarial(seed, cols, rows, edge_share, sign, spread).T.copy())
+
+
+def test_column_sum_covers_every_width():
+    # width 1 is the one where einsum's order differs from numpy's
+    for cols in range(1, 65):
+        for rows in (1, 9, 1200):
+            for spread in (0, 60):
+                _check_column_sum(_adversarial(cols + rows, cols, rows, 0.1, "cancel",
+                                               spread).T.copy())
 
 
 def test_logistic_binary_param_count():

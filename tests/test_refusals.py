@@ -17,8 +17,8 @@ from unlearn_forge.cli import cli
 from unlearn_forge.datasets import (SplitDataset, gen_blobs, load_uds, save_uds, split_classwise,
                                     split_random)
 from unlearn_forge.metrics import EvalReport, rcd
-from unlearn_forge.models import (Objective, logistic_spec, make_classifier, quadratic_spec,
-                                  make_quadratic)
+from unlearn_forge.models import (Objective, logistic_spec, make_classifier, make_quadratic,
+                                  mlp_spec, quadratic_spec)
 from unlearn_forge.numcore import derive_stream
 from unlearn_forge.training import OptimizerConfig
 from unlearn_forge.unlearning import UnlearnConfig, irp_run
@@ -145,6 +145,14 @@ _GEN = ["gen-data", "--seed", "0", "--out", "{}/g.uds"]
     _case("uds-rows-left-out",
           lambda w: _uds_with(w, lambda h: {"retain_idx": h["retain_idx"][1:]}),
           ValueError, "splits must cover the dataset", _TRAIN_BAD),
+    _case("blobs-fractional-size", lambda w: gen_blobs(10.5, 3, 5, 3.0, 1.0, seed=0),
+          ValueError, "n_per_class must be an integer, not 10.5"),
+    _case("blobs-text-size", lambda w: gen_blobs("10", 3, 5, 3.0, 1.0, seed=0),
+          ValueError, "n_per_class must be an integer, not '10'"),
+    _case("blobs-fractional-classes", lambda w: gen_blobs(10, 3.0, 5, 3.0, 1.0, seed=0),
+          ValueError, "C must be an integer, not 3.0"),
+    _case("blobs-bool-features", lambda w: gen_blobs(10, 3, True, 3.0, 1.0, seed=0),
+          ValueError, "p must be an integer, not True"),
     _case("blobs-one-class", lambda w: gen_blobs(10, 1, 5, 3.0, 1.0, seed=0),
           ValueError, "need at least 2 classes", _GEN + ["--classes", "1"]),
     _case("blobs-one-feature", lambda w: gen_blobs(10, 3, 1, 3.0, 1.0, seed=0),
@@ -198,6 +206,14 @@ _LOGISTIC = logistic_spec(2, 2)
           ValueError, "num_classes >= 2", _TRAIN + ["logistic:5,1"]),
     _case("logistic-no-feature", lambda w: logistic_spec(0, 3),
           ValueError, "n_features >= 1", _TRAIN + ["logistic:0,3"]),
+    _case("logistic-bool-features", lambda w: logistic_spec(True, 3),
+          ValueError, "n_features must be an integer, not True"),
+    _case("logistic-fractional-classes", lambda w: logistic_spec(5, 2.5),
+          ValueError, "num_classes must be an integer, not 2.5"),
+    _case("mlp-fractional-width", lambda w: mlp_spec([4, 2.5, 3]),
+          ValueError, "layer_dims must be integers, not 2.5"),
+    _case("mlp-text-width", lambda w: mlp_spec([4, "8", 3]),
+          ValueError, "layer_dims must be integers, not '8'"),
     _case("objective-empty-view", lambda w: Objective(_LOGISTIC, np.empty((0, 2)), np.empty(0)),
           ValueError, "empty dataset view"),
     _case("objective-length-mismatch",
@@ -208,6 +224,12 @@ _LOGISTIC = logistic_spec(2, 2)
     _case("hvp-direction-shape",
           lambda w: make_quadratic([2.0, 1.0], [0.0, 0.0]).evaluate(np.zeros(2)).hvp(np.ones(3)),
           ValueError, "direction vector dimension mismatch"),
+    _case("objective-labels-out-of-range",
+          lambda w: Objective(_LOGISTIC, np.zeros((3, 2)), np.array([2, 0, 1])),
+          ValueError, "labels must lie in [0, 2) for this model, not [0, 2]"),
+    _case("objective-negative-label",
+          lambda w: Objective(_LOGISTIC, np.zeros((2, 2)), np.array([1, -1])),
+          ValueError, "labels must lie in [0, 2) for this model, not [-1, 1]"),
     _case("labels-out-of-range",
           lambda w: make_classifier(_LOGISTIC, np.zeros((2, 2)), np.array([0, 2])),
           ValueError, "labels must lie in [0, 2) for this model, not [0, 2]",

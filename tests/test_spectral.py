@@ -154,6 +154,19 @@ def test_lanczos_is_bitwise_the_list_loop(make):
         assert got[0] < 0.0 < got[1]  # an indefinite Hessian
 
 
+@pytest.mark.parametrize("spectrum", [[np.pi], [1e300], [5e-324], [3.0, 3.0], [4.0, 0.25]])
+def test_lanczos_first_step_is_lapacks(spectrum):
+    # _lanczos reads a 1x1 tridiagonal without LAPACK; the list loop calls it.
+    # [3.0, 3.0] stops after one step, [4.0, 0.25] goes on to a 2x2 one
+    d = len(spectrum)
+    point = make_quadratic(spectrum, np.ones(d), 0.0).evaluate(np.zeros(d))
+    est = _lanczos(point, derive_stream(9, 2))
+    got = est.lambda_min, est.lambda_max, est.iterations_used, est.residual
+    want = _list_lanczos(point, derive_stream(9, 2))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert got[2] == (2 if spectrum == [4.0, 0.25] else 1)
+
+
 def test_lanczos_memory_follows_steps_taken():
     # two distinct eigenvalues exhaust the Krylov space in two steps; the
     # basis must not be sized for min(d, max_iter) steps up front
