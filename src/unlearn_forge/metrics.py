@@ -83,14 +83,16 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
     if attach_bound and phi_kind != "loss":
         raise ValueError("the curvature bound is on the loss; attach_bound needs phi 'loss'")
     errors = np.empty(K + 1)
-    for t, (point, _, _) in zip(range(K + 1), _descend(forget_obj, theta0, relearn_cfg, rng)):
-        if t == 0:
-            point0 = point
+    descent = _descend(forget_obj, theta0, relearn_cfg, rng)
+    for t in range(K + 1):  # K + 1 points, so K epochs and no more draws from rng
+        point = next(descent)[0]
         errors[t] = e = phi(point) - phi_ref
         if not math.isfinite(e):
             raise FloatingPointError(f"non-finite relearning error at epoch {t}: phi={phi(point)}")
         if phi_kind != "loss":  # a NaN logit still has an argmax, so the accuracy stays finite
             check_finite(point.logits, f"the relearned logits at epoch {t}")
+        if t == 0:
+            point0 = point
     bound = diag = est = None
     if attach_bound:  # kappa at theta0 times the loss gap there
         est = _lanczos(point0, rng)

@@ -184,7 +184,10 @@ def logistic_spec(n_features: int, num_classes: int) -> ModelSpec:
 
 def mlp_spec(layer_dims) -> ModelSpec:
     """A ReLU network with the sizes ``(p, h1, ..., C)``."""
-    dims = tuple(layer_dims)
+    try:
+        dims = tuple(layer_dims)
+    except TypeError:
+        raise ValueError(f"layer_dims must be a sequence of sizes, not {layer_dims!r}") from None
     for d in dims:
         if not is_int(d):
             raise ValueError(f"layer_dims must be integers, not {d!r}")
@@ -244,11 +247,10 @@ class Objective:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, theta: np.ndarray) -> "_Point":
-        if theta.shape != (self.spec.param_count,):
-            raise ValueError(
-                f"theta has shape {theta.shape}, model needs ({self.spec.param_count},)"
-            )
-        return _POINTS[self.spec.kind](self, theta)
+        spec = self.spec
+        if theta.shape != (spec.param_count,):
+            raise ValueError(f"theta has shape {theta.shape}, model needs ({spec.param_count},)")
+        return _POINTS[spec.kind](self, theta)
 
     # shortcuts that evaluate once per call (perfbench/tracer.py patches them by name)
     def value(self, theta): return self.evaluate(theta).loss
@@ -279,12 +281,13 @@ class _Point:
 
 
 class _QuadraticPoint(_Point):
-    def __init__(self, obj, theta):
-        super().__init__(obj, theta)
-        self.spectrum, theta_star = obj.spec._quadratic_arrays
+    def __init__(self, obj, theta):  # sets _Point's fields itself: no super() call per epoch
+        spec = obj.spec
+        self.obj, self.theta = obj, theta
+        self.spectrum, theta_star = spec._quadratic_arrays
         r = theta - theta_star
         self._gradient = g = self.spectrum * r
-        self.loss = 0.5 * float(g.dot(r)) + obj.spec.l_star
+        self.loss = 0.5 * float(g.dot(r)) + spec.l_star
 
     def _hvp(self, v):
         return self.spectrum * v

@@ -6,6 +6,11 @@ relearning step-size and the condition-number bound). Both are the extreme
 Ritz values of one Lanczos run with full reorthogonalization: one
 Hessian-vector product per step, at most ``d`` steps.
 
+A step solves the high end only if the low end passes the stop test:
+rounding keeps the order of products with ``b >= 0``, so the larger
+residual ``b * max(s_low, s_high)`` fails whenever ``b * s_low`` does. The
+estimate is bit for bit that of solving both ends at every step.
+
 For non-convex models the Hessian can be indefinite; ``psd_flag`` records
 whether the estimate is consistent with positive semidefiniteness, and the
 condition number is only reported when it is.
@@ -56,7 +61,10 @@ def _lanczos(point, rng: np.random.Generator):
 
     Stops when both extreme Ritz residuals ``beta_k * |s_k|`` are at most
     ``LANCZOS_TOL``, on breakdown, or after ``min(d, LANCZOS_MAX_ITER)``
-    steps. Returns the run's ``SpectralEstimate``; its ``kappa`` is
+    steps. A step that is neither a breakdown nor the last solves only the
+    low end when that end's residual exceeds ``LANCZOS_TOL``: the larger
+    one then does too, so the run goes on. The step that stops solves both
+    ends. Returns the run's ``SpectralEstimate``; its ``kappa`` is
     ``lambda_max / lambda_min`` when the estimate is PSD and ``lambda_min``
     exceeds ``KAPPA_FLOOR``, else None.
     """
@@ -67,28 +75,34 @@ def _lanczos(point, rng: np.random.Generator):
     q = rng.standard_normal(d)
     Q = (q / norm(q))[None]  # the Lanczos basis, one row per step, grown by doubling
     alpha, beta = np.empty(steps), np.empty(steps)  # T's diagonal and off-diagonal
+
+    def ritz(T, i):
+        """T's i-th smallest eigenvalue and its unit eigenvector's last entry, in magnitude."""
+        _, value, block, split, info = dstebz(*T, 2, 0.0, 0.0, i, i, 0.0, "E")
+        s, info_s = dstein(*T, value[:1], block, split)
+        if info or info_s:
+            raise np.linalg.LinAlgError("tridiagonal eigensolver failed in Lanczos")
+        return float(value[0]), abs(float(s[-1, 0]))
+
     for k in range(steps):
-        w = point.hvp(Q[k])
+        basis = Q[: k + 1]
+        w = point.hvp(basis[k])
         check_finite(w, "Hessian-vector product in Lanczos")
-        alpha[k] = Q[k] @ w
+        alpha[k] = basis[k] @ w
         for _ in range(2):  # full reorthogonalization; twice is enough
-            w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
+            w -= basis.T @ (basis @ w)
         beta[k] = b = norm(w)
-        # the two extreme Ritz values and their eigenvectors' last entries
+        forced = b == 0.0 or k + 1 == steps  # the run stops here whatever the residuals
         if k == 0:  # of a 1x1 T, LAPACK returns its entry and a unit eigenvector
-            ends, last = [float(alpha[0])] * 2, [1.0, 1.0]
+            ends, residual = (float(alpha[0]),) * 2, b
         else:
             T = alpha[: k + 1], beta[:k]  # LAPACK reads k off-diagonals
-            ends, last = [], []
-            for i in (1, k + 1):
-                _, ritz, block, split, info = dstebz(*T, 2, 0.0, 0.0, i, i, 0.0, "E")
-                s, info_s = dstein(*T, ritz[:1], block, split)
-                if info or info_s:
-                    raise np.linalg.LinAlgError("tridiagonal eigensolver failed in Lanczos")
-                ends.append(float(ritz[0]))
-                last.append(abs(float(s[-1, 0])))
-        residual = b * max(last)
-        if residual <= LANCZOS_TOL or b == 0.0 or k + 1 == steps:
+            low, s_low = ritz(T, 1)
+            residual = b * s_low
+            if residual <= LANCZOS_TOL or forced:  # else b * max(s_low, s_high) fails too
+                high, s_high = ritz(T, k + 1)
+                ends, residual = (low, high), b * max(s_low, s_high)
+        if residual <= LANCZOS_TOL or forced:
             break
         if k + 1 == len(Q):
             Q = np.concatenate([Q, np.empty_like(Q)])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -109,7 +110,7 @@ class TrainTrace:
 def _phi(phi_kind: str):
     """The error for ``phi_kind`` of an evaluated point or an epoch record."""
     if phi_kind == "loss":
-        return lambda point: point.loss
+        return attrgetter("loss")  # no Python frame: rcd reads it once per relearning epoch
     if phi_kind == "one_minus_accuracy":
         return lambda point: 1.0 - point.accuracy
     raise ValueError(f"unknown phi kind {phi_kind!r}; use one of {PHI_KINDS}")
@@ -122,6 +123,11 @@ def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: np.r
     ``gd_adaptive`` curvature that epoch used. An epoch is taken only when
     the next point is asked for, so a caller that stops draws no more.
 
+    A full-batch epoch takes one step along the gradient of the point it
+    starts from; a minibatch epoch shuffles the examples with ``rng`` and
+    steps along each batch's gradient in turn. Both step through ``step``,
+    which holds each rule's one update formula.
+
     ``gd_adaptive`` runs Lanczos at the point each epoch starts from, or
     only at the first on a quadratic, whose Hessian diag(spectrum) and so
     lambda_max are the same at every theta. So on a quadratic ``rng`` gives
@@ -129,35 +135,40 @@ def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: np.r
     from it (``rcd``'s bound) sees the stream in that state."""
     n, bs = obj.n_examples, cfg.batch_size
     full_batch = bs == "full" or bs >= n  # so always for a quadratic, which has n = 0
+    adaptive, adam = cfg.kind == "gd_adaptive", cfg.kind == "adam"
     point, eta, lam = obj.evaluate(np.array(theta0, dtype=np.float64)), None, None
     m, v, t = 0.0, 0.0, 0  # Adam's moments and step count
+
+    def step(theta, g):
+        """``theta`` after one step of ``cfg``'s rule along the batch gradient ``g``."""
+        nonlocal m, v, t
+        if not adam:
+            return theta - eta * g
+        t += 1
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1 ** t)
+        vhat = v / (1 - ADAM_BETA2 ** t)
+        return theta - eta * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
     while True:
         yield point, eta, lam
-        theta, eta = point.theta, cfg.eta
-        if cfg.kind == "gd_adaptive":
+        eta = cfg.eta
+        if adaptive:
             if lam is None or obj.spec.kind != "quadratic":
                 lam = spectral._lanczos(point, rng).largest_magnitude
                 if lam <= 0:
                     raise DivergenceError("adaptive step-size needs a positive lambda_max")
             eta = cfg.eta / lam
-        if full_batch:
-            batches = (None,)  # the one batch; its gradient comes from the point
+        if full_batch:  # the one batch, whose gradient comes from the point
+            theta = step(point.theta, point.gradient())
         else:
             order = rng.permutation(n)
             X, y = obj.X[order], obj.y[order]  # one shuffled copy; batches are row slices of it
-            batches = (Objective(obj.spec, X[start : start + bs], y[start : start + bs])
-                       for start in range(0, n, bs))
-        for batch in batches:
-            g = point.gradient() if batch is None else batch.gradient(theta)
-            if cfg.kind != "adam":
-                theta = theta - eta * g
-            else:
-                t += 1
-                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-                mhat = m / (1 - ADAM_BETA1 ** t)
-                vhat = v / (1 - ADAM_BETA2 ** t)
-                theta = theta - eta * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            theta = point.theta
+            for start in range(0, n, bs):
+                batch = Objective(obj.spec, X[start : start + bs], y[start : start + bs])
+                theta = step(theta, batch.gradient(theta))
         point = obj.evaluate(theta)
 
 

@@ -214,6 +214,10 @@ _LOGISTIC = logistic_spec(2, 2)
           ValueError, "layer_dims must be integers, not 2.5"),
     _case("mlp-text-width", lambda w: mlp_spec([4, "8", 3]),
           ValueError, "layer_dims must be integers, not '8'"),
+    _case("mlp-int-dims", lambda w: mlp_spec(5),
+          ValueError, "layer_dims must be a sequence of sizes, not 5"),
+    _case("mlp-null-dims", lambda w: mlp_spec(None),
+          ValueError, "layer_dims must be a sequence of sizes, not None"),
     _case("objective-empty-view", lambda w: Objective(_LOGISTIC, np.empty((0, 2)), np.empty(0)),
           ValueError, "empty dataset view"),
     _case("objective-length-mismatch",

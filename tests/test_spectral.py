@@ -3,11 +3,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unlearn_forge.metrics import rcd
 from unlearn_forge.models import logistic_spec, make_quadratic, make_classifier, mlp_spec
+from unlearn_forge import spectral
 from unlearn_forge.numcore import derive_stream, jsonable
 from unlearn_forge.spectral import (
+    KAPPA_FLOOR,
+    LANCZOS_TOL,
     _lanczos,
     lambda_max,
     condition_number,
@@ -102,16 +106,18 @@ def test_lanczos_steps_at_most_d(spectrum):
     assert 1 <= est.iterations_used <= theta.size
 
 
-def _list_lanczos(point, rng):
+def _list_lanczos(point, rng, steps=None):
     """The Lanczos loop with its tridiagonal matrix kept in Python lists and
-    rebuilt every step, and the norms from ``np.linalg.norm``."""
+    rebuilt every step, and the norms from ``np.linalg.norm``; at most
+    ``steps`` steps, by default ``d``."""
     from scipy.linalg.lapack import dstebz, dstein
 
     d = point.theta.size
+    steps = steps or d
     q = rng.standard_normal(d)
     Q = [q / np.linalg.norm(q)]
     alphas, betas = [], []
-    for k in range(d):
+    for k in range(steps):
         w = point.hvp(Q[k])
         alphas.append(Q[k] @ w)
         for _ in range(2):
@@ -125,7 +131,7 @@ def _list_lanczos(point, rng):
             s, _ = dstein(*T, ritz[:1], block, split)
             ends.append((float(ritz[0]), float(s[-1, 0])))
         residual = betas[k] * max(abs(s) for _, s in ends)
-        if residual <= 1e-10 or betas[k] == 0.0 or k + 1 == d:
+        if residual <= 1e-10 or betas[k] == 0.0 or k + 1 == steps:
             return ends[0][0], ends[1][0], k + 1, float(residual)
         Q.append(w / betas[k])
 
@@ -147,11 +153,76 @@ def test_lanczos_is_bitwise_the_list_loop(make):
     point = obj.evaluate(theta)
     est = _lanczos(point, derive_stream(9, 2))
     got = est.lambda_min, est.lambda_max, est.iterations_used, est.residual
-    assert got == _list_lanczos(point, derive_stream(9, 2))
+    assert np.array(got).tobytes() == np.array(_list_lanczos(point, derive_stream(9, 2))).tobytes()
     assert [type(x) for x in got] == [float, float, int, float]
     assert got[2] > 3  # more steps than the start-up ones
     if obj.spec.kind == "mlp":
         assert got[0] < 0.0 < got[1]  # an indefinite Hessian
+
+
+def _test_spectrum(kind, d, rng):
+    """A non-increasing positive spectrum of ``kind``; curvature-audit's has at least 4
+    entries, with the second at beta / 2 and the second smallest at mu + 0.2 (beta - mu)."""
+    if kind == "uniform":
+        spectrum = rng.uniform(0.5, 10.0, d)
+    elif kind == "log-uniform":
+        spectrum = 10.0 ** rng.uniform(-3.0, 2.0, d)
+    elif kind == "repeated":  # a few distinct values, so the Krylov space runs out early
+        spectrum = rng.choice(rng.uniform(0.5, 10.0, 3), d)
+    elif kind == "geometric":
+        spectrum = 10.0 * 1.01 ** -np.arange(d)
+    else:
+        beta = rng.uniform(1.0, 10.0)
+        mu = beta / 10.0 ** rng.uniform(1.0, 3.0)
+        interior = rng.uniform(mu + 0.2 * (beta - mu), 0.5 * beta, max(d - 4, 0))
+        spectrum = np.concatenate([[beta, 0.5 * beta], interior, [mu + 0.2 * (beta - mu), mu]])
+    return np.sort(spectrum)[::-1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1),
+       st.sampled_from(["uniform", "log-uniform", "repeated", "geometric", "curvature-audit"]))
+def test_lanczos_estimate_is_bitwise_the_list_loop_on_random_quadratics(d, seed, kind):
+    """The list loop solves both ends at every step, so it checks that solving only the
+    low end of a step whose low-end residual fails the stop test changes no bit."""
+    rng = derive_stream(seed, 0)
+    spectrum = _test_spectrum(kind, d, rng)
+    obj = make_quadratic(spectrum, rng.normal(0.0, 1.0, spectrum.size), 0.0)
+    point = obj.evaluate(rng.normal(0.0, 1.0, spectrum.size))
+    est = _lanczos(point, derive_stream(seed, 2))
+    low, high, steps, residual = _list_lanczos(point, derive_stream(seed, 2))
+    psd = low > -LANCZOS_TOL
+    kappa = high / low if psd and low > KAPPA_FLOOR else None
+
+    def bits(*values):
+        return [(type(x), None if x is None else np.float64(x).tobytes()) for x in values]
+
+    assert (bits(est.lambda_min, est.lambda_max, est.iterations_used, est.residual, est.kappa,
+                 est.psd_flag) == bits(low, high, steps, residual, kappa, psd))
+
+
+def test_lanczos_solves_one_end_per_undecided_step(monkeypatch):
+    # the first step reads its 1x1 T without LAPACK, the last solves both ends,
+    # each step between solves only the low end, whose residual fails the stop test
+    import scipy.linalg.lapack
+
+    calls, dstebz = [], scipy.linalg.lapack.dstebz
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda *a: calls.append(a) or dstebz(*a))
+    point = make_quadratic(np.linspace(9.0, 0.5, 24), np.ones(24), 0.0).evaluate(np.zeros(24))
+    est = _lanczos(point, derive_stream(9, 2))
+    assert est.iterations_used == 24
+    assert len(calls) == 24  # both ends at every step from the second: 46
+
+
+def test_lanczos_step_limit_solves_both_ends(monkeypatch):
+    # a run the step limit ends, with its residual above the tolerance
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_ITER", 5)
+    point = make_quadratic(np.linspace(9.0, 0.5, 24), np.ones(24), 0.0).evaluate(np.zeros(24))
+    est = _lanczos(point, derive_stream(9, 2))
+    got = est.lambda_min, est.lambda_max, est.iterations_used, est.residual
+    want = _list_lanczos(point, derive_stream(9, 2), steps=5)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert got[2] == 5 and got[3] > LANCZOS_TOL
 
 
 @pytest.mark.parametrize("spectrum", [[np.pi], [1e300], [5e-324], [3.0, 3.0], [4.0, 0.25]])
