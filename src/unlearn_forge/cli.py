@@ -209,9 +209,7 @@ def _cmd_retrain(cfg: dict, seed) -> int:
 
 
 def _cmd_unlearn(cfg: dict, seed) -> int:
-    ukw = {k: v for k, v in cfg.items()
-           if k not in ("data", "ckpt") and v is not None}
-    ucfg = UnlearnConfig(seed=seed, **ukw)
+    ucfg = UnlearnConfig(seed=seed, **{k: v for k, v in cfg.items() if k not in ("data", "ckpt")})
     ds = load_uds(cfg["data"])
     original = load_checkpoint(cfg["ckpt"])
     run = unlearn(original, ds, ucfg)
@@ -376,17 +374,18 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     add("retrain", _cmd_retrain, "--data", "--ckpt")
 
-    p = add("unlearn", _cmd_unlearn, "--data", "--ckpt", "--method",
-            description="a setting left at None takes UnlearnConfig's default for the method")
+    p = add("unlearn", _cmd_unlearn, "--data", "--ckpt", "--method")
     p.add_argument("--method", choices=list(METHODS), help="method")
-    p.add_argument("--alpha", type=float, help="noisy ratio; 1 draws no noise")
-    p.add_argument("--c", type=float, help="forget-set ascent weight")
-    p.add_argument("--eta", type=float, help="step size")
-    p.add_argument("--epochs", type=int, help="unlearning epochs")
+    default = {f.name: f.default for f in fields(UnlearnConfig)}  # each stated once, there
+    p.add_argument("--alpha", type=float, default=default["alpha"],
+                   help="noisy ratio; 1 draws no noise")
+    p.add_argument("--c", type=float, default=default["c"], help="forget-set ascent weight")
+    p.add_argument("--eta", type=float, default=default["eta"], help="step size")
+    p.add_argument("--epochs", type=int, default=default["epochs"], help="unlearning epochs")
     p.add_argument("--scrub-max-epochs", dest="scrub_max_epochs", type=int,
-                   help="scrub's KL-ascent epochs")
+                   default=default["scrub_max_epochs"], help="scrub's KL-ascent epochs")
     p.add_argument("--salun-fraction", dest="salun_fraction", type=float,
-                   help="salun's share of salient coordinates")
+                   default=default["salun_fraction"], help="salun's share of salient coordinates")
 
     p = add("rcd", _cmd_rcd, "--data", "--ckpt")
     p.add_argument("--k", type=int, default=100, help="relearning epochs K")

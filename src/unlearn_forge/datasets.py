@@ -159,11 +159,16 @@ def gen_blobs(n_per_class: int, C: int, p: int, separation: float, noise_sd: flo
     )
 
 
+def _check_fraction(fraction) -> None:
+    """Both splits' refusal of a forget fraction that is no ``is_real`` in (0, 1)."""
+    if not (is_real(fraction) and 0.0 < fraction < 1.0):
+        raise ValueError(f"fraction must be in (0, 1), not {fraction!r}")
+
+
 def split_random(ds: SplitDataset, fraction: float, seed: int) -> SplitDataset:
     """Mark a seeded uniform sample of floor(fraction * |train|) train
     examples as the forgetting set."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
+    _check_fraction(fraction)
     train = ds.train_idx
     k = int(np.floor(fraction * len(train)))
     if k == 0 or k == len(train):
@@ -179,8 +184,7 @@ def split_random(ds: SplitDataset, fraction: float, seed: int) -> SplitDataset:
 
 def split_classwise(ds: SplitDataset, fraction: float, seed: int) -> SplitDataset:
     """Forget all train examples of round(fraction * C) seeded-random classes."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
+    _check_fraction(fraction)
     C = ds.num_classes
     if C < 2:
         raise ValueError("class-wise forgetting needs at least 2 classes")

@@ -25,7 +25,7 @@ import numpy as np
 from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
-from .numcore import check_finite, is_real, write_csv
+from .numcore import check_finite, is_int, is_real, write_csv
 from .spectral import SpectralEstimate, _lanczos, condition_number
 from .training import OptimizerConfig, _descend, _phi
 
@@ -69,8 +69,10 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
     A diverged relearning raises a ``FloatingPointError`` naming the epoch.
     The curvature bound bounds the loss, so ``attach_bound`` needs phi ``loss``.
     """
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    if not (is_int(K) and K >= 0):
+        raise ValueError(f"K must be an integer >= 0, not {K!r}")
+    if not is_real(phi_ref):
+        raise ValueError(f"phi_ref must be a finite number, not {phi_ref!r}")
     if relearn_cfg.max_epochs != 1:
         raise ValueError("K sets the relearning epochs; relearn_cfg.max_epochs must be 1")
     if relearn_cfg.grad_norm_tol != OptimizerConfig.grad_norm_tol:

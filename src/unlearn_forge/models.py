@@ -21,9 +21,9 @@ Conventions
   keeps the Hessian positive definite on generic data.
 * An MLP is a ReLU network, with the subgradient convention derivative 0
   at exactly 0, so Hessian-vector products near kinks are deterministic.
-  Its ReLU masks are boolean (True where a unit's output is positive) and
-  are built from the stored activations when a gradient, backprop or HVP
-  first needs them.
+  Its point slices theta into layer views once, for its forward pass,
+  backprop and R-op, and builds its boolean ReLU masks (True where a unit's
+  output is positive) when a gradient, backprop or HVP first needs them.
 * Cross-entropy goes through log-sum-exp with max subtraction, on a
   class-major head: the logits are copied once into a (C, n) array, so the
   row max, ``exp`` and the row sums (numpy's own, bit for bit) run over
@@ -222,16 +222,19 @@ class Objective:
     y: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.spec.kind != "quadratic":
-            if self.X is None or self.y is None or len(self.X) == 0:
-                raise ValueError("empty dataset view")
-            if len(self.X) != len(self.y):
-                raise ValueError("features/labels length mismatch")
-            # the label picks read flat indices, which no other check keeps in their row
-            C, low, high = self.spec.layer_dims[-1], np.min(self.y), np.max(self.y)
-            if not 0 <= low <= high < C:
-                raise ValueError(f"labels must lie in [0, {C}) for this model, "
-                                 f"not [{low}, {high}]")
+        spec = self.spec
+        if not spec.is_classifier:  # the quadratic oracle reads no data
+            if self.X is None and self.y is None:
+                return
+            raise ValueError(f"a {spec.kind!r} model of sizes {spec.layer_dims} is no classifier")
+        if self.X is None or self.y is None or len(self.X) == 0:
+            raise ValueError("empty dataset view")
+        if len(self.X) != len(self.y):
+            raise ValueError("features/labels length mismatch")
+        # the label picks read flat indices, which no other check keeps in their row
+        C, low, high = spec.layer_dims[-1], np.min(self.y), np.max(self.y)
+        if not 0 <= low <= high < C:
+            raise ValueError(f"labels must lie in [0, {C}) for this model, not [{low}, {high}]")
 
     # -- dataset plumbing ---------------------------------------------------
 
@@ -267,8 +270,7 @@ class Objective:
 
 
 class _Point:
-    def __init__(self, obj: Objective, theta: np.ndarray):
-        self.obj, self.theta = obj, theta
+    """A parameter point; each subclass sets ``obj`` and ``theta`` itself."""
 
     def gradient(self) -> np.ndarray:
         """The loss gradient, computed at most once per point."""
@@ -281,7 +283,7 @@ class _Point:
 
 
 class _QuadraticPoint(_Point):
-    def __init__(self, obj, theta):  # sets _Point's fields itself: no super() call per epoch
+    def __init__(self, obj, theta):
         spec = obj.spec
         self.obj, self.theta = obj, theta
         self.spectrum, theta_star = spec._quadratic_arrays
@@ -297,7 +299,7 @@ class _ClassifierPoint(_Point):
     """Mean cross-entropy; a subclass supplies ``_forward`` and ``backprop``."""
 
     def __init__(self, obj, theta):
-        super().__init__(obj, theta)
+        self.obj, self.theta = obj, theta
         self.logits = self._forward()
 
     @_once
@@ -386,7 +388,16 @@ class _LogisticPoint(_ClassifierPoint):
 
 class _MlpPoint(_ClassifierPoint):
     def _forward(self):
-        z, self.acts = _mlp_forward(self.obj.spec, self.theta, self.obj.X)
+        """The logits; keeps the layers' ``(W, b)`` views into theta as ``wb``
+        and their inputs as ``acts``, which ``masks`` reads when first needed."""
+        self.wb = wb = _mlp_unpack(self.obj.spec, self.theta)
+        self.acts = [a := self.obj.X]
+        for layer, (W, b) in enumerate(wb):
+            z = a @ W
+            z += b
+            if layer < len(wb) - 1:
+                a = np.maximum(z, 0.0, out=z)
+                self.acts.append(a)
         return z
 
     @_once
@@ -396,14 +407,23 @@ class _MlpPoint(_ClassifierPoint):
         return [a > 0 for a in self.acts[1:]]
 
     def backprop(self, dlogits):
-        return _mlp_backward(self.obj.spec, self.theta, self.acts, self.masks, dlogits)
+        wb, acts, masks = self.wb, self.acts, self.masks
+        out = np.zeros_like(self.theta)
+        grads, delta = _mlp_unpack(self.obj.spec, out), dlogits  # grads: views into out
+        for layer in reversed(range(len(wb))):
+            (W, _), (gw, gb) = wb[layer], grads[layer]
+            gw += acts[layer].T @ delta
+            gb += _column_sum(delta)
+            if layer > 0:
+                delta = delta @ W.T
+                delta *= masks[layer - 1]
+        return out
 
     def _hvp(self, v):
-        """Pearlmutter's R-op on the point's activations, ReLU masks and loss
-        delta; ReLU's second derivative is 0, so it adds no term."""
-        spec, acts, masks = self.obj.spec, self.acts, self.masks
-        wb = _mlp_unpack(spec, self.theta)
-        vb = _mlp_unpack(spec, v)
+        """Pearlmutter's R-op on the point's ``wb``, activations, ReLU masks
+        and loss delta; ReLU's second derivative is 0, so it adds no term."""
+        wb, acts, masks = self.wb, self.acts, self.masks
+        vb = _mlp_unpack(self.obj.spec, v)
 
         # forward tangent pass; rz ends as the logits' tangent
         ras = [np.zeros_like(self.obj.X)]
@@ -416,7 +436,7 @@ class _MlpPoint(_ClassifierPoint):
 
         # reverse pass carrying both the gradient and its tangent
         out = np.zeros_like(self.theta)
-        grads = _mlp_unpack(spec, out)  # views into out
+        grads = _mlp_unpack(self.obj.spec, out)  # views into out
         for layer in reversed(range(len(wb))):
             (W, _), (Vw, _), (gw, gb) = wb[layer], vb[layer], grads[layer]
             gw += ras[layer].T @ delta + acts[layer].T @ rdelta
@@ -481,39 +501,6 @@ def _mlp_unpack(spec: ModelSpec, theta: np.ndarray):
     return [(theta[w].reshape(shape), theta[b]) for w, shape, b in spec._mlp_layout]
 
 
-def _mlp_forward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
-    """The logits and the input of each layer. No ReLU mask is built here:
-    a hidden layer's boolean mask is ``acts[layer + 1] > 0``, True where the
-    pre-activation is positive and False at and below the kink."""
-    wb = _mlp_unpack(spec, theta)
-    acts = [X]
-    a = X
-    for layer, (W, b) in enumerate(wb):
-        z = a @ W
-        z += b
-        if layer < len(wb) - 1:
-            a = np.maximum(z, 0.0, out=z)
-            acts.append(a)
-    return z, acts
-
-
-def _mlp_backward(spec: ModelSpec, theta: np.ndarray, acts, masks,
-                  dlogits: np.ndarray) -> np.ndarray:
-    wb = _mlp_unpack(spec, theta)
-    out = np.zeros_like(theta)
-    grads = _mlp_unpack(spec, out)  # views into out
-    delta = dlogits
-    for layer in reversed(range(len(wb))):
-        W, _ = wb[layer]
-        gw, gb = grads[layer]
-        gw += acts[layer].T @ delta
-        gb += _column_sum(delta)
-        if layer > 0:
-            delta = delta @ W.T
-            delta *= masks[layer - 1]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # factories
 
@@ -527,9 +514,7 @@ def make_classifier(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> Objective:
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.int64)
     check_finite(X, "features")
-    if not spec.is_classifier:
-        raise ValueError(f"a {spec.kind!r} model of sizes {spec.layer_dims} is no classifier")
-    p = spec.layer_dims[0]
-    if X.ndim != 2 or X.shape[1] != p:
-        raise ValueError(f"features have shape {X.shape}; this model reads {p} per example")
+    p = spec.layer_dims[:1]  # a quadratic spec has none, and Objective refuses it
+    if spec.is_classifier and X.shape[1:] != p:
+        raise ValueError(f"features have shape {X.shape}; this model reads {p[0]} per example")
     return Objective(spec=spec, X=X, y=y)

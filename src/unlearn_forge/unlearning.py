@@ -32,6 +32,7 @@ not ``2/d``; see the README discussion.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -41,7 +42,7 @@ from .checkpoints import Checkpoint
 from .datasets import SplitDataset, split_objective
 from .models import Objective
 from .numcore import (derive_stream, kaiming_sample, kaiming_scale, check_finite,
-                      check_field_types, jsonable, norm)
+                      check_field_types, is_int, is_real, jsonable, norm)
 
 __all__ = [
     "UnlearnConfig",
@@ -128,15 +129,20 @@ def _unlearn_points(retain_obj: Objective, forget_obj: Objective, theta0: np.nda
     rule ``_RULES[cfg.method](cfg, rng, retain0, forget0)`` gets the points
     at ``theta0`` and returns ``step(epoch, theta, retain, forget)``, which
     steps on the points of the previous yield and returns the new parameters
-    and the fields. No step is taken after the last point."""
+    and the fields. No step is taken after the last point. The first epoch
+    that ends at non-finite parameters, or at a non-finite retain or forget
+    loss, raises a ``FloatingPointError`` naming it as the trace numbers it."""
     theta = np.array(theta0, dtype=np.float64)
     retain, forget, extra = retain_obj.evaluate(theta), forget_obj.evaluate(theta), {}
     step = _RULES[cfg.method](cfg, derive_stream(cfg.seed, _STREAM_UNLEARN), retain, forget)
     for epoch in range(cfg.epochs):
         yield retain, forget, extra
         theta, extra = step(epoch, theta, retain, forget)
-        check_finite(theta, "unlearned parameters")
+        check_finite(theta, f"the unlearned parameters at epoch {epoch}")
         retain, forget = retain_obj.evaluate(theta), forget_obj.evaluate(theta)
+        if not (math.isfinite(retain.loss) and math.isfinite(forget.loss)):
+            raise FloatingPointError(f"unlearning diverged at epoch {epoch}: retain loss "
+                                     f"{retain.loss}, forget loss {forget.loss}")
     yield retain, forget, extra
 
 
@@ -147,10 +153,14 @@ def irp_run(theta: np.ndarray, alpha: float, steps: int, rng: np.random.Generato
     and end state of one ``kaiming_sample`` per row; each is scaled in place
     to ``(1 - alpha) * (0.0 + sqrt(2/d) * z)``, as ``normal`` adds its loc
     0.0, which turns a -0.0 draw into +0.0. Then ``alpha * row_t`` is added."""
+    if not is_int(steps):
+        raise ValueError(f"steps must be an integer, not {steps!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    if not (is_real(alpha) and 0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], not {alpha!r}")
+    if np.ndim(theta) != 1:
+        raise ValueError(f"theta must be a 1-D parameter vector, not of shape {np.shape(theta)}")
     traj = np.empty((steps + 1, theta.size))
     traj[0] = theta
     noise = rng.standard_normal(out=traj[1:])

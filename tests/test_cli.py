@@ -434,6 +434,20 @@ def _trained(tmp_path, capsys):
     return data, capsys.readouterr().out.split("\t")[1]
 
 
+def test_unlearn_hashes_the_settings_that_ran(runs_dir, tmp_path, capsys):
+    """Typing a flag at its default names the same run as leaving it out."""
+    data, ckpt = _trained(tmp_path, capsys)
+    runs = set(runs_dir.iterdir())
+    argv = ["unlearn", "--seed", "1", "--data", str(data), "--ckpt", ckpt,
+            "--method", "ieu", "--epochs", "2"]
+    ids = set()
+    for extra in ([], ["--alpha", "1.0"], ["--alpha", "1", "--c", "0", "--eta", "0.01"]):
+        assert cli(argv + extra) == 0
+        ids.add(capsys.readouterr().out.split("\t")[0])
+    assert len(ids) == 1
+    assert [p.name for p in set(runs_dir.iterdir()) - runs] == list(ids)
+
+
 def test_retrain_refuses_an_unlearned_checkpoint(runs_dir, tmp_path, capsys):
     """An unlearned checkpoint holds no optimizer config to retrain with."""
     data, ckpt = _trained(tmp_path, capsys)
@@ -554,6 +568,19 @@ def test_compare_csv_quotes_cells(runs_dir, tmp_path, capsys, name):
     assert cli(["compare", str(report), "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows == [["report", "mia", "retain"], [str(report), "0.25", "0.5"]]
+
+
+def test_compare_json_lists_one_object_per_report(runs_dir, tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"accuracies": {"retain": 0.5}, "mia_rate": 0.25}))
+    b.write_text(json.dumps({"accuracies": {"forget": 1.0, "retain": None}, "mia_rate": 0.75,
+                             "gaps": {"retain": 0.5}, "avg_gap": 0.5}))
+    assert cli(["compare", str(a), str(b), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == [
+        {"report": str(a), "mia": 0.25, "retain": 0.5},
+        {"report": str(b), "mia": 0.75, "forget": 1.0, "retain": None, "avg_gap": 0.5}]
 
 
 @pytest.mark.parametrize("flag", ["--data", "--ckpt", "--config"])
@@ -728,6 +755,22 @@ def test_artifact_formats(runs_dir, tmp_path, capsys):
         assert lines[0] == header
         cells = [cell for line in lines[1:] for cell in line.split(",")]
         assert cells and all(_is_cell(c) for c in cells), (name, lines)
+
+
+def test_unlearn_refuses_a_diverged_run(runs_dir, tmp_path, capsys):
+    data = tmp_path / "d.uds"
+    assert cli(["gen-data", "--seed", "1", "--out", str(data)]) == 0
+    assert cli(["train", "--seed", "1", "--data", str(data), "--model", "mlp:5,4,3",
+                "--epochs", "20"]) == 0
+    ckpt = _one("*/checkpoints/original.ieuc", runs_dir)
+    runs = sorted(runs_dir.iterdir())
+    capsys.readouterr()
+    assert cli(["unlearn", "--seed", "1", "--data", str(data), "--ckpt", str(ckpt),
+                "--method", "rl", "--eta", "1e250", "--epochs", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: unlearning diverged at epoch 0: ")
+    assert err.count("\n") == 1
+    assert sorted(runs_dir.iterdir()) == runs
 
 
 @pytest.mark.parametrize("phi", ["loss", "one_minus_accuracy"])

@@ -135,6 +135,9 @@ _GEN = ["gen-data", "--seed", "0", "--out", "{}/g.uds"]
         features=np.zeros((4, 2)), labels=np.zeros(3, dtype=np.int64),
         retain_idx=np.arange(3), forget_idx=np.arange(0), test_idx=np.arange(0)),
         ValueError, "features/labels length mismatch"),
+    _case("test-halves-of-a-random-split",
+          lambda w: load_uds(w / "d.uds").indices("test_retain"),
+          ValueError, "test split halves need class-wise forgetting metadata"),
     _case("uds-index-out-of-range",
           lambda w: _uds_with(w, lambda h: {"retain_idx": h["retain_idx"] + [30]}),
           ValueError, "split index out of range", _TRAIN_BAD),
@@ -166,6 +169,12 @@ _GEN = ["gen-data", "--seed", "0", "--out", "{}/g.uds"]
           _GEN + ["--n-per-class", "10", "--forget-fraction", "0.01"]),
     _case("classwise-split-one-class", _one_class,
           ValueError, "class-wise forgetting needs at least 2 classes"),
+    *(_case(f"{split.__name__}-fraction-{id}",
+            lambda w, split=split, value=value: split(gen_blobs(10, 3, 5, 3.0, 1.0, seed=0),
+                                                      value, 0),
+            ValueError, f"fraction must be in (0, 1), not {value!r}")
+      for split in (split_random, split_classwise)
+      for id, value in [("str", "0.3"), ("null", None), ("list", [0.3]), ("nan", float("nan"))]),
     _case("classwise-split-no-class",
           lambda w: split_classwise(gen_blobs(10, 3, 5, 3.0, 1.0, seed=0), 0.1, 0),
           ValueError, "fraction 0.1 selects 0 of 3 classes",
@@ -183,9 +192,21 @@ def _accuracies_not_an_object(world):
     return EvalReport.from_dict(json.loads((world / "r.json").read_text()))
 
 
+def _rcd(phi_ref=0.0, K=1):
+    """A call of ``rcd`` on a 2-d quadratic with ``phi_ref`` and ``K``."""
+    return lambda w: rcd(np.zeros(2), make_quadratic([2.0, 1.0], [0.0, 0.0]), phi_ref, K,
+                         OptimizerConfig(max_epochs=1), "loss", derive_stream(0, 0))
+
+
 @pytest.mark.parametrize("call, exc, named, argv", [
     _case("eval-report-accuracies", _accuracies_not_an_object, ValueError,
           "eval report 'accuracies' must be a JSON object", ["compare", "{}/r.json"]),
+    *(_case(f"rcd-K-{id}", _rcd(K=value), ValueError, f"K must be an integer >= 0, not {value!r}")
+      for id, value in [("float", 2.0), ("bool", True), ("negative", -1), ("str", "3")]),
+    *(_case(f"rcd-phi-ref-{id}", _rcd(phi_ref=value), ValueError,
+            f"phi_ref must be a finite number, not {value!r}")
+      for id, value in [("nan", float("nan")), ("str", "0"), ("inf", float("inf")),
+                        ("null", None)]),
 ])
 def test_metrics_refuse(world, capsys, call, exc, named, argv):
     _refused(world, capsys, call, exc, named, argv)
@@ -234,6 +255,17 @@ _LOGISTIC = logistic_spec(2, 2)
     _case("objective-negative-label",
           lambda w: Objective(_LOGISTIC, np.zeros((2, 2)), np.array([1, -1])),
           ValueError, "labels must lie in [0, 2) for this model, not [-1, 1]"),
+    _case("objective-quadratic-with-data",
+          lambda w: Objective(quadratic_spec([2.0, 1.0], [0.0, 0.0]), np.zeros((2, 2)),
+                              np.array([0, 1])),
+          ValueError, "a 'quadratic' model of sizes () is no classifier"),
+    _case("objective-quadratic-with-labels",
+          lambda w: Objective(quadratic_spec([2.0, 1.0], [0.0, 0.0]), y=np.array([0, 1])),
+          ValueError, "a 'quadratic' model of sizes () is no classifier"),
+    _case("classifier-of-a-quadratic",
+          lambda w: make_classifier(quadratic_spec([2.0, 1.0], [0.0, 0.0]), np.zeros((2, 2)),
+                                    np.array([0, 1])),
+          ValueError, "a 'quadratic' model of sizes () is no classifier"),
     _case("labels-out-of-range",
           lambda w: make_classifier(_LOGISTIC, np.zeros((2, 2)), np.array([0, 2])),
           ValueError, "labels must lie in [0, 2) for this model, not [0, 2]",
@@ -275,6 +307,14 @@ _UNLEARN = ["unlearn", "--seed", "0", "--data", "{}/d.uds", "--ckpt", "{}/m.ieuc
           ValueError, "epochs must be >= 0", _UNLEARN + ["ft", "--epochs", "-1"]),
     _case("irp-steps-negative", lambda w: irp_run(np.zeros(3), 0.5, -1, derive_stream(0, 0)),
           ValueError, "steps must be >= 0"),
+    *(_case(f"irp-steps-{id}", lambda w, value=value: irp_run(np.zeros(3), 0.5, value,
+                                                            derive_stream(0, 0)),
+            ValueError, f"steps must be an integer, not {value!r}")
+      for id, value in [("float", 2.0), ("bool", True), ("str", "2")]),
+    _case("irp-theta-2d", lambda w: irp_run(np.zeros((2, 3)), 0.5, 2, derive_stream(0, 0)),
+          ValueError, "theta must be a 1-D parameter vector, not of shape (2, 3)"),
+    _case("irp-alpha-null", lambda w: irp_run(np.zeros(3), None, 2, derive_stream(0, 0)),
+          ValueError, "alpha must lie in [0, 1], not None"),
     _case("irp-alpha-above-one", lambda w: irp_run(np.zeros(3), 1.5, 4, derive_stream(0, 0)),
           ValueError, "alpha must lie in [0, 1]"),
 ])

@@ -273,6 +273,13 @@ def test_estimate_full_report():
     assert set(d) >= {"lambda_max", "lambda_min", "kappa", "psd_flag"}
 
 
+def test_condition_number_of_a_psd_estimate_is_its_kappa():
+    obj = make_quadratic([10.0, 5.0, 2.0, 1.0], np.zeros(4), 0.0)
+    est = estimate_spectrum(obj, np.zeros(4), rng=derive_stream(2, 0))
+    assert est.psd_flag and est.kappa is not None
+    assert condition_number(est) == est.kappa == est.lambda_max / est.lambda_min
+
+
 def test_non_psd_diagnostic():
     # a relu network at a random point routinely has an indefinite Hessian
     obj, theta = _relu_mlp(seed=0)

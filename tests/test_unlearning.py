@@ -8,6 +8,7 @@ from unlearn_forge.datasets import gen_blobs, split_random, split_objective
 from unlearn_forge.models import Objective, make_quadratic, mlp_spec
 from unlearn_forge.numcore import derive_stream, kaiming_sample
 from unlearn_forge.training import OptimizerConfig, train
+from unlearn_forge import unlearning
 from unlearn_forge.unlearning import (
     EpochRow,
     UnlearnConfig,
@@ -52,6 +53,48 @@ def test_ieu_epoch_rejects_nonfinite_gradient():
     cfg = UnlearnConfig(method="ieu", alpha=1.0, c=0.0, eta=0.1, epochs=1, seed=2)
     with pytest.raises(FloatingPointError, match="retain gradient"):
         list(_unlearn_points(retain, forget, np.zeros(2), cfg))
+
+
+@pytest.mark.parametrize("method", ["ft", "rl", "scrub", "salun", "ieu"])
+def test_every_method_refuses_a_diverged_epoch(blob_ckpt, method):
+    # the step leaves theta finite, but the logits it gives overflow
+    ckpt, ds = blob_ckpt
+    extra = {"c": 0.5} if method == "ieu" else {}
+    cfg = UnlearnConfig(method=method, eta=1e250, epochs=3, seed=5, **extra)
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"unlearning diverged at epoch 0: retain loss (nan|inf)"):
+        unlearn(ckpt, ds, cfg)
+
+
+def _scaling_rule(scales):
+    """An update rule that multiplies theta by ``scales[epoch]``."""
+    def rule(cfg, rng, retain0, forget0):
+        return lambda epoch, theta, retain, forget: (theta * scales[epoch], {})
+    return rule
+
+
+def test_a_diverged_epoch_is_named_as_the_trace_numbers_it(blob_ckpt, monkeypatch):
+    ckpt, ds = blob_ckpt
+    monkeypatch.setitem(unlearning._RULES, "ft", _scaling_rule([1.0, 1.0, 1e200]))
+    cfg = UnlearnConfig(method="ft", epochs=3)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as info:
+        unlearn(ckpt, ds, cfg)
+    assert str(info.value).startswith("unlearning diverged at epoch 2: ")
+    monkeypatch.setitem(unlearning._RULES, "ft", _scaling_rule([1.0, 1.0, 1.0]))
+    assert [row.epoch for row in unlearn(ckpt, ds, cfg).trace] == [0, 1, 2]
+
+
+def test_non_finite_parameters_are_refused_where_the_losses_stay_finite(blob_ckpt, monkeypatch):
+    # a hidden bias of -inf switches its ReLU unit off: every loss stays finite
+    ckpt, ds = blob_ckpt
+    scales = np.ones(ckpt.spec.param_count)
+    scales[4 * 8] = -np.inf  # the first hidden bias, positive in the trained model
+    assert ckpt.theta[4 * 8] > 0
+    retain = split_objective(ds, ckpt.spec, "retain")
+    assert np.isfinite(retain.value(ckpt.theta * scales))
+    monkeypatch.setitem(unlearning._RULES, "ft", _scaling_rule([1.0, scales]))
+    with pytest.raises(FloatingPointError, match="the unlearned parameters at epoch 1"):
+        unlearn(ckpt, ds, UnlearnConfig(method="ft", epochs=2))
 
 
 def test_config_validation():

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 
@@ -115,3 +116,60 @@ def test_run_suite_fails_a_rerun_whose_details_change(monkeypatch):
     assert rerun.name == "reproducibility" and not rerun.passed and rerun.margin == -1.0
     assert rerun.details == {"reruns": 1, "byte_identical": False, "checks_compared": 3}
     assert all(r.passed for r in report.results[:-1]) and not report.all_passed
+
+
+def _nth_call(fn, n, then):
+    """``fn`` whose ``n``-th call (from 1) returns ``then(args, kwargs)`` instead."""
+    calls = itertools.count(1)
+
+    def wrapper(*args, **kwargs):
+        return then(args, kwargs) if next(calls) == n else fn(*args, **kwargs)
+    return wrapper
+
+
+def test_rcd_tail_decay_skips_a_flat_tail(monkeypatch):
+    # a delay sum of 0 leaves the first task's tail below the floor throughout
+    monkeypatch.setattr(verify, "_rcd_closed_form",
+                        _nth_call(verify._rcd_closed_form, 1, lambda args, kwargs: 0.0))
+    result = verify.check_rcd_tail_decay()
+    assert result.passed and result.margin > 0.0
+    assert result.details["skipped_flat"] == 1 and result.details["count"] == 49
+
+
+def test_rcd_tail_decay_fails_a_rising_tail(monkeypatch):
+    # the first task skips; the second relearns at negated errors, so its tail rises
+    rcd = verify.rcd
+
+    def negated(args, kwargs):
+        report = rcd(*args, **kwargs)
+        return replace(report, errors=-report.errors)
+
+    monkeypatch.setattr(verify, "_rcd_closed_form",
+                        _nth_call(verify._rcd_closed_form, 1, lambda args, kwargs: 0.0))
+    monkeypatch.setattr(verify, "rcd", _nth_call(rcd, 2, negated))
+    result = verify.check_rcd_tail_decay()
+    assert not result.passed and result.margin == -np.inf
+    assert result.details == {"count": 0, "skipped_flat": 1, "worst_slope_ratio": None}
+
+
+def test_spectral_accuracy_fails_an_inexact_kappa(monkeypatch):
+    estimate = verify.estimate_spectrum
+
+    def nudged(*args, **kwargs):
+        est = estimate(*args, **kwargs)
+        return replace(est, kappa=np.nextafter(est.kappa, np.inf))
+
+    monkeypatch.setattr(verify, "estimate_spectrum", nudged)
+    result = verify.check_spectral_accuracy()
+    assert not result.passed and result.margin == -1.0
+    assert result.details["kappa_is_exact_ratio"] is False and result.details["cases"] == 7
+    assert result.details["worst_relative_error"] < 1e-6  # the eigenvalues stay exact
+
+
+def test_mia_brute_force_equivalence_fails_a_mismatch(monkeypatch):
+    attack = verify.mia_threshold_attack
+    monkeypatch.setattr(verify, "mia_threshold_attack", _nth_call(
+        attack, 3, lambda args, kwargs: replace(attack(*args), threshold=np.inf)))
+    result = verify.check_mia_brute_force_equivalence()
+    assert not result.passed and result.margin == -1.0
+    assert result.details == {"instances": 25, "mismatches": 1}

@@ -27,8 +27,9 @@ def passes(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(models, "_mlp_forward", counted("forward", models._mlp_forward))
-    monkeypatch.setattr(models, "_mlp_backward", counted("backward", models._mlp_backward))
+    point = models._MlpPoint
+    monkeypatch.setattr(point, "_forward", counted("forward", point._forward))
+    monkeypatch.setattr(point, "backprop", counted("backward", point.backprop))
 
     def count(fn):
         before = dict(counts)
