@@ -21,9 +21,9 @@ trains every forget oracle with ``training.FORGET_ORACLE_CONFIG``, and
 wrote.
 
 The runs root defaults to ``./runs`` and can be overridden with the
-``UNLEARN_FORGE_RUNS_DIR`` environment variable. Exit codes: 0 on
-success, 1 on usage errors, bad inputs, corrupt files and diverged runs,
-2 when the verification suite fails.
+``UNLEARN_FORGE_RUNS_DIR`` environment variable; set empty, it means the
+default. Exit codes: 0 on success, 1 on usage errors, bad inputs, corrupt
+files and diverged runs, 2 when the verification suite fails.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _runs_root() -> Path:
-    return Path(os.environ.get("UNLEARN_FORGE_RUNS_DIR", "runs"))
+    return Path(os.environ.get("UNLEARN_FORGE_RUNS_DIR") or "runs")  # empty means unset
 
 
 def _settings(parser: argparse.ArgumentParser) -> dict:

@@ -26,9 +26,9 @@ Conventions
   output is positive) when a gradient, backprop or HVP first needs them.
 * Cross-entropy goes through log-sum-exp with max subtraction, on a
   class-major head: the logits are copied once into a (C, n) array, so the
-  row max, ``exp`` and the row sums (numpy's own, bit for bit) run over
-  rows of length n. The softmax and ``dlogits`` come back as C-contiguous
-  (n, C) arrays, the operands everything downstream reads.
+  row max, ``exp`` and the row sums (the class rows added in order) run
+  over rows of length n. The softmax and ``dlogits`` come back as
+  C-contiguous (n, C) arrays, the operands everything downstream reads.
 """
 
 from __future__ import annotations
@@ -309,12 +309,14 @@ class _ClassifierPoint(_Point):
         one contiguous row of n per class, so no step runs one short numpy
         loop per example. The max over the class rows equals numpy's row
         max save the sign of a zero, which neither ``logits - max`` nor
-        ``log(sums) + max`` sees."""
+        ``log(sums) + max`` sees. numpy sums the class rows in order onto
+        +0.0; a single example's classes, one contiguous column, it sums
+        pairwise."""
         e = self.logits.T.copy()
         zmax = e.max(axis=0)
         e -= zmax
         np.exp(e, out=e)
-        return zmax, e, _class_sum(e)
+        return zmax, e, e.sum(axis=0)
 
     def _softmax(self) -> np.ndarray:
         """A fresh C-contiguous (n, C) softmax, divided straight out of the
@@ -363,9 +365,10 @@ class _ClassifierPoint(_Point):
         return self.backprop(self.delta)
 
     def _softmax_tangent(self, rz):
-        """The softmax's tangent along the logits' tangent ``rz``."""
+        """The softmax's tangent along the logits' tangent ``rz``, its row
+        sums taken over class rows as ``_exp_rows`` takes them."""
         p = self.probs
-        return p * (rz - _class_sum((p * rz).T.copy())[:, None])
+        return p * (rz - (p * rz).T.copy().sum(axis=0)[:, None])
 
 
 class _LogisticPoint(_ClassifierPoint):
@@ -453,32 +456,6 @@ _POINTS = {"quadratic": _QuadraticPoint, "logistic": _LogisticPoint, "mlp": _Mlp
 # ---------------------------------------------------------------------------
 # numerics helpers
 
-def _class_sum(e: np.ndarray) -> np.ndarray:
-    """``e.T.sum(axis=1)`` from the class rows of ``e``, bit for bit save a
-    NaN's sign and payload, which follow the operand order numpy's compiled
-    loop picks for each add. numpy sums a row of fewer than 8 entries in
-    order; one of up to 128 in eight running sums of every eighth entry,
-    combined pairwise, then the rest in order. Either sum is added onto
-    +0.0, so a row of -0.0 sums to +0.0. Beyond 128 numpy splits a row in
-    halves, and its own sum of a row-major copy is taken."""
-    C = len(e)
-    if C < 8:
-        return e.sum(axis=0)  # the class rows added in order onto +0.0
-    if C > 128:
-        return np.ascontiguousarray(e.T).sum(axis=1)
-    tail = C - C % 8
-    r = e[:8]
-    for k in range(8, tail, 8):
-        r = r + e[k : k + 8]
-    r = r[0::2] + r[1::2]  # (r0 + r1), (r2 + r3), (r4 + r5), (r6 + r7)
-    r = r[0::2] + r[1::2]
-    out = r[0] + r[1]
-    for k in range(tail, C):
-        out += e[k]
-    out += 0.0
-    return out
-
-
 def _column_sum(d: np.ndarray) -> np.ndarray:
     """``d.sum(axis=0)`` bit for bit, save a NaN's sign and payload. On a
     C-contiguous array of two or more columns numpy adds the rows in order,
@@ -491,8 +468,8 @@ def _column_sum(d: np.ndarray) -> np.ndarray:
 
 def _label_index(labels: np.ndarray, C: int) -> np.ndarray:
     """The flat indices of each example's ``labels`` entry in an (n, C)
-    C-contiguous array; the labels lie in [0, C), as ``make_classifier``
-    checks."""
+    C-contiguous array; the labels must lie in [0, C), as ``Objective``
+    checks of its own."""
     return np.arange(0, len(labels) * C, C) + labels
 
 

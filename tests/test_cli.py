@@ -663,6 +663,14 @@ def test_checkpoint_of_nan_losses_exits_one(runs_dir, tmp_path, capsys):
     assert "losses must be non-empty and finite" in capsys.readouterr().err
 
 
+def test_an_empty_runs_dir_means_the_default_runs(tmp_path, monkeypatch):
+    monkeypatch.setenv("UNLEARN_FORGE_RUNS_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    assert cli(["gen-data", "--seed", "2", "--n-per-class", "5"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["runs"]
+    _one("*/dataset.uds", Path("runs"))
+
+
 def test_manifest_paths_resolve_against_its_cwd(tmp_path, monkeypatch):
     """With the default relative runs root and a relative ``--data``, each
     manifest's ``cwd`` is where its relative paths resolve; the same run

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from unlearn_forge.models import (
     ModelSpec,
-    _class_sum,
+    _ClassifierPoint,
     _column_sum,
     _mlp_unpack,
     make_quadratic,
@@ -99,14 +99,14 @@ def test_logistic_point_is_bitwise_the_numpy_reference(classes):
     z = np.concatenate([xt @ theta.reshape(-1, cm1), np.zeros((n, 1))], axis=1)
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
-    sums = e.sum(axis=1, keepdims=True)
+    sums = _add_in_order(e.T)[:, None]
     losses = np.log(sums[:, 0]) + zmax[:, 0] - z[rows, obj.y]
     probs = e / sums
     delta = probs.copy()
     delta[rows, obj.y] -= 1.0
     delta /= n
     rz = np.concatenate([xt @ v.reshape(-1, cm1), np.zeros((n, 1))], axis=1)
-    rp = probs * (rz - np.sum(probs * rz, axis=1, keepdims=True))
+    rp = probs * (rz - _add_in_order((probs * rz).T)[:, None])
 
     assert np.all(z[0, ::2] == 0.0)
     assert point.logits.tobytes() == z.tobytes()
@@ -149,14 +149,28 @@ def _bits(a):
     return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
+def _add_in_order(rows):
+    """The rows of ``rows`` added one after another onto +0.0."""
+    total = np.zeros(rows.shape[1:])
+    for row in rows:
+        total = total + row
+    return total
+
+
 def _check_class_reductions(z):
-    """The class-major reductions of ``_exp_rows`` on ``z.T`` against
-    numpy's row reductions of ``z``: the sum bit for bit, the max up to the
-    sign of a zero, which neither ``z - max`` nor ``log(sums) + max`` sees."""
-    e = z.T.copy()
+    """The class-major reductions of ``_exp_rows`` on logits ``z``. On two
+    or more examples the row sums are the class rows of exponentials added
+    in order, bit for bit; on one example, whose classes are one contiguous
+    column, they are numpy's row sum. The max over the class rows is numpy's
+    row max up to the sign of a zero, which neither ``z - max`` nor
+    ``log(sums) + max`` sees."""
+    point = _ClassifierPoint.__new__(_ClassifierPoint)  # a head over logits z
+    point.logits = z
     with np.errstate(all="ignore"):
-        assert _bits(_class_sum(e)) == _bits(z.sum(axis=1))
-        assert _bits(e.max(axis=0) + 0.0) == _bits(z.max(axis=1) + 0.0)
+        zmax, e, sums = point._exp_rows
+        expected = _add_in_order(e) if len(z) > 1 else e.T.copy().sum(axis=1)
+        assert _bits(sums) == _bits(expected)
+        assert _bits(zmax + 0.0) == _bits(z.max(axis=1) + 0.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -169,11 +183,13 @@ def test_class_major_reductions_are_numpy_row_reductions(rows, cols, seed, edge_
 
 
 def test_class_major_reductions_cover_every_class_count():
-    # each side of 8 and of numpy's 128-entry pairwise block, and every tail length
+    # each side of numpy's 8 running sums and its 128-entry pairwise block
     for cols in range(1, 161):
         for sign in ("any", "cancel", "nonpositive"):
             _check_class_reductions(_adversarial(cols, 37, cols, 0.1, sign, spread=60))
         _check_class_reductions(_adversarial(cols, 37, cols, 0.0, "any", spread=0))
+        _check_class_reductions(_adversarial(cols, 2, cols, 0.1, "cancel"))
+        _check_class_reductions(_adversarial(cols, 1, cols, 0.1, "any"))
 
 
 def _check_column_sum(d):
@@ -301,7 +317,7 @@ def _ref_hvp(dims, wb, X, acts, masks, probs, delta, v):
         rz = ras[-1] @ W + acts[layer] @ Vw + Vb
         if layer < len(masks):
             ras.append(rz * masks[layer])
-    rdelta = probs * (rz - np.sum(probs * rz, axis=1, keepdims=True)) / n
+    rdelta = probs * (rz - _add_in_order((probs * rz).T)[:, None]) / n
     out = np.zeros_like(v)
     grads = _ref_unpack(dims, out)
     for layer in reversed(range(len(wb))):
@@ -335,7 +351,7 @@ def test_mlp_point_is_bitwise_the_float_mask_reference(dims):
     assert np.any((d @ wb[-1][0].T)[masks[-1] == 0] < 0)
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = e / _add_in_order(e.T)[:, None]
     delta = probs.copy()
     delta[np.arange(len(delta)), obj.y] -= 1.0
     delta /= len(delta)

@@ -1,6 +1,7 @@
 import itertools
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ def test_all_passed_accounts_for_byte_identity():
     assert not SuiteReport(results=[check, rerun]).all_passed
 
 
+def _failing(margin):
+    """Whether ``margin`` is a failing one: a finite number of at most 0."""
+    return np.isfinite(margin) and margin <= 0.0
+
+
 def test_geometric_decay_audits_the_library_descent(monkeypatch):
     """The check reads its points from ``_descend``: stepping at 2.5 times
     the configured eta, past the stable 2/beta, breaks the decay it audits."""
@@ -74,7 +80,7 @@ def test_geometric_decay_audits_the_library_descent(monkeypatch):
 
     monkeypatch.setattr(verify, "_descend", overstep)
     result = verify.check_geometric_decay_and_pl()
-    assert not result.passed and result.margin < 0.0
+    assert not result.passed and _failing(result.margin)
 
 
 def test_desk_scale_comparison_trains_its_forget_oracle_with_the_shared_recipe(monkeypatch):
@@ -113,7 +119,8 @@ def test_run_suite_fails_a_rerun_whose_details_change(monkeypatch):
     monkeypatch.setattr(verify, "HEAVY_CHECKS", [_fake_check("heavy")])
     report = verify.run_suite()
     rerun = report.results[-1]
-    assert rerun.name == "reproducibility" and not rerun.passed and rerun.margin == -1.0
+    assert rerun.name == "reproducibility" and not rerun.passed
+    assert _failing(rerun.margin) and rerun.margin == -1.0
     assert rerun.details == {"reruns": 1, "byte_identical": False, "checks_compared": 3}
     assert all(r.passed for r in report.results[:-1]) and not report.all_passed
 
@@ -148,8 +155,18 @@ def test_rcd_tail_decay_fails_a_rising_tail(monkeypatch):
                         _nth_call(verify._rcd_closed_form, 1, lambda args, kwargs: 0.0))
     monkeypatch.setattr(verify, "rcd", _nth_call(rcd, 2, negated))
     result = verify.check_rcd_tail_decay()
-    assert not result.passed and result.margin == -np.inf
-    assert result.details == {"count": 0, "skipped_flat": 1, "worst_slope_ratio": None}
+    # a rising tail's slope ratio is at most 0, so its margin is at most -0.9
+    assert not result.passed and _failing(result.margin) and result.margin <= -0.9
+    assert result.details["count"] == 49 and result.details["skipped_flat"] == 1
+    assert result.margin == result.details["worst_slope_ratio"] - 0.9
+
+
+def test_rcd_tail_decay_fails_a_run_that_fits_nothing(monkeypatch):
+    monkeypatch.setattr(verify, "_rcd_closed_form", lambda *args, **kwargs: 0.0)
+    result = verify.check_rcd_tail_decay()
+    assert not result.passed and _failing(result.margin)
+    assert result.details == {"count": 0, "skipped_flat": 50, "worst_slope_ratio": None}
+    assert b"Infinity" not in SuiteReport(results=[result]).canonical_bytes()
 
 
 def test_spectral_accuracy_fails_an_inexact_kappa(monkeypatch):
@@ -161,7 +178,7 @@ def test_spectral_accuracy_fails_an_inexact_kappa(monkeypatch):
 
     monkeypatch.setattr(verify, "estimate_spectrum", nudged)
     result = verify.check_spectral_accuracy()
-    assert not result.passed and result.margin == -1.0
+    assert not result.passed and _failing(result.margin) and result.margin == -1.0
     assert result.details["kappa_is_exact_ratio"] is False and result.details["cases"] == 7
     assert result.details["worst_relative_error"] < 1e-6  # the eigenvalues stay exact
 
@@ -171,5 +188,22 @@ def test_mia_brute_force_equivalence_fails_a_mismatch(monkeypatch):
     monkeypatch.setattr(verify, "mia_threshold_attack", _nth_call(
         attack, 3, lambda args, kwargs: replace(attack(*args), threshold=np.inf)))
     result = verify.check_mia_brute_force_equivalence()
-    assert not result.passed and result.margin == -1.0
+    assert not result.passed and _failing(result.margin) and result.margin == -1.0
     assert result.details == {"instances": 25, "mismatches": 1}
+
+
+@pytest.mark.parametrize("nan_at", [0, 1], ids=["train", "irp"])
+def test_condition_number_trends_fails_a_nan_statistic(monkeypatch, nan_at):
+    """A flat kappa curve gives a NaN Spearman statistic, which fails the
+    check with a finite negative margin, whichever trend it is."""
+    import scipy.stats  # the check imports spearmanr from it when it runs
+
+    stats = [(-1.0, 0.0), (1.0, 0.0)]  # both trends hold, but for the NaN one
+    stats[nan_at] = (np.nan, np.nan)
+    calls = iter(stats)
+    monkeypatch.setattr(scipy.stats, "spearmanr", lambda x, y: next(calls))
+    # the curves no longer count: skip the trainings to the optimum and the dense Hessians
+    monkeypatch.setattr(verify, "train", lambda obj, theta0, cfg, rng: SimpleNamespace(theta=theta0))
+    monkeypatch.setattr(verify, "_explicit_kappa", lambda point: 1.0)
+    result = verify.check_condition_number_trends()
+    assert not result.passed and _failing(result.margin) and result.margin < 0.0
