@@ -382,8 +382,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--c", type=float, default=default["c"], help="forget-set ascent weight")
     p.add_argument("--eta", type=float, default=default["eta"], help="step size")
     p.add_argument("--epochs", type=int, default=default["epochs"], help="unlearning epochs")
-    p.add_argument("--scrub-max-epochs", dest="scrub_max_epochs", type=int,
-                   default=default["scrub_max_epochs"], help="scrub's KL-ascent epochs")
     p.add_argument("--salun-fraction", dest="salun_fraction", type=float,
                    default=default["salun_fraction"], help="salun's share of salient coordinates")
 

@@ -53,17 +53,15 @@ __all__ = [
     "retain_bound_monitor",
 ]
 
-METHODS = ("ft", "rl", "scrub", "salun", "ieu")
-
 _STREAM_UNLEARN = 301
 
 CLIP_RATIO = 10.0  # the forget gradient's norm is clipped at this multiple of the retain one
+SCRUB_ASCENT_EPOCHS = 2  # scrub ascends the forget KL for this many first epochs
 
 # the methods that read each setting beyond eta, epochs and seed; for any
 # other method a value away from the default would silently do nothing (ft
 # is the alpha=1, c=0 limit of ieu, so it reads none of the ieu settings)
-_READ_BY = {"alpha": ("ieu",), "c": ("ieu",), "scrub_max_epochs": ("scrub",),
-            "salun_fraction": ("salun",)}
+_READ_BY = {"alpha": ("ieu",), "c": ("ieu",), "salun_fraction": ("salun",)}
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,6 @@ class UnlearnConfig:
     eta: float = 0.01
     epochs: int = 10
     seed: int = 0
-    scrub_max_epochs: int = 2  # KL-maximization phase length
     salun_fraction: float = 0.5  # top fraction of coordinates by |grad_f|
 
     def __post_init__(self):
@@ -89,8 +86,6 @@ class UnlearnConfig:
             raise ValueError("eta must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.scrub_max_epochs < 0:
-            raise ValueError("scrub_max_epochs must be >= 0")
         if not 0.0 < self.salun_fraction <= 1.0:
             raise ValueError("salun saliency fraction must lie in (0, 1]")
         ignored = [f.name for f in fields(self) if f.name in _READ_BY
@@ -236,12 +231,12 @@ def _saliency_mask(forget, fraction: float) -> np.ndarray:
 
 def _scrub_rule(cfg: UnlearnConfig, rng: np.random.Generator, retain0, forget0):
     """Distillation with the input checkpoint as teacher: ascend the forget
-    KL for the first ``scrub_max_epochs`` epochs, descend cross-entropy
+    KL for the first ``SCRUB_ASCENT_EPOCHS`` epochs, descend cross-entropy
     plus the retain KL throughout."""
     p_teacher_f, p_teacher_r = forget0.probs, retain0.probs
 
     def step(epoch, theta, retain, forget):
-        if epoch < cfg.scrub_max_epochs:
+        if epoch < SCRUB_ASCENT_EPOCHS:
             # ascend KL(teacher || student) on the forget set
             dlog = (forget.probs - p_teacher_f) / len(p_teacher_f)
             theta = theta + cfg.eta * forget.backprop(dlog)
@@ -261,6 +256,7 @@ def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 _RULES = {"ft": _ieu_rule, "rl": _relabel_rule, "scrub": _scrub_rule, "salun": _relabel_rule,
           "ieu": _ieu_rule}
+METHODS = tuple(_RULES)
 
 
 @dataclass

@@ -418,6 +418,17 @@ def test_config_number_gives_the_flags_experiment_id(runs_dir, tmp_path, capsys)
     assert Path(ckpt).read_bytes() == by_flag
 
 
+def test_unlearn_has_no_scrub_length_to_set(runs_dir, tmp_path, capsys):
+    # scrub ascends the forget KL for a fixed SCRUB_ASCENT_EPOCHS epochs
+    unlearn = ["unlearn", "--seed", "1", "--data", "d.uds", "--ckpt", "c.ieuc", "--method", "scrub"]
+    assert cli(unlearn + ["--scrub-max-epochs", "3"]) == 1
+    assert "unrecognized arguments: --scrub-max-epochs 3" in capsys.readouterr().err
+    cfg_file = tmp_path / "scrub.json"
+    cfg_file.write_text(json.dumps({"scrub_max_epochs": 3}))
+    assert cli(unlearn + ["--config", str(cfg_file)]) == 1
+    assert "unknown config keys: ['scrub_max_epochs']" in capsys.readouterr().err
+
+
 def test_config_file_may_not_set_the_seed(runs_dir, tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"seed": 5}))

@@ -23,7 +23,6 @@ UNLEARN_CASES = {
     "eta": ({}, 0.05),
     "epochs": ({}, 3),
     "seed": ({"alpha": 0.9}, 1),
-    "scrub_max_epochs": ({"method": "scrub"}, 0),
     "salun_fraction": ({"method": "salun"}, 0.2),
 }
 

@@ -83,6 +83,21 @@ def test_geometric_decay_audits_the_library_descent(monkeypatch):
     assert not result.passed and _failing(result.margin)
 
 
+def test_rcd_curvature_bound_relearns_under_gd_adaptive(monkeypatch):
+    """Every relearning runs the library's adaptive rule at eta 1, so the
+    check audits that rule and its one Lanczos run per quadratic."""
+    relearners, rcd = [], verify.rcd
+
+    def record(theta0, obj, phi_ref, K, cfg, *args, **kwargs):
+        relearners.append(cfg)
+        return rcd(theta0, obj, phi_ref, K, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "rcd", record)
+    assert verify.check_rcd_curvature_bound().passed
+    assert len(relearners) == 50
+    assert all(cfg.kind == "gd_adaptive" and cfg.eta == 1.0 for cfg in relearners)
+
+
 def test_desk_scale_comparison_trains_its_forget_oracle_with_the_shared_recipe(monkeypatch):
     class Recorded(Exception):
         pass
@@ -207,3 +222,12 @@ def test_condition_number_trends_fails_a_nan_statistic(monkeypatch, nan_at):
     monkeypatch.setattr(verify, "_explicit_kappa", lambda point: 1.0)
     result = verify.check_condition_number_trends()
     assert not result.passed and _failing(result.margin) and result.margin < 0.0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    # the report parses as strict JSON, the NaN statistic reading None
+    details = json.loads(SuiteReport([result]).canonical_bytes(), parse_constant=refuse)[0]["details"]
+    nan_trend, other = ("train", "irp") if nan_at == 0 else ("irp", "train")
+    assert details[f"{nan_trend}_spearman"] is None and details[f"{nan_trend}_p"] is None
+    assert details[f"{other}_spearman"] == stats[1 - nan_at][0] and details[f"{other}_p"] == 0.0
