@@ -244,7 +244,8 @@ def _check_uds_header(header) -> None:
             raise ValueError(f".uds header lacks key {key!r}")
         value = [header[key]] if key in ("n", "p") else header[key]
         if not (isinstance(value, dict) if key == "provenance" else (isinstance(value, list)
-                and all(is_int(i) and 0 <= i < 2**63 for i in value))):
+                and {type(i) for i in value} <= {int}
+                and 0 <= min(value, default=0) <= max(value, default=0) < 2**63)):
             raise ValueError(f".uds header key {key!r} holds a bad value: {header[key]!r}")
 
 

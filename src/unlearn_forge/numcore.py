@@ -18,17 +18,31 @@ Every report, trace and manifest the library writes becomes bytes here:
 :func:`jsonable` turns results into plain JSON values, :func:`write_json`
 and :func:`write_csv` write the one JSON and the one CSV layout, and
 :func:`read_json` reads back every JSON input the library takes.
+
+On glibc, importing this module sets ``mallopt``'s M_MMAP_THRESHOLD to
+32 MiB and M_TRIM_THRESHOLD to 256 MiB, so the heap keeps what a
+training epoch frees, never shrinking below its high-water mark, unless
+the user has set a ``MALLOC_*`` variable.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
+import os
 import sys
+from contextlib import suppress
 from dataclasses import fields, is_dataclass
 
 import numpy as np
+
+with suppress(AttributeError, OSError):  # no confstr_names on Windows; musl raises OSError
+    if ("CS_GNU_LIBC_VERSION" in os.confstr_names and os.confstr("CS_GNU_LIBC_VERSION")
+            and not any(name.startswith("MALLOC_") for name in os.environ)):
+        ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        ctypes.CDLL(None).mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 __all__ = [
     "is_int",

@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from unlearn_forge.datasets import (
+    UDS_SCHEMA_VERSION,
+    _check_uds_header,
     gen_blobs,
     split_random,
     split_classwise,
@@ -13,6 +16,7 @@ from unlearn_forge.datasets import (
     load_uds,
 )
 from unlearn_forge.models import logistic_spec
+from unlearn_forge.numcore import is_int
 
 
 def test_blobs_shapes_and_determinism():
@@ -135,3 +139,28 @@ def test_empty_forget_rejected():
     ds = gen_blobs(10, 2, 3, 2.0, 1.0, seed=7)
     with pytest.raises(ValueError):
         split_random(ds, 0.0, seed=7)
+
+
+_INDEX_ITEMS = (st.integers(-3, 3) | st.integers(2**63 - 2, 2**63 + 1) | st.booleans()
+                | st.floats(-1, 4) | st.none() | st.text(max_size=2) | st.lists(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.lists(_INDEX_ITEMS, max_size=5))
+@example(value=[0, 2**63 - 1])
+@example(value=[2**63])
+@example(value=[-1])
+@example(value=[True])
+@example(value=[1.0])
+def test_uds_header_check_refuses_the_values_is_int_refuses(value):
+    """The one-pass index check against the per-element rule it replaced,
+    on the values JSON parses to (integers of any size among them)."""
+    header = json.loads(json.dumps({
+        "schema_version": UDS_SCHEMA_VERSION, "n": 4, "p": 2, "retain_idx": [0],
+        "forget_idx": [], "test_idx": value, "forgotten_classes": [], "provenance": {}}))
+    try:
+        _check_uds_header(header)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == all(is_int(i) and 0 <= i < 2**63 for i in header["test_idx"])
