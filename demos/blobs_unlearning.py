@@ -16,7 +16,7 @@ epochs returns the checkpoint's own parameters.
 Run:  python3 demos/blobs_unlearning.py   (a few seconds)
 """
 
-from unlearn_forge import UnlearnConfig
+from unlearn_forge.unlearning import UnlearnConfig
 from unlearn_forge.verify import desk_scale_comparison
 
 SEED = 0

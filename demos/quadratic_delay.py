@@ -11,7 +11,8 @@ Run:  python3 demos/quadratic_delay.py
 
 import numpy as np
 
-from unlearn_forge import make_quadratic, rcd
+from unlearn_forge.metrics import rcd
+from unlearn_forge.models import make_quadratic
 from unlearn_forge.numcore import derive_stream
 from unlearn_forge.training import OptimizerConfig
 

@@ -47,7 +47,6 @@ from .numcore import derive_stream, is_int, is_real, read_json, write_csv, write
 from .training import (FORGET_ORACLE_CONFIG, OPTIMIZER_KINDS, PHI_KINDS, OptimizerConfig,
                        DivergenceError, _fit, retrain_oracle, forget_oracle, trace_to_csv)
 from .unlearning import METHODS, EpochRow, UnlearnConfig, unlearn
-from . import verify as verify_mod
 
 __all__ = ["main", "cli"]
 
@@ -314,7 +313,9 @@ def _cmd_compare(cfg: dict, seed) -> int:
 
 
 def _cmd_verify(cfg: dict, seed) -> int:
-    report = verify_mod.run_suite(full=not cfg["fast"], reproducibility=not cfg["no_repro"])
+    from .verify import run_suite  # deferred: only this command loads the suite
+
+    report = run_suite(full=not cfg["fast"], reproducibility=not cfg["no_repro"])
     width = max(len(r.name) for r in report.results)
     print(f"{'check':{width}}  status  margin")
     for r in report.results:

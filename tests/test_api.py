@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,14 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"unlearn_forge.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"unlearn_forge.{name}.__all__ names missing objects: {missing}"
+
+
+def test_every_public_name_has_one_home():
+    """The package re-exports nothing: each public name is imported from the
+    module whose ``__all__`` lists it, so the package binds only submodules."""
+    bound = sorted(name for name, value in vars(unlearn_forge).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert not bound, f"unlearn_forge binds non-module names: {bound}"
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])

@@ -350,13 +350,12 @@ def test_experiment_id_is_config_hash(runs_dir, tmp_path):
 
 def test_verify_fast_subset(runs_dir, monkeypatch, capsys):
     # stub the suite to keep this test quick; exit-code logic is the target
-    import unlearn_forge.cli as cli_mod
     from unlearn_forge.verify import CheckResult, SuiteReport
 
     def fake_suite(full, reproducibility):
         return SuiteReport(results=[CheckResult(name="stub", passed=True, margin=1.0)])
 
-    monkeypatch.setattr(cli_mod.verify_mod, "run_suite", fake_suite)
+    monkeypatch.setattr("unlearn_forge.verify.run_suite", fake_suite)
     assert cli(["verify", "--fast", "--no-repro"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
@@ -364,16 +363,15 @@ def test_verify_fast_subset(runs_dir, monkeypatch, capsys):
     def failing_suite(full, reproducibility):
         return SuiteReport(results=[CheckResult(name="stub", passed=False, margin=-1.0)])
 
-    monkeypatch.setattr(cli_mod.verify_mod, "run_suite", failing_suite)
+    monkeypatch.setattr("unlearn_forge.verify.run_suite", failing_suite)
     assert cli(["verify", "--fast", "--no-repro"]) == 2
 
 
 def test_verify_writes_report(runs_dir, tmp_path, monkeypatch):
-    import unlearn_forge.cli as cli_mod
     from unlearn_forge.verify import CheckResult, SuiteReport
 
     monkeypatch.setattr(
-        cli_mod.verify_mod, "run_suite",
+        "unlearn_forge.verify.run_suite",
         lambda full, reproducibility: SuiteReport(
             results=[CheckResult(name="stub", passed=True, margin=0.5)]))
     out = tmp_path / "verify.json"

@@ -18,8 +18,9 @@ from unlearn_forge.datasets import load_uds, save_uds
 SRC = Path(unlearn_forge.__file__).resolve().parents[1]
 
 # Runs the README's chain of commands through cli() in one fresh process and
-# prints the scipy modules it loaded; then a loss-phi rcd on a logistic model,
-# whose Hessian is PSD, so the report carries a curvature bound.
+# prints the scipy and unlearn_forge modules it loaded; then a loss-phi rcd on
+# a logistic model, whose Hessian is PSD, so the report carries a curvature
+# bound.
 CHAIN = r"""
 import contextlib, io, json, sys
 from unlearn_forge.cli import cli
@@ -43,6 +44,7 @@ run("rcd", "--seed", 3, "--data", "d.uds", "--ckpt", unlearned, "--k", 3,
 report = run("eval", "--data", "d.uds", "--ckpt", unlearned, "--against", retrain)[1]
 run("compare", report.splitlines()[0])
 scipy_modules = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+forge_modules = sorted(m for m in sys.modules if m.split(".")[0] == "unlearn_forge")
 
 logistic = run("train", "--seed", 3, "--data", "d.uds", "--model", "logistic:4,3",
                "--epochs", 5)[1]
@@ -50,7 +52,7 @@ report = run("rcd", "--seed", 3, "--data", "d.uds", "--ckpt", logistic, "--k", 3
              "--phi", "loss", "--step", "fixed:0.05")[2].strip()
 with open(report) as fh:
     bound = json.load(fh)["curvature_bound"]
-print(json.dumps({"scipy": scipy_modules, "bound": bound}))
+print(json.dumps({"scipy": scipy_modules, "modules": forge_modules, "bound": bound}))
 """
 
 
@@ -62,6 +64,9 @@ def test_cli_chain_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["scipy"] == []
+    # only the verify command loads the verification suite
+    assert "unlearn_forge.cli" in out["modules"]
+    assert "unlearn_forge.verify" not in out["modules"]
     # the loss-phi rcd imports scipy's tridiagonal solver where it runs
     assert out["bound"] is not None and out["bound"] > 0
 

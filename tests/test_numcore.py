@@ -91,7 +91,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # prints the process's minor page faults.
 TRAIN_DESK_MLP = r"""
 import resource, sys
-from unlearn_forge import gen_blobs, split_random, mlp_spec, split_objective
+from unlearn_forge.datasets import gen_blobs, split_random, split_objective
+from unlearn_forge.models import mlp_spec
 from unlearn_forge.numcore import derive_stream, kaiming_sample
 from unlearn_forge.training import OptimizerConfig, train
 
