@@ -10,9 +10,9 @@ sums the per-epoch excess error above the forget-oracle reference:
 with phi either the mean loss or 1 - accuracy. The reference value comes
 from a model trained to convergence on the forgetting set alone and is
 independent of the model under audit. The curvature bound
-``kappa * (loss_0 - loss_ref)`` is attached only for loss-phi reports and
-only when the Hessian estimate is consistent with convexity; for
-indefinite Hessians the report carries a diagnostic instead.
+``kappa * (loss_0 - loss_ref)`` is attached only for loss-phi reports,
+when the Hessian estimate is consistent with convexity and that gap is not
+negative; otherwise the report carries a diagnostic instead.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
         est = _lanczos(point0, rng)
         if est.kappa is None:
             diag = condition_number(est)
+        elif errors[0] < 0.0:  # theta0 beats the forget oracle, so kappa * e_0 bounds nothing
+            diag = f"negative loss gap {errors[0]:.3e} at theta0; bound not applicable"
         else:
             bound = float(est.kappa * errors[0])
     step_mode = relearn_cfg.kind if relearn_cfg.kind != "gd_adaptive" else "adaptive_inv_lambda_max"

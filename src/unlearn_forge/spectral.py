@@ -6,10 +6,10 @@ relearning step-size and the condition-number bound). Both are the extreme
 Ritz values of one Lanczos run with full reorthogonalization: one
 Hessian-vector product per step, at most ``d`` steps.
 
-A step solves the high end only if the low end passes the stop test:
-rounding keeps the order of products with ``b >= 0``, so the larger
-residual ``b * max(s_low, s_high)`` fails whenever ``b * s_low`` does. The
-estimate is bit for bit that of solving both ends at every step.
+The stop test solves the tridiagonal T with numpy's ``eigh``, so no scipy
+is loaded. It runs on a schedule that at most doubles the steps run, not at
+every step: a solve per step costs more than the few steps a run may take
+past its first converged one.
 
 For non-convex models the Hessian can be indefinite; ``psd_flag`` records
 whether the estimate is consistent with positive semidefiniteness, and the
@@ -18,6 +18,7 @@ condition number is only reported when it is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,35 +56,33 @@ class SpectralEstimate:
         return high if abs(high) >= abs(low) else low
 
 
+def _next_check(m: int, residual: float, last) -> int:
+    """The step of the next stop test after one failed at step ``m`` with
+    ``residual``: where geometric decay from ``last``, the test before as
+    ``(step, residual)`` or None, reaches ``LANCZOS_TOL``, within [m + 1, 2m]."""
+    rate = 0.0 if last is None else (math.log(residual) - math.log(last[1])) / (m - last[0])
+    ahead = math.ceil((math.log(LANCZOS_TOL) - math.log(residual)) / rate) if rate < 0.0 else m
+    return m + min(max(ahead, 1), m)
+
+
 def _lanczos(point, rng: np.random.Generator):
     """Extreme Ritz values of the Hessian at an evaluated ``point``, whose
     HVPs reuse its forward pass.
 
-    Stops when both extreme Ritz residuals ``beta_k * |s_k|`` are at most
-    ``LANCZOS_TOL``, on breakdown, or after ``min(d, LANCZOS_MAX_ITER)``
-    steps. A step that is neither a breakdown nor the last solves only the
-    low end when that end's residual exceeds ``LANCZOS_TOL``: the larger
-    one then does too, so the run goes on. The step that stops solves both
-    ends. Returns the run's ``SpectralEstimate``; its ``kappa`` is
-    ``lambda_max / lambda_min`` when the estimate is PSD and ``lambda_min``
-    exceeds ``KAPPA_FLOOR``, else None.
+    Stops at a test where both extreme Ritz residuals ``beta_k * |s_k|`` are
+    at most ``LANCZOS_TOL``, on breakdown, or after ``min(d, LANCZOS_MAX_ITER)``
+    steps. Tests run at step 1, at that last step and at the steps
+    ``_next_check`` extrapolates; each solves T with ``np.linalg.eigh``.
+    Returns the run's ``SpectralEstimate``; its ``kappa`` is ``lambda_max /
+    lambda_min`` when the estimate is PSD and ``lambda_min`` exceeds
+    ``KAPPA_FLOOR``, else None.
     """
-    from scipy.linalg.lapack import dstebz, dstein  # deferred: scipy.linalg is slow to import
-
     d = point.theta.size
     steps = min(d, LANCZOS_MAX_ITER)
     q = rng.standard_normal(d)
     Q = (q / norm(q))[None]  # the Lanczos basis, one row per step, grown by doubling
     alpha, beta = np.empty(steps), np.empty(steps)  # T's diagonal and off-diagonal
-
-    def ritz(T, i):
-        """T's i-th smallest eigenvalue and its unit eigenvector's last entry, in magnitude."""
-        _, value, block, split, info = dstebz(*T, 2, 0.0, 0.0, i, i, 0.0, "E")
-        s, info_s = dstein(*T, value[:1], block, split)
-        if info or info_s:
-            raise np.linalg.LinAlgError("tridiagonal eigensolver failed in Lanczos")
-        return float(value[0]), abs(float(s[-1, 0]))
-
+    check, last = 1, None  # the step of the next stop test; the last test's (step, residual)
     for k in range(steps):
         basis = Q[: k + 1]
         w = point.hvp(basis[k])
@@ -93,21 +92,19 @@ def _lanczos(point, rng: np.random.Generator):
             w -= basis.T @ (basis @ w)
         beta[k] = b = norm(w)
         forced = b == 0.0 or k + 1 == steps  # the run stops here whatever the residuals
-        if k == 0:  # of a 1x1 T, LAPACK returns its entry and a unit eigenvector
-            ends, residual = (float(alpha[0]),) * 2, b
-        else:
-            T = alpha[: k + 1], beta[:k]  # LAPACK reads k off-diagonals
-            low, s_low = ritz(T, 1)
-            residual = b * s_low
-            if residual <= LANCZOS_TOL or forced:  # else b * max(s_low, s_high) fails too
-                high, s_high = ritz(T, k + 1)
-                ends, residual = (low, high), b * max(s_low, s_high)
-        if residual <= LANCZOS_TOL or forced:
-            break
+        if k + 1 == check or forced:
+            if k == 0:  # a 1x1 T is its own eigenvalue, with a unit eigenvector
+                (low, high), residual = (float(alpha[0]),) * 2, b
+            else:  # eigh reads T's lower triangle only
+                ritz, S = np.linalg.eigh(np.diag(alpha[: k + 1]) + np.diag(beta[:k], -1))
+                low, high = float(ritz[0]), float(ritz[-1])
+                residual = b * float(max(abs(S[-1, 0]), abs(S[-1, -1])))
+            if residual <= LANCZOS_TOL or forced:
+                break
+            check, last = _next_check(k + 1, residual, last), (k + 1, residual)
         if k + 1 == len(Q):
             Q = np.concatenate([Q, np.empty_like(Q)])
         Q[k + 1] = w / b
-    low, high = ends
     psd = low > -LANCZOS_TOL
     return SpectralEstimate(lambda_max=high, lambda_min=low,
                             kappa=high / low if psd and low > KAPPA_FLOOR else None,

@@ -67,8 +67,59 @@ def test_cli_chain_loads_no_scipy(tmp_path):
     # only the verify command loads the verification suite
     assert "unlearn_forge.cli" in out["modules"]
     assert "unlearn_forge.verify" not in out["modules"]
-    # the loss-phi rcd imports scipy's tridiagonal solver where it runs
+    # the logistic Hessian is PSD, so the loss-phi report carries a bound
     assert out["bound"] is not None and out["bound"] > 0
+
+
+# Runs every caller of the Lanczos solver in one fresh process: the library's
+# estimate_spectrum, a bounded rcd and a gd_adaptive train, then a loss-phi rcd
+# through cli(); prints the scipy modules loaded and the bounds.
+SPECTRAL = r"""
+import contextlib, io, json, sys
+import numpy as np
+from unlearn_forge.cli import cli
+from unlearn_forge.metrics import rcd
+from unlearn_forge.models import make_quadratic
+from unlearn_forge.numcore import derive_stream
+from unlearn_forge.spectral import estimate_spectrum
+from unlearn_forge.training import OptimizerConfig, train
+
+obj, theta = make_quadratic([4.0, 1.0], np.zeros(2), 0.0), np.ones(2)
+assert estimate_spectrum(obj, theta, derive_stream(1, 0)).kappa > 0
+adaptive = OptimizerConfig(kind="gd_adaptive", eta=1.0, max_epochs=1)
+library_bound = rcd(theta, obj, 0.0, 3, adaptive, "loss", derive_stream(1, 1),
+                    attach_bound=True).curvature_bound
+assert train(obj, theta, OptimizerConfig(kind="gd_adaptive", eta=1.0, max_epochs=3),
+             derive_stream(1, 2)).records[-1].lambda_max > 0
+
+def run(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli([str(a) for a in args])
+    assert code == 0, (args, code)
+    return out.getvalue().split("\t")
+
+run("gen-data", "--seed", 3, "--n-per-class", 12, "--features", 4, "--out", "d.uds")
+ckpt = run("train", "--seed", 3, "--data", "d.uds", "--model", "logistic:4,3",
+           "--epochs", 5)[1]
+report = run("rcd", "--seed", 3, "--data", "d.uds", "--ckpt", ckpt, "--k", 3,
+             "--phi", "loss")[2].strip()
+with open(report) as fh:
+    cli_bound = json.load(fh)["curvature_bound"]
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "bounds": [library_bound, cli_bound]}))
+"""
+
+
+def test_lanczos_callers_load_no_scipy(tmp_path):
+    env = dict(os.environ, UNLEARN_FORGE_RUNS_DIR=str(tmp_path / "runs"),
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", SPECTRAL], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["scipy"] == []
+    assert all(bound is not None and bound > 0 for bound in out["bounds"])
 
 
 def _loads_numpy_ma(cwd, *argv) -> bool:

@@ -118,6 +118,22 @@ def test_rcd_bound_forms():
     assert _curvature_bound(iso, theta, derive_stream(6, 0)) == pytest.approx(gap, rel=1e-6)
 
 
+def test_rcd_attaches_no_bound_to_a_negative_loss_gap():
+    # theta0 starts below phi_ref, as a model can beat a forget oracle that has
+    # not converged; kappa * e_0 < 0 would be an "upper bound" below the delay
+    obj = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
+    theta = np.array([1.0, 1.0])  # loss 2.5
+    rep = rcd(theta, obj, 3.0, 10, _adaptive_cfg(), "loss", derive_stream(5, 0))
+    assert rep.errors[0] == -0.5 and rep.rcd_value < 0.0
+    assert rep.curvature_bound is None
+    assert rep.bound_diagnostic == "negative loss gap -5.000e-01 at theta0; bound not applicable"
+    # Lanczos still runs on the same draws as a report that carries a bound
+    bounded = rcd(theta, obj, 0.0, 10, _adaptive_cfg(), "loss", derive_stream(5, 0))
+    assert bounded.curvature_bound > 0.0 and bounded.bound_diagnostic is None
+    assert rep.spectral == bounded.spectral
+    assert rep.spectral.kappa == pytest.approx(4.0, rel=1e-9)
+
+
 def test_mia_separable_losses():
     member = np.array([0.1, 0.2, 0.3])
     nonmember = np.array([1.0, 2.0, 3.0])

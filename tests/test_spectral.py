@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -107,33 +108,55 @@ def test_lanczos_steps_at_most_d(spectrum):
 
 
 def _list_lanczos(point, rng, steps=None):
-    """The Lanczos loop with its tridiagonal matrix kept in Python lists and
-    rebuilt every step, and the norms from ``np.linalg.norm``; at most
-    ``steps`` steps, by default ``d``."""
-    from scipy.linalg.lapack import dstebz, dstein
-
+    """The Lanczos loop with its tridiagonal matrix kept in Python lists,
+    rebuilt in full and solved by ``np.linalg.eigh`` at every step, and the
+    norms from ``np.linalg.norm``. Runs ``steps`` steps, by default ``d``, or
+    to breakdown, and returns each step's ``(lambda_min, lambda_max, steps,
+    residual)``."""
     d = point.theta.size
-    steps = steps or d
     q = rng.standard_normal(d)
     Q = [q / np.linalg.norm(q)]
-    alphas, betas = [], []
-    for k in range(steps):
+    alphas, betas, rows = [], [], []
+    for k in range(steps or d):
         w = point.hvp(Q[k])
         alphas.append(Q[k] @ w)
         for _ in range(2):
             B = np.array(Q)
             w -= B.T @ (B @ w)
         betas.append(np.linalg.norm(w))
-        T = np.array(alphas), np.array(betas[: max(k, 1)])
-        ends = []
-        for i in (1, k + 1):
-            _, ritz, block, split, _ = dstebz(*T, 2, 0.0, 0.0, i, i, 0.0, "E")
-            s, _ = dstein(*T, ritz[:1], block, split)
-            ends.append((float(ritz[0]), float(s[-1, 0])))
-        residual = betas[k] * max(abs(s) for _, s in ends)
-        if residual <= 1e-10 or betas[k] == 0.0 or k + 1 == steps:
-            return ends[0][0], ends[1][0], k + 1, float(residual)
+        T = np.diag(alphas) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1)
+        ritz, S = np.linalg.eigh(T)
+        residual = betas[k] * max(abs(S[-1, 0]), abs(S[-1, -1]))
+        rows.append((float(ritz[0]), float(ritz[-1]), k + 1, float(residual)))
+        if betas[k] == 0.0:
+            break
         Q.append(w / betas[k])
+    return rows
+
+
+def _bits(*values):
+    return [(type(x), None if x is None else np.float64(x).tobytes()) for x in values]
+
+
+def _assert_is_the_list_loop(point, seed):
+    """``_lanczos`` stops at the first of its scheduled stop tests that the
+    list loop's residual passes, or at ``d``, and there equals the list loop
+    bit for bit; returns the estimate."""
+    est = _lanczos(point, derive_stream(seed, 2))
+    rows = _list_lanczos(point, derive_stream(seed, 2), steps=est.iterations_used)
+    low, high, steps, residual = rows[-1]
+    psd = low > -LANCZOS_TOL
+    kappa = high / low if psd and low > KAPPA_FLOOR else None
+    assert (_bits(est.lambda_min, est.lambda_max, est.iterations_used, est.residual, est.kappa,
+                  est.psd_flag) == _bits(low, high, steps, residual, kappa, psd))
+    check, last = 1, None
+    for _, _, m, r in rows[:-1]:  # every stop test before the last one fails
+        if m == check:
+            assert r > LANCZOS_TOL
+            check, last = spectral._next_check(m, r, last), (m, r)
+    # so it stops no earlier than the list loop's first converged step
+    assert steps == check and residual <= LANCZOS_TOL or steps == point.theta.size
+    return est
 
 
 def _binary_logistic():
@@ -150,14 +173,25 @@ def _binary_logistic():
 ], ids=["quadratic", "binary-logistic", "relu-mlp"])
 def test_lanczos_is_bitwise_the_list_loop(make):
     obj, theta = make()
-    point = obj.evaluate(theta)
-    est = _lanczos(point, derive_stream(9, 2))
-    got = est.lambda_min, est.lambda_max, est.iterations_used, est.residual
-    assert np.array(got).tobytes() == np.array(_list_lanczos(point, derive_stream(9, 2))).tobytes()
-    assert [type(x) for x in got] == [float, float, int, float]
-    assert got[2] > 3  # more steps than the start-up ones
+    est = _assert_is_the_list_loop(obj.evaluate(theta), 9)
+    assert est.iterations_used > 3  # more steps than the start-up ones
     if obj.spec.kind == "mlp":
-        assert got[0] < 0.0 < got[1]  # an indefinite Hessian
+        assert est.lambda_min < 0.0 < est.lambda_max  # an indefinite Hessian
+
+
+@pytest.mark.parametrize("make", [_binary_logistic, lambda: _relu_mlp(seed=0)],
+                         ids=["binary-logistic", "relu-mlp"])
+def test_lanczos_extremes_lie_within_the_residual_of_the_explicit_hessian(make):
+    # an independent route: the Hessian built column by column from HVPs, solved densely
+    obj, theta = make()
+    point = obj.evaluate(theta)
+    H = np.column_stack([point.hvp(e) for e in np.eye(theta.size)])
+    eig = np.linalg.eigvalsh(H)
+    est = _lanczos(point, derive_stream(9, 2))
+    assert est.residual <= LANCZOS_TOL
+    rounding = theta.size * np.finfo(float).eps * abs(eig).max()  # of two dense solves
+    assert abs(est.lambda_min - eig[0]) <= est.residual + rounding
+    assert abs(est.lambda_max - eig[-1]) <= est.residual + rounding
 
 
 def _test_spectrum(kind, d, rng):
@@ -183,35 +217,59 @@ def _test_spectrum(kind, d, rng):
 @given(st.integers(1, 64), st.integers(0, 2**32 - 1),
        st.sampled_from(["uniform", "log-uniform", "repeated", "geometric", "curvature-audit"]))
 def test_lanczos_estimate_is_bitwise_the_list_loop_on_random_quadratics(d, seed, kind):
-    """The list loop solves both ends at every step, so it checks that solving only the
-    low end of a step whose low-end residual fails the stop test changes no bit."""
+    """The list loop solves T at every step, so it checks that solving it only
+    at the scheduled stop tests changes no bit of the step where the run stops."""
     rng = derive_stream(seed, 0)
     spectrum = _test_spectrum(kind, d, rng)
     obj = make_quadratic(spectrum, rng.normal(0.0, 1.0, spectrum.size), 0.0)
-    point = obj.evaluate(rng.normal(0.0, 1.0, spectrum.size))
-    est = _lanczos(point, derive_stream(seed, 2))
-    low, high, steps, residual = _list_lanczos(point, derive_stream(seed, 2))
-    psd = low > -LANCZOS_TOL
-    kappa = high / low if psd and low > KAPPA_FLOOR else None
-
-    def bits(*values):
-        return [(type(x), None if x is None else np.float64(x).tobytes()) for x in values]
-
-    assert (bits(est.lambda_min, est.lambda_max, est.iterations_used, est.residual, est.kappa,
-                 est.psd_flag) == bits(low, high, steps, residual, kappa, psd))
+    _assert_is_the_list_loop(obj.evaluate(rng.normal(0.0, 1.0, spectrum.size)), seed)
 
 
-def test_lanczos_solves_one_end_per_undecided_step(monkeypatch):
-    # the first step reads its 1x1 T without LAPACK, the last solves both ends,
-    # each step between solves only the low end, whose residual fails the stop test
-    import scipy.linalg.lapack
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 10_000), st.floats(0.01, 10.0), st.integers(1, 10_000),
+       st.floats(0.01, 12.0))
+def test_next_stop_test_is_the_extrapolated_step_clamped_to_m_plus_one_to_2m(
+        m, log_residual, back, log_last):
+    # both tests failed: each residual is above the tolerance
+    residual = LANCZOS_TOL * 10.0 ** log_residual
+    last = None if back >= m else (m - back, LANCZOS_TOL * 10.0 ** log_last)
+    got = spectral._next_check(m, residual, last)
+    assert m + 1 <= got <= 2 * m
+    if last is not None and last[1] > residual:  # geometric decay reaches the tolerance here
+        rate = (math.log(residual) - math.log(last[1])) / back
+        reach = m + math.ceil((math.log(LANCZOS_TOL) - math.log(residual)) / rate)
+        if m + 1 <= reach <= 2 * m:
+            assert got == reach
+    else:  # no decay to extrapolate
+        assert got == 2 * m
 
-    calls, dstebz = [], scipy.linalg.lapack.dstebz
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda *a: calls.append(a) or dstebz(*a))
+
+@pytest.mark.parametrize("m, residual, last, want", [
+    (1, 1.0, None, 2),  # the first test
+    (2, 1e-3, (1, 1.0), 4),  # no more than 2m
+    (10, 1e-4, (5, 1.0), 18),  # 7.5 more steps at 10^-0.8 a step
+    (10, 2e-10, (9, 1.0), 11),  # at least m + 1
+    (10, 1e-4, (5, 1e-4), 20),  # no decay
+    (10, 1e-4, (5, 1e-6), 20),  # a rising residual
+])
+def test_next_stop_test_examples(m, residual, last, want):
+    assert spectral._next_check(m, residual, last) == want
+
+
+def test_lanczos_solves_t_only_at_scheduled_stop_tests(monkeypatch):
+    # step 1 reads its 1x1 T without eigh; every later stop test solves T once
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda T: calls.append(len(T)) or eigh(T))
     point = make_quadratic(np.linspace(9.0, 0.5, 24), np.ones(24), 0.0).evaluate(np.zeros(24))
     est = _lanczos(point, derive_stream(9, 2))
-    assert est.iterations_used == 24
-    assert len(calls) == 24  # both ends at every step from the second: 46
+    monkeypatch.undo()
+    want, check, last = [], 1, None
+    for _, _, m, r in _list_lanczos(point, derive_stream(9, 2), steps=est.iterations_used):
+        if m == check or m == est.iterations_used:
+            want += [m] if m > 1 else []
+            check, last = spectral._next_check(m, r, last), (m, r)
+    assert calls == want
+    assert len(calls) < est.iterations_used // 2  # not a solve per step
 
 
 def test_lanczos_step_limit_solves_both_ends(monkeypatch):
@@ -220,20 +278,20 @@ def test_lanczos_step_limit_solves_both_ends(monkeypatch):
     point = make_quadratic(np.linspace(9.0, 0.5, 24), np.ones(24), 0.0).evaluate(np.zeros(24))
     est = _lanczos(point, derive_stream(9, 2))
     got = est.lambda_min, est.lambda_max, est.iterations_used, est.residual
-    want = _list_lanczos(point, derive_stream(9, 2), steps=5)
+    want = _list_lanczos(point, derive_stream(9, 2), steps=5)[-1]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert got[2] == 5 and got[3] > LANCZOS_TOL
 
 
 @pytest.mark.parametrize("spectrum", [[np.pi], [1e300], [5e-324], [3.0, 3.0], [4.0, 0.25]])
 def test_lanczos_first_step_is_lapacks(spectrum):
-    # _lanczos reads a 1x1 tridiagonal without LAPACK; the list loop calls it.
+    # _lanczos reads a 1x1 tridiagonal without LAPACK; the list loop calls eigh.
     # [3.0, 3.0] stops after one step, [4.0, 0.25] goes on to a 2x2 one
     d = len(spectrum)
     point = make_quadratic(spectrum, np.ones(d), 0.0).evaluate(np.zeros(d))
     est = _lanczos(point, derive_stream(9, 2))
     got = est.lambda_min, est.lambda_max, est.iterations_used, est.residual
-    want = _list_lanczos(point, derive_stream(9, 2))
+    want = _list_lanczos(point, derive_stream(9, 2), steps=got[2])[-1]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert got[2] == (2 if spectrum == [4.0, 0.25] else 1)
 
