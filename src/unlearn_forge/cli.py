@@ -45,7 +45,7 @@ from .models import ModelSpec, logistic_spec, mlp_spec
 from .metrics import rcd, eval_report, EvalReport
 from .numcore import derive_stream, is_int, is_real, read_json, write_csv, write_json
 from .training import (FORGET_ORACLE_CONFIG, OPTIMIZER_KINDS, PHI_KINDS, OptimizerConfig,
-                       DivergenceError, _fit, retrain_oracle, forget_oracle, trace_to_csv)
+                       _fit, retrain_oracle, forget_oracle, trace_to_csv)
 from .unlearning import METHODS, EpochRow, UnlearnConfig, unlearn
 
 __all__ = ["main", "cli"]
@@ -428,8 +428,8 @@ def cli(argv=None) -> int:
             raise UsageError(f"{args.command} requires {', '.join(missing)}")
         with np.errstate(all="ignore"):  # a diverged run is refused by name, not warned of
             return args.fn(cfg, getattr(args, "seed", None))
-    except (UsageError, OSError, ValueError, CheckpointError, DivergenceError,
-            FloatingPointError, MemoryError) as exc:
+    except (UsageError, OSError, ValueError, CheckpointError, FloatingPointError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,7 +42,7 @@ __all__ = [
 class RcdReport:
     K: int
     phi_kind: str
-    step_mode: str
+    step_mode: str  # the relearning rule, relearn_cfg.kind
     errors: np.ndarray  # e_t for t = 0..K
     rcd_value: float
     phi_ref: float
@@ -104,8 +104,7 @@ def rcd(theta0: np.ndarray, forget_obj: Objective, phi_ref: float, K: int,
             diag = f"negative loss gap {errors[0]:.3e} at theta0; bound not applicable"
         else:
             bound = float(est.kappa * errors[0])
-    step_mode = relearn_cfg.kind if relearn_cfg.kind != "gd_adaptive" else "adaptive_inv_lambda_max"
-    return RcdReport(K=K, phi_kind=phi_kind, step_mode=step_mode, errors=errors,
+    return RcdReport(K=K, phi_kind=phi_kind, step_mode=relearn_cfg.kind, errors=errors,
                      rcd_value=float(errors.sum()), phi_ref=phi_ref, curvature_bound=bound,
                      bound_diagnostic=diag, spectral=est)
 

@@ -257,7 +257,7 @@ class Objective:
 
     # shortcuts that evaluate once per call (perfbench/tracer.py patches them by name)
     def value(self, theta): return self.evaluate(theta).loss
-    def gradient(self, theta): return self.evaluate(theta).gradient()
+    def gradient(self, theta): return self.evaluate(theta).gradient
     def hvp(self, theta, v): return self.evaluate(theta).hvp(v)
     def accuracy(self, theta): return self.evaluate(theta).accuracy
     def per_example_loss(self, theta): return self.evaluate(theta).per_example_loss
@@ -270,11 +270,8 @@ class Objective:
 
 
 class _Point:
-    """A parameter point; each subclass sets ``obj`` and ``theta`` itself."""
-
-    def gradient(self) -> np.ndarray:
-        """The loss gradient, computed at most once per point."""
-        return self._gradient
+    """A parameter point; each subclass sets ``obj`` and ``theta`` itself and
+    serves ``loss`` and ``gradient``, the gradient computed at most once."""
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         if v.shape != self.theta.shape:
@@ -288,7 +285,7 @@ class _QuadraticPoint(_Point):
         self.obj, self.theta = obj, theta
         self.spectrum, theta_star = spec._quadratic_arrays
         r = theta - theta_star
-        self._gradient = g = self.spectrum * r
+        self.gradient = g = self.spectrum * r
         self.loss = 0.5 * float(g.dot(r)) + spec.l_star
 
     def _hvp(self, v):
@@ -361,7 +358,7 @@ class _ClassifierPoint(_Point):
         return self.dlogits(self.obj.y, len(self.logits))
 
     @_once
-    def _gradient(self):
+    def gradient(self) -> np.ndarray:
         return self.backprop(self.delta)
 
     def _softmax_tangent(self, rz):

@@ -52,8 +52,8 @@ ADAM_EPS = 1e-8
 _STREAMS_ORACLE = (201, 202)
 
 
-class DivergenceError(RuntimeError):
-    pass
+class DivergenceError(FloatingPointError):
+    """A diverged training run; ``rcd`` and ``unlearn`` raise their base class."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,9 @@ def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: np.r
     one Lanczos start vector per run, not one per epoch, and a later draw
     from it (``rcd``'s bound) sees the stream in that state."""
     n, bs = obj.n_examples, cfg.batch_size
-    full_batch = bs == "full" or bs >= n  # so always for a quadratic, which has n = 0
+    if bs != "full" and n == 0:  # a quadratic: no examples to batch, so every epoch is full
+        raise ValueError(f"batch_size={bs!r} does nothing on an objective with no examples")
+    full_batch = bs == "full" or bs >= n
     adaptive, adam = cfg.kind == "gd_adaptive", cfg.kind == "adam"
     point, eta, lam = obj.evaluate(np.array(theta0, dtype=np.float64)), None, None
     m, v, t = 0.0, 0.0, 0  # Adam's moments and step count
@@ -161,7 +163,7 @@ def _descend(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig, rng: np.r
                     raise DivergenceError("adaptive step-size needs a positive lambda_max")
             eta = cfg.eta / lam
         if full_batch:  # the one batch, whose gradient comes from the point
-            theta = step(point.theta, point.gradient())
+            theta = step(point.theta, point.gradient)
         else:
             order = rng.permutation(n)
             X, y = obj.X[order], obj.y[order]  # one shuffled copy; batches are row slices of it
@@ -187,7 +189,7 @@ def train(obj: Objective, theta0: np.ndarray, cfg: OptimizerConfig,
             limit = DIVERGENCE_FACTOR * max(abs(loss), 1e-300)
         if not math.isfinite(loss) or abs(loss) > limit:
             raise DivergenceError(f"loss {loss} diverged at epoch {epoch}")
-        gn = norm(point.gradient())
+        gn = norm(point.gradient)
         acc = point.accuracy if classifier else None
         records.append(EpochRecord(epoch=epoch, loss=loss, grad_norm=gn, accuracy=acc,
                                    lambda_max=lam, eta=eta))
@@ -201,22 +203,21 @@ def _fit(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, seed: int, w
          streams: tuple) -> tuple[Checkpoint, TrainTrace]:
     """``(checkpoint, trace)`` of a Kaiming init from stream ``(seed, streams[0])`` trained
     on split ``which`` alone with stream ``(seed, streams[1])``. The checkpoint's role
-    follows from the split, and it records the run's stop reason."""
+    follows from the split, and it records the run's stop reason and epochs run."""
     trace = train(split_objective(data, spec, which),
                   kaiming_sample(spec.param_count, derive_stream(seed, streams[0])),
                   cfg, derive_stream(seed, streams[1]))
     role = {"train": "original", "retain": "retrain", "forget": "forget_oracle"}[which]
+    extra = {"stop_reason": trace.stop_reason, "epochs_run": trace.records[-1].epoch}
     return Checkpoint(role=role, spec=spec, config=cfg.to_dict(), root_seed=seed,
-                      theta=trace.theta, extra={"stop_reason": trace.stop_reason}), trace
+                      theta=trace.theta, extra=extra), trace
 
 
 def retrain_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig,
                    seed: int) -> Checkpoint:
     """Exact-unlearning reference: fresh Kaiming init trained on the retain
     set only."""
-    ckpt, trace = _fit(data, spec, cfg, seed, "retain", _STREAMS_ORACLE)
-    ckpt.extra["epochs_run"] = trace.records[-1].epoch
-    return ckpt
+    return _fit(data, spec, cfg, seed, "retain", _STREAMS_ORACLE)[0]
 
 
 def forget_oracle(data: SplitDataset, spec: ModelSpec, cfg: OptimizerConfig, seed: int):

@@ -180,13 +180,13 @@ def _ieu_rule(cfg: UnlearnConfig, rng: np.random.Generator, retain0, forget0):
     alpha, c, eta = cfg.alpha, cfg.c, cfg.eta
 
     def step(epoch, theta, retain, forget):
-        grad_r = retain.gradient()
+        grad_r = retain.gradient
         check_finite(grad_r, "retain gradient")
         clipped = False
         theta_init = kaiming_sample(theta.size, rng)
         theta = alpha * theta + (1.0 - alpha) * theta_init - eta * grad_r
         if c > 0:
-            grad_f = forget.gradient()
+            grad_f = forget.gradient
             check_finite(grad_f, "forget gradient")
             gr, gf = norm(grad_r), norm(grad_f)
             if gr > 0 and gf > CLIP_RATIO * gr:
@@ -222,7 +222,7 @@ def _relabel_rule(cfg: UnlearnConfig, rng: np.random.Generator, retain0, forget0
 def _saliency_mask(forget, fraction: float) -> np.ndarray:
     """Indicator of the top ``fraction`` of coordinates by the gradient
     magnitude of the forget point; ties resolve by stable index order."""
-    saliency = np.abs(forget.gradient())
+    saliency = np.abs(forget.gradient)
     k = max(1, int(round(fraction * saliency.size)))
     mask = np.zeros(saliency.size)
     mask[np.argsort(-saliency, kind="stable")[:k]] = 1.0
@@ -300,7 +300,7 @@ def retain_bound_monitor(retain_obj: Objective, forget_obj: Objective,
     mu, beta = float(min(spec.spectrum)), float(max(spec.spectrum))
     points = [retain for retain, _, _ in _unlearn_points(retain_obj, forget_obj, theta0, cfg)]
     thetas = np.array([p.theta for p in points])
-    grad_norm_max = max(norm(p.gradient()) for p in points)
+    grad_norm_max = max(norm(p.gradient) for p in points)
     sq_dists = np.zeros((len(thetas), len(thetas)))
     for col in thetas.T:  # summed coordinate by coordinate, as scipy's pdist sums
         sq_dists += (col[:, None] - col[None, :]) ** 2

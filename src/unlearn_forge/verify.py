@@ -73,10 +73,10 @@ class SuiteReport:
 
 
 def _random_quadratics(count: int = 50):
-    """Seeded strongly-convex quadratic oracles: d in 2..32, condition
-    number in [1.05, 1e3], known optimum and spectrum."""
+    """Seeded strongly-convex quadratic oracles as ``(objective, theta0, kappa)``:
+    d in 2..32, condition number in [1.05, 1e3]; ``objective.spec`` holds the
+    spectrum, beta down to mu = beta / kappa, and the optimum."""
     rng = derive_stream(_ROOT_SEED, 901)
-    tasks = []
     for _ in range(count):
         d = int(rng.integers(31)) + 2
         beta = float(rng.uniform(1.0, 10.0))
@@ -86,16 +86,7 @@ def _random_quadratics(count: int = 50):
         spectrum = np.concatenate([[beta], interior, [lam_min]])
         theta_star = rng.normal(0.0, 1.0, d)
         theta0 = theta_star + rng.normal(0.0, 1.0, d)
-        tasks.append({
-            "spectrum": spectrum,
-            "theta_star": theta_star,
-            "theta0": theta0,
-            "obj": make_quadratic(spectrum, theta_star, 0.0),
-            "mu": lam_min,
-            "beta": beta,
-            "kappa": kappa,
-        })
-    return tasks
+        yield make_quadratic(spectrum, theta_star), theta0, kappa
 
 
 def _rcd_closed_form(spectrum, residual, eta):
@@ -136,11 +127,10 @@ def check_rcd_curvature_bound() -> CheckResult:
     details = {"count": 0}
     rng = derive_stream(_ROOT_SEED, 903)
     cfg = OptimizerConfig(kind="gd_adaptive", eta=1.0, max_epochs=1)
-    for task in _random_quadratics():
-        obj, theta0 = task["obj"], task["theta0"]
+    for obj, theta0, kappa in _random_quadratics():
         rep = rcd(theta0, obj, 0.0, 500, cfg, "loss", rng, attach_bound=False)
         partial = np.cumsum(rep.errors)
-        bound = task["kappa"] * rep.errors[0]  # the loss at theta0, as phi_ref is 0
+        bound = kappa * rep.errors[0]  # the loss at theta0, as phi_ref is 0
         worst_upper = min(worst_upper, float(np.min(bound + 1e-8 - partial)))
         worst_lower = min(worst_lower, float(np.min(partial + 1e-10)))
         details["count"] += 1
@@ -157,12 +147,13 @@ def check_rcd_tail_decay() -> CheckResult:
     rng = derive_stream(_ROOT_SEED, 904)
     worst_ratio = np.inf  # slope / ln(1 - mu/beta); needs >= 0.9, is <= 0 on a rising tail
     details = {"count": 0, "skipped_flat": 0}
-    for task in _random_quadratics():
-        obj, theta0 = task["obj"], task["theta0"]
-        eta = 1.0 / task["beta"]
+    for obj, theta0, _ in _random_quadratics():
+        spec = obj.spec
+        mu, beta = spec.spectrum[-1], spec.spectrum[0]
+        eta = 1.0 / beta
         cfg = OptimizerConfig(kind="gd_fixed", eta=eta, max_epochs=1)
         rep = rcd(theta0, obj, 0.0, 500, cfg, "loss", rng, attach_bound=False)
-        rcd_inf = _rcd_closed_form(task["spectrum"], theta0 - task["theta_star"], eta)
+        rcd_inf = _rcd_closed_form(spec.spectrum, theta0 - spec.theta_star, eta)
         tail = rcd_inf - np.cumsum(rep.errors)
         ks = np.arange(tail.size)
         keep = tail > max(1e-10 * rcd_inf, 1e-12)
@@ -170,7 +161,7 @@ def check_rcd_tail_decay() -> CheckResult:
             details["skipped_flat"] += 1
             continue
         slope = float(np.polyfit(ks[keep], np.log(tail[keep]), 1)[0])
-        guaranteed = np.log(1.0 - task["mu"] / task["beta"])
+        guaranteed = np.log(1.0 - mu / beta)
         worst_ratio = min(worst_ratio, slope / guaranteed)
         details["count"] += 1
     fitted = details["count"] > 0
@@ -185,14 +176,14 @@ def check_geometric_decay_and_pl() -> CheckResult:
     hold along ``gd_fixed`` with step 1/beta on every random quadratic."""
     worst = np.inf
     steps_checked = 0
-    for task in _random_quadratics():
-        obj, mu, beta = task["obj"], task["mu"], task["beta"]
+    for obj, theta0, _ in _random_quadratics():
+        mu, beta = obj.spec.spectrum[-1], obj.spec.spectrum[0]
         rate = 1.0 - mu / beta
         cfg = OptimizerConfig(kind="gd_fixed", eta=1.0 / beta, max_epochs=1)
-        walk = _descend(obj, task["theta0"], cfg, None)  # gd_fixed on a full batch draws nothing
+        walk = _descend(obj, theta0, cfg, None)  # gd_fixed on a full batch draws nothing
         point, _, _ = next(walk)
         for _ in range(200):
-            gap, grad = point.loss, point.gradient()
+            gap, grad = point.loss, point.gradient
             pl_slack = float(np.dot(grad, grad) - 2.0 * mu * gap)
             point, _, _ = next(walk)
             decay_slack = float(rate * gap - point.loss)

@@ -31,7 +31,7 @@ def test_rcd_geometric_series_value():
     assert rep.rcd_value == pytest.approx(22.0 / 7.0, abs=1e-9)
     assert rep.curvature_bound == pytest.approx(10.0, rel=1e-6)
     assert len(rep.errors) == 201
-    assert rep.step_mode == "adaptive_inv_lambda_max"
+    assert rep.step_mode == "gd_adaptive"
 
 
 def test_rcd_zero_at_optimum():

@@ -113,7 +113,7 @@ def test_logistic_point_is_bitwise_the_numpy_reference(classes):
     assert point.per_example_loss.tobytes() == losses.tobytes()
     assert point.loss == losses.mean()
     assert point.probs.tobytes() == probs.tobytes()
-    assert point.gradient().tobytes() == (xt.T @ delta[:, :cm1]).ravel().tobytes()
+    assert point.gradient.tobytes() == (xt.T @ delta[:, :cm1]).ravel().tobytes()
     assert point.backprop(d).tobytes() == (xt.T @ d[:, :cm1]).ravel().tobytes()
     assert point.hvp(v).tobytes() == (xt.T @ (rp[:, :cm1] / n)).ravel().tobytes()
     # every point of one objective reads one design matrix
@@ -241,7 +241,7 @@ def test_hvp_linearity_and_symmetry(kind):
     # one evaluated point serves, bit for bit, what each shortcut computes on its own
     point = obj.evaluate(theta)
     assert point.loss == obj.value(theta)
-    assert np.array_equal(point.gradient(), obj.gradient(theta))
+    assert np.array_equal(point.gradient, obj.gradient(theta))
     assert np.array_equal(point.hvp(v), obj.hvp(theta, v))
     if kind != "quadratic":
         assert point.accuracy == obj.accuracy(theta)
@@ -357,7 +357,7 @@ def test_mlp_point_is_bitwise_the_float_mask_reference(dims):
     delta /= len(delta)
 
     assert point.logits.tobytes() == z.tobytes()
-    assert point.gradient().tobytes() == _ref_backward(dims, wb, acts, masks, delta).tobytes()
+    assert point.gradient.tobytes() == _ref_backward(dims, wb, acts, masks, delta).tobytes()
     assert point.backprop(d).tobytes() == _ref_backward(dims, wb, acts, masks, d).tobytes()
     assert point.hvp(v).tobytes() == _ref_hvp(dims, wb, obj.X, acts, masks, probs, delta,
                                               v).tobytes()

@@ -43,7 +43,7 @@ class _NegativeDominant:
     def evaluate(self, theta):
         grad = self.H @ theta
         return SimpleNamespace(theta=theta, loss=0.5 * float(theta @ grad),
-                               gradient=lambda: grad, hvp=lambda v: self.H @ v)
+                               gradient=grad, hvp=lambda v: self.H @ v)
 
 
 def _negative_dominant():

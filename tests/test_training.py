@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unlearn_forge import spectral
+from unlearn_forge.checkpoints import Checkpoint
 from unlearn_forge.datasets import gen_blobs, split_objective, split_random
 from unlearn_forge.metrics import rcd
 from unlearn_forge.models import make_quadratic, logistic_spec, mlp_spec
@@ -18,6 +19,7 @@ from unlearn_forge.training import (
     _descend,
     _fit,
 )
+from unlearn_forge.unlearning import UnlearnConfig, unlearn
 
 
 def test_gd_worked_loss_sequence():
@@ -89,10 +91,11 @@ def test_records_are_bitwise_the_numpy_reductions(make):
     epoch's point as ``np.mean``, ``np.argmax`` and ``np.linalg.norm`` take
     them."""
     obj, theta0 = make()
-    cfg = OptimizerConfig(kind="adam", eta=0.05, batch_size=7, max_epochs=6, grad_norm_tol=0.0)
+    batch = 7 if obj.spec.is_classifier else "full"  # a quadratic has no examples to batch
+    cfg = OptimizerConfig(kind="adam", eta=0.05, batch_size=batch, max_epochs=6, grad_norm_tol=0.0)
     records = train(obj, theta0, cfg, derive_stream(3, 2)).records
     for rec, (point, _, _) in zip(records, _descend(obj, theta0, cfg, derive_stream(3, 2))):
-        assert rec.grad_norm == float(np.linalg.norm(point.gradient()))
+        assert rec.grad_norm == float(np.linalg.norm(point.gradient))
         if obj.spec.is_classifier:
             assert rec.loss == float(np.mean(point.per_example_loss))
             assert rec.accuracy == float(np.mean(np.argmax(point.logits, axis=1) == obj.y))
@@ -113,6 +116,36 @@ def test_divergence_raises():
     cfg = OptimizerConfig(kind="gd_fixed", eta=10.0, max_epochs=100)
     with pytest.raises(DivergenceError):
         train(obj, np.array([1.0, 1.0]), cfg, derive_stream(3, 0))
+
+
+def test_every_diverged_run_is_a_floating_point_error():
+    # one exception class for one event, whichever loop diverged; the messages stay as they were
+    obj = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
+    ds = split_random(gen_blobs(30, 4, 4, 3.0, 1.0, seed=3), 0.25, seed=3)
+    spec = mlp_spec([4, 8, 4])
+    ckpt = Checkpoint(role="original", spec=spec, config={}, root_seed=3,
+                      theta=kaiming_sample(spec.param_count, derive_stream(3, 91)))
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match=r"^loss \S+ diverged at epoch 2$"):
+            train(obj, np.ones(2), OptimizerConfig(eta=10.0), derive_stream(3, 0))
+        with pytest.raises(FloatingPointError,
+                           match="^non-finite relearning error at epoch 1: phi=inf$"):
+            rcd(np.ones(2), obj, 0.0, 3, OptimizerConfig(eta=1e300, max_epochs=1), "loss",
+                derive_stream(3, 1), attach_bound=False)
+        with pytest.raises(FloatingPointError, match="^unlearning diverged at epoch 0: "
+                                                     "retain loss nan, forget loss nan$"):
+            unlearn(ckpt, ds, UnlearnConfig(method="ft", eta=1e250, epochs=3))
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_a_minibatch_on_an_objective_with_no_examples_is_refused(kind):
+    # a quadratic has no examples, so a batch of 4 would step as the full batch does
+    obj = make_quadratic([4.0, 1.0], np.zeros(2), 0.0)
+    cfg = OptimizerConfig(kind=kind, eta=0.1, batch_size=4, max_epochs=1)
+    with pytest.raises(ValueError, match="batch_size=4"):
+        train(obj, np.ones(2), cfg, derive_stream(4, 0))
+    with pytest.raises(ValueError, match="batch_size=4"):
+        rcd(np.ones(2), obj, 0.0, 3, cfg, "loss", derive_stream(4, 1), attach_bound=False)
 
 
 def test_sgd_shuffle_is_seeded():
@@ -165,7 +198,8 @@ def test_fit_is_the_draw_train_wrap_it_replaces():
                     derive_stream(11, 12))
     assert ckpt.theta.tobytes() == by_hand.theta.tobytes() == trace.theta.tobytes()
     assert ckpt.role == "original" and ckpt.config == cfg.to_dict() and ckpt.root_seed == 11
-    assert ckpt.extra == {"stop_reason": by_hand.stop_reason}
+    assert ckpt.extra == {"stop_reason": by_hand.stop_reason,
+                          "epochs_run": by_hand.records[-1].epoch}
     assert _fit(ds, spec, cfg, 11, "retain", (11, 12))[0].role == "retrain"
     assert _fit(ds, spec, cfg, 11, "forget", (11, 12))[0].role == "forget_oracle"
 

@@ -40,7 +40,7 @@ def test_ieu_epoch_algebra():
     theta = np.array([1.0, 2.0])
     cfg = UnlearnConfig(method="ieu", alpha=1.0, c=0.1, eta=0.2, epochs=1, seed=0)
     (r0, f0, start), (r1, _, epoch) = _unlearn_points(retain, forget, theta, cfg)
-    gr, gf = r0.gradient(), f0.gradient()
+    gr, gf = r0.gradient, f0.gradient
     assert np.array_equal(r0.theta, theta) and start == {}
     assert np.allclose(r1.theta, theta - 0.2 * gr + 0.1 * 0.2 * gf)
     assert epoch == {"clip_active": False}

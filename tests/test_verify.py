@@ -18,20 +18,21 @@ from unlearn_forge.verify import (
 
 
 def test_random_quadratics_respect_construction_limits():
-    tasks = _random_quadratics()
+    tasks = list(_random_quadratics())
     assert len(tasks) == 50
-    for t in tasks:
-        assert 2 <= t["spectrum"].size <= 32
-        assert t["kappa"] <= 1e3 + 1e-9
-        assert np.all(np.diff(t["spectrum"]) <= 0)
-        assert t["spectrum"][0] == t["beta"]
-        assert t["spectrum"][-1] == t["mu"]
+    for obj, theta0, kappa in tasks:
+        spectrum = np.array(obj.spec.spectrum)
+        assert 2 <= spectrum.size <= 32 and theta0.shape == spectrum.shape
+        assert kappa <= 1e3 + 1e-9
+        assert np.all(np.diff(spectrum) <= 0)
+        assert spectrum[-1] == spectrum[0] / kappa
 
 
 def test_random_quadratics_are_seeded():
-    a = _random_quadratics()
-    b = _random_quadratics()
-    assert np.array_equal(a[7]["theta0"], b[7]["theta0"])
+    a = list(_random_quadratics())
+    b = list(_random_quadratics())
+    assert np.array_equal(a[7][1], b[7][1])
+    assert a[7][0].spec == b[7][0].spec
 
 
 def test_closed_form_matches_worked_example():
